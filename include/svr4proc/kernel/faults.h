@@ -37,7 +37,8 @@ class KTrace;
 //                       generation-based invalidation keeps it safe)
 //   kPeerDisconnect     a procd peer's transport dies between frames: the
 //                       daemon must close every descriptor the peer held
-//                       (evaluated once per connected peer per server pump)
+//                       (evaluated once per server pump; a firing severs
+//                       one live peer chosen by Draw from the site's stream)
 enum class FaultSite : int {
   kCopyin = 0,
   kCopyout,
@@ -86,6 +87,9 @@ class FaultInjector {
   // One deterministic decision for the site; counts the evaluation and, on
   // true, the fire. The caller applies the site's failure.
   bool Fire(FaultSite s);
+  // A value in [0, n) from the site's own stream, for a site that picks its
+  // victim among n candidates after it fires. Not an evaluation. n > 0.
+  uint64_t Draw(FaultSite s, uint64_t n);
 
   const FaultPlan& plan() const { return plan_; }
   uint64_t evals(FaultSite s) const { return state_[static_cast<int>(s)].evals; }

@@ -267,6 +267,12 @@ class Kernel {
   const std::function<std::string()>& procd_stats_provider() const {
     return procd_stats_;
   }
+  // A running ProcdServer also registers a hook the kernel calls with a pid
+  // wherever a /proc poll level of that process can move: stop, resume,
+  // exit, reap, the set-id exec that invalidates descriptors, and an exec
+  // that kills a stopped lwp. procd re-polls only the subscriptions on pids
+  // it was told about, so a level change with no call here is never pushed.
+  void SetProcdPollHook(std::function<void(Pid)> fn) { procd_poll_hook_ = std::move(fn); }
 
   // --- Execution engine (isa/blocks.h) --------------------------------------
   // Engine selection for un-hooked quanta. The constructor honors the
@@ -586,6 +592,11 @@ class Kernel {
   // Stats renderer registered by a running ProcdServer (see
   // SetProcdStatsProvider); /proc2/kernel/procd reads through it.
   std::function<std::string()> procd_stats_;
+  // Poll-level hook (SetProcdPollHook). Callers go through
+  // ProcPollLevelMoved, which stays out of line so the stop/resume paths
+  // carry one call, not an inlined std::function invocation.
+  std::function<void(Pid)> procd_poll_hook_;
+  [[gnu::noinline]] void ProcPollLevelMoved(Pid pid);
 
   static constexpr int kQuantum = 64;
 };

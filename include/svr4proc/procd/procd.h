@@ -24,16 +24,21 @@
 // as Kernel::PrWaitStop (target gone: ENOENT; stopped: done; simulation
 // idle: EDEADLK). A ctl write parked mid-stream keeps its unexecuted tail
 // as a continuation, preserving batched-write semantics.
+//
+// A pump round costs O(peers with work), never O(peers connected): it
+// serves the ready list (peers whose client sent a frame or hung up), the
+// parked list, and the subscriptions on pids the kernel reported through
+// its poll-level hook. Idle peers are never visited, and detached peers
+// leave the server at the end of their round.
 #ifndef SVR4PROC_PROCD_PROCD_H_
 #define SVR4PROC_PROCD_PROCD_H_
 
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "svr4proc/kernel/kernel.h"
@@ -198,16 +203,31 @@ void PdWriteError(PdChannel& ch, PdOp op, uint32_t tag, Errno e);
 // --- Connection --------------------------------------------------------------
 
 class ProcdServer;
+struct ProcdPeer;  // the server's per-peer state (procd.cc)
 
 // The duplex transport shared by one peer and the server. The client owns
-// one reference; the server's peer entry owns the other.
-struct ProcdConn {
-  PdChannel c2s;  // client -> server
-  PdChannel s2c;  // server -> client
-  bool client_closed = false;  // client hung up (orderly)
+// one reference; the server's peer entry owns the other. The client side
+// writes only through Send and Hangup, and each of them also puts the peer
+// on the server's ready list: a peer nobody woke is never visited.
+class ProcdConn {
+ public:
+  // Appends one request frame to the client -> server stream.
+  void Send(PdOp op, uint32_t tag, const std::vector<uint8_t>& body);
+  // Orderly hangup: the server detaches the peer once its queued frames
+  // are served.
+  void Hangup();
+  bool client_closed() const { return client_closed_; }
+
+  PdChannel s2c;               // server -> client
   bool server_closed = false;  // server detached the peer (hangup or chaos)
   uint64_t id = 0;
   ProcdServer* server = nullptr;
+
+ private:
+  friend class ProcdServer;
+  PdChannel c2s_;               // client -> server
+  bool client_closed_ = false;  // client hung up
+  ProcdPeer* peer_ = nullptr;   // the server's entry while attached
 };
 
 // --- Server ------------------------------------------------------------------
@@ -225,16 +245,22 @@ class ProcdServer {
   std::shared_ptr<ProcdConn> Connect(const Creds& creds,
                                      const std::string& name = "procd-peer");
 
-  // One service round: fires the PEER_DISCONNECT chaos site, drains peer
-  // frames (parking blocking ops instead of pumping inline), re-evaluates
-  // parked waits, pushes subscription events, and — when parked waits are
-  // the only pending work — advances the simulation one Step. Returns
-  // whether anything progressed; a false return means the daemon is fully
-  // idle. Clients' blocking calls drive this in a loop.
+  // One service round: evaluates the PEER_DISCONNECT chaos site once,
+  // drains the frames of the peers on the ready list (parking blocking ops
+  // instead of pumping inline), re-evaluates the parked waits, re-polls the
+  // subscriptions the kernel's hook marked, and — when parked waits are the
+  // only pending work — advances the simulation one Step. Returns whether
+  // anything progressed; a false return means the daemon is fully idle.
+  // Clients' blocking calls drive this in a loop.
   bool Pump();
 
-  size_t PeerCount() const { return live_peers_; }
+  size_t PeerCount() const { return peers_.size() - detached_.size(); }
   Kernel& kernel() { return *kernel_; }
+
+  // Re-polls every subscription and counts those whose level differs from
+  // the last value pushed although nothing marked them for re-evaluation:
+  // events the pump would never send. A correct kernel hook keeps it 0.
+  size_t UnmarkedSubscriptionChanges() const;
 
   struct Stats {
     uint64_t frames_in = 0;          // request frames processed
@@ -243,7 +269,8 @@ class ProcdServer {
     uint64_t disconnects = 0;        // peers detached (all causes)
     uint64_t chaos_disconnects = 0;  // ... of which PEER_DISCONNECT fired
     uint64_t pump_rounds = 0;        // Pump() invocations
-    uint64_t peer_scans = 0;         // live peers scanned across all rounds
+    uint64_t peer_scans = 0;         // peer entries visited: ready-batch
+                                     // and parked entries, chaos draws
   };
   const Stats& stats() const { return stats_; }
 
@@ -281,38 +308,10 @@ class ProcdServer {
   std::string StatsText() const;
 
  private:
-  struct Peer {
-    std::shared_ptr<ProcdConn> conn;
-    Proc* proc = nullptr;  // the peer's descriptor table
-    bool dead = false;
+  friend class ProcdConn;
+  using Peer = ProcdPeer;
 
-    // At most one parked blocking operation; while parked, later frames
-    // from this peer stay queued in the channel (FIFO order preserved).
-    enum class Wait : uint8_t { kNone, kStopWait, kPoll };
-    Wait wait = Wait::kNone;
-    PdOp wait_op = PdOp::kHello;  // op code for the eventual reply frame
-    uint32_t wait_tag = 0;
-    Pid wait_pid = -1;            // stop-wait: the target process
-    uint32_t wait_out_cap = 0;    // flat PIOCWSTOP/PIOCSTOP: PrStatus reply?
-    int wait_fd = -1;             // ctl-stream continuation descriptor
-    std::vector<uint8_t> wait_cont;  // unexecuted ctl-stream tail
-    int64_t wait_consumed = 0;       // stream bytes already accepted
-    std::vector<PollFd> wait_pfds;   // parked poll set
-    uint64_t wait_deadline = 0;      // poll: 0 = no timeout
-    // Subscriptions: fd -> {events mask, last pushed revents}.
-    std::map<int32_t, std::pair<int32_t, int32_t>> subs;
-
-    // Per-peer span counters (always on, dequeue-time like the globals).
-    uint64_t frames = 0;
-    uint64_t ctl_ops = 0;
-    uint64_t parks = 0;
-    // In-flight span stamps; at most one frame is between dequeue and
-    // reply per peer (parked ops carry these across pump rounds).
-    uint64_t frame_start_ns = 0;  // dequeue wall clock (spans armed only)
-    uint64_t park_start_tick = 0; // first park tick of the current frame
-  };
-
-  bool HandleFrame(Peer& peer, const PdFrame& f);
+  void HandleFrame(Peer& peer, const PdFrame& f);
   void HandleOpen(Peer& peer, uint32_t tag, PdReader& r);
   void HandleRead(Peer& peer, uint32_t tag, PdReader& r, bool pread);
   void HandleWrite(Peer& peer, uint32_t tag, PdReader& r);
@@ -327,13 +326,31 @@ class ProcdServer {
   bool RunCtlWrite(Peer& peer, uint32_t tag, int fd, std::vector<uint8_t> stream,
                    int64_t consumed);
 
-  // Parked-wait machinery.
+  // The ready list: a peer is queued at most once, by its client's Send or
+  // Hangup, or by the server when work is left behind a wait or a hangup.
+  void Ready(Peer& peer);
+  // Serves one ready peer: its hangup, or its queued frames up to a park.
+  bool ServePeer(Peer& peer);
+
+  // Parked-wait machinery. EvalParked visits only the parked list.
+  bool EvalParked(bool idle);
   bool TryCompleteWait(Peer& peer, bool idle);
   void ReplyStopWait(Peer& peer, Errno e, bool ok);
   int EvalPoll(Peer& peer, std::vector<PollFd>& pfds);
-  bool PushEvents(Peer& peer);
 
+  // Subscriptions. Those on /proc descriptors are indexed by target pid and
+  // re-polled when the kernel's hook names the pid (MarkPid); those on any
+  // other descriptor are re-polled every round.
+  void Subscribe(Peer& peer, int32_t fd, int32_t events, Pid pid);
+  void Unsubscribe(Peer& peer, int32_t fd);
+  void MarkPid(Pid pid);
+  int SubLevel(Peer& peer, int32_t fd, int32_t events) const;
+  bool RepollSubscriptions();
+
+  // Unlinks the peer from every list and index and closes its descriptor
+  // table; the round that detached it erases it (Reap).
   void Detach(Peer& peer, bool chaos);
+  void Reap();
 
   // Span bookkeeping around one frame's dispatch: SpanDequeue at frame
   // dequeue (counters always; stamps when armed), SpanPark when the op
@@ -343,9 +360,24 @@ class ProcdServer {
   void SpanPark(Peer& peer, PdOp op);
   void SpanReply(Peer& peer, PdOp op);
 
+  struct SubRef {
+    Peer* peer;
+    int32_t fd;
+  };
+  struct PidSubs {
+    std::vector<SubRef> subs;
+    bool marked = false;  // the kernel named the pid since the last event pass
+  };
+
   Kernel* kernel_;
-  std::vector<std::unique_ptr<Peer>> peers_;
-  size_t live_peers_ = 0;
+  std::vector<std::unique_ptr<Peer>> peers_;  // attached peers, slot-indexed
+  std::vector<Peer*> detached_;  // detached this round, not yet reaped
+  std::vector<Peer*> ready_;     // peers to serve next round
+  std::vector<Peer*> batch_;     // this round's ready list
+  std::vector<Peer*> parked_;    // peers with a parked wait, in park order
+  std::unordered_map<Pid, PidSubs> pid_subs_;  // /proc subscriptions by target
+  std::vector<Pid> marked_pids_;  // pids marked since the last event pass
+  std::vector<SubRef> every_round_subs_;  // subscriptions on other descriptors
   uint64_t next_conn_id_ = 1;
   Stats stats_;
 

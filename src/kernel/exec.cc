@@ -196,6 +196,7 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
       // controlling process becomes invalid ... the traced process is
       // directed to stop and its run-on-last-close flag is set."
       ++p->trace.gen;
+      ProcPollLevelMoved(p->pid);
       // Rebalance the open counts at invalidation time: the outstanding
       // descriptors now belong to a dead generation, so their counts move
       // to the stale ledger and any exclusivity they held dissolves. A new
@@ -356,6 +357,9 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
     if (survivor == nullptr && l->state != LwpState::kDead) {
       survivor = l.get();
     } else {
+      if (l->state == LwpState::kStopped) {
+        ProcPollLevelMoved(p->pid);  // killing a stopped lwp can drop POLLPRI
+      }
       LwpSetState(l.get(), LwpState::kDead);
     }
   }
@@ -477,6 +481,7 @@ void Kernel::ExitProc(Proc* p, int wstatus) {
   }
   Wakeup(p);  // anything sleeping on this process (vfork, waiters)
   Wakeup(PollChan());
+  ProcPollLevelMoved(p->pid);
 }
 
 void Kernel::DumpCore(Proc* p, int sig) {

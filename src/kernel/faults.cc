@@ -82,6 +82,10 @@ bool FaultInjector::Fire(FaultSite s) {
   return true;
 }
 
+uint64_t FaultInjector::Draw(FaultSite s, uint64_t n) {
+  return SplitMix64(&state_[static_cast<int>(s)].rng) % n;
+}
+
 std::string FaultInjector::Describe() const {
   std::string out = "faults: armed\n";
   for (int i = 0; i < kFaultSiteCount; ++i) {

@@ -281,6 +281,7 @@ void Kernel::FreeProc(Proc* p) {
     pid_bitmap_[bit / 64] &= ~(1ull << (bit % 64));
   }
   audit_watermark_.erase(p->ident);
+  ProcPollLevelMoved(p->pid);
   delete p;
 }
 
@@ -1878,6 +1879,7 @@ void Kernel::StopLwp(Lwp* lwp, uint16_t why, uint16_t what, bool istop) {
     }
   }
   Wakeup(kPollChan);
+  ProcPollLevelMoved(lwp->proc->pid);
 }
 
 void Kernel::ResumeLwp(Lwp* lwp) {
@@ -1896,6 +1898,14 @@ void Kernel::ResumeLwp(Lwp* lwp) {
     ArmSleepTimer(lwp);  // the heap entry went stale while it was stopped
   } else {
     LwpSetState(lwp, LwpState::kRunning);
+  }
+  // POLLPRI can fall here; nothing is woken, so only the hook reports it.
+  ProcPollLevelMoved(lwp->proc->pid);
+}
+
+void Kernel::ProcPollLevelMoved(Pid pid) {
+  if (procd_poll_hook_) {
+    procd_poll_hook_(pid);
   }
 }
 

@@ -137,10 +137,10 @@ bool PiocSizes(uint32_t op, bool have_arg, IoSizes* s) {
 }  // namespace
 
 void RemoteProcIo::Hangup() {
-  if (conn_ == nullptr || conn_->client_closed) {
+  if (conn_ == nullptr || conn_->client_closed()) {
     return;
   }
-  conn_->client_closed = true;
+  conn_->Hangup();
   // One pump lets the server observe the hangup and detach the peer now
   // rather than on the next unrelated pump.
   if (!conn_->server_closed && conn_->server != nullptr) {
@@ -167,11 +167,11 @@ void RemoteProcIo::DrainPushed() {
 }
 
 Result<PdFrame> RemoteProcIo::Call(PdOp op, std::vector<uint8_t> body) {
-  if (conn_ == nullptr || conn_->client_closed || conn_->server_closed) {
+  if (conn_ == nullptr || conn_->client_closed() || conn_->server_closed) {
     return Errno::kEIO;
   }
   uint32_t tag = next_tag_++;
-  PdWriteFrame(conn_->c2s, op, 0, tag, body);
+  conn_->Send(op, tag, body);
   int stalls = 0;
   for (;;) {
     PdFrame f;

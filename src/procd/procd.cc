@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 
 #include "svr4proc/kernel/faults.h"
 #include "svr4proc/procfs/ctl.h"
@@ -101,16 +102,71 @@ int OpSlot(uint16_t op) {
 
 }  // namespace
 
+// The server's per-peer state. Lives in peers_ from Connect until the end of
+// the round that detaches it.
+struct ProcdPeer {
+  std::shared_ptr<ProcdConn> conn;
+  Proc* proc = nullptr;  // the peer's descriptor table
+  size_t slot = 0;       // index in ProcdServer::peers_
+  bool dead = false;     // detached; reaped at the end of the round
+  bool queued = false;   // on the server's ready list
+
+  // At most one parked blocking operation; while parked, later frames
+  // from this peer stay queued in the channel (FIFO order preserved) and
+  // the peer sits on the server's parked list.
+  enum class Wait : uint8_t { kNone, kStopWait, kPoll };
+  Wait wait = Wait::kNone;
+  PdOp wait_op = PdOp::kHello;  // op code for the eventual reply frame
+  uint32_t wait_tag = 0;
+  Pid wait_pid = -1;            // stop-wait: the target process
+  uint32_t wait_out_cap = 0;    // flat PIOCWSTOP/PIOCSTOP: PrStatus reply?
+  int wait_fd = -1;             // ctl-stream continuation descriptor
+  std::vector<uint8_t> wait_cont;  // unexecuted ctl-stream tail
+  int64_t wait_consumed = 0;       // stream bytes already accepted
+  std::vector<PollFd> wait_pfds;   // parked poll set
+  uint64_t wait_deadline = 0;      // poll: 0 = no timeout
+
+  struct Sub {
+    int32_t events = 0;
+    int32_t last = 0;  // revents last pushed
+    Pid pid = -1;      // /proc target the index files it under; -1: none
+  };
+  std::map<int32_t, Sub> subs;  // by fd
+
+  // Per-peer span counters (always on, dequeue-time like the globals).
+  uint64_t frames = 0;
+  uint64_t ctl_ops = 0;
+  uint64_t parks = 0;
+  // In-flight span stamps; at most one frame is between dequeue and
+  // reply per peer (parked ops carry these across pump rounds).
+  uint64_t frame_start_ns = 0;  // dequeue wall clock (spans armed only)
+  uint64_t park_start_tick = 0; // first park tick of the current frame
+};
+
+void ProcdConn::Send(PdOp op, uint32_t tag, const std::vector<uint8_t>& body) {
+  PdWriteFrame(c2s_, op, 0, tag, body);
+  if (peer_ != nullptr) {
+    server->Ready(*peer_);
+  }
+}
+
+void ProcdConn::Hangup() {
+  client_closed_ = true;
+  if (peer_ != nullptr) {
+    server->Ready(*peer_);
+  }
+}
+
 ProcdServer::ProcdServer(Kernel& k) : kernel_(&k) {
   kernel_->SetProcdStatsProvider([this] { return StatsText(); });
+  kernel_->SetProcdPollHook([this](Pid pid) { MarkPid(pid); });
 }
 
 ProcdServer::~ProcdServer() {
   kernel_->SetProcdStatsProvider({});
+  kernel_->SetProcdPollHook({});
   for (auto& up : peers_) {
-    if (!up->dead) {
-      Detach(*up, /*chaos=*/false);
-    }
+    Detach(*up, /*chaos=*/false);
   }
 }
 
@@ -126,8 +182,9 @@ std::shared_ptr<ProcdConn> ProcdServer::Connect(const Creds& creds,
   auto peer = std::make_unique<Peer>();
   peer->conn = conn;
   peer->proc = p;
+  peer->slot = peers_.size();
+  conn->peer_ = peer.get();
   peers_.push_back(std::move(peer));
-  ++live_peers_;
   return conn;
 }
 
@@ -136,14 +193,28 @@ void ProcdServer::Detach(Peer& peer, bool chaos) {
     return;
   }
   peer.dead = true;
-  peer.wait = Peer::Wait::kNone;
-  peer.subs.clear();
+  if (peer.queued) {
+    // Still on ready_, or in this round's batch, which skips dead peers.
+    auto it = std::find(ready_.begin(), ready_.end(), &peer);
+    if (it != ready_.end()) {
+      ready_.erase(it);
+    }
+    peer.queued = false;
+  }
+  if (peer.wait != Peer::Wait::kNone) {
+    parked_.erase(std::find(parked_.begin(), parked_.end(), &peer));
+    peer.wait = Peer::Wait::kNone;
+  }
+  while (!peer.subs.empty()) {
+    Unsubscribe(peer, peer.subs.begin()->first);
+  }
   peer.conn->server_closed = true;
+  peer.conn->peer_ = nullptr;
   // The one statement that makes "peer death == close of every descriptor
   // the peer held": stale ledgers drain, O_EXCL releases, run-on-last-close
   // fires, all through the ordinary vnode Close hooks.
   kernel_->DestroyNativeProc(peer.proc);
-  --live_peers_;
+  detached_.push_back(&peer);
   ++stats_.disconnects;
   if (chaos) {
     ++stats_.chaos_disconnects;
@@ -151,6 +222,16 @@ void ProcdServer::Detach(Peer& peer, bool chaos) {
   // An in-flight frame dies with the peer: no reply, no span sample.
   peer.frame_start_ns = 0;
   peer.park_start_tick = 0;
+}
+
+void ProcdServer::Reap() {
+  for (Peer* peer : detached_) {
+    size_t slot = peer->slot;
+    std::swap(peers_[slot], peers_.back());
+    peers_[slot]->slot = slot;
+    peers_.pop_back();
+  }
+  detached_.clear();
 }
 
 // --- RPC spans ---------------------------------------------------------------
@@ -194,17 +275,10 @@ void ProcdServer::SpanReply(Peer& peer, PdOp op) {
 std::string ProcdServer::StatsText() const {
   std::string out;
   char line[256];
-  uint64_t parked_now = 0;
-  for (const auto& up : peers_) {
-    if (!up->dead && up->wait != Peer::Wait::kNone) {
-      ++parked_now;
-    }
-  }
   std::snprintf(line, sizeof(line),
-                "procd peers=%zu pump_rounds=%llu peer_scans=%llu parked_now=%llu spans=%s\n",
-                live_peers_, static_cast<unsigned long long>(stats_.pump_rounds),
-                static_cast<unsigned long long>(stats_.peer_scans),
-                static_cast<unsigned long long>(parked_now),
+                "procd peers=%zu pump_rounds=%llu peer_scans=%llu parked_now=%zu spans=%s\n",
+                PeerCount(), static_cast<unsigned long long>(stats_.pump_rounds),
+                static_cast<unsigned long long>(stats_.peer_scans), parked_.size(),
                 spans_on_ ? "on" : "off");
   out += line;
   std::snprintf(line, sizeof(line),
@@ -605,9 +679,17 @@ void ProcdServer::HandleSpawn(Peer& peer, uint32_t tag, PdReader& r) {
       return;
     }
   }
-  Creds creds;
-  creds.ruid = creds.euid = ruid;
-  creds.rgid = creds.egid = rgid;
+  // The frame's ids are a request, not a credential: the peer spawns as
+  // its own controller process, and only a super-user peer may name others.
+  Creds creds = peer.proc->creds;
+  if (creds.IsSuper()) {
+    creds = Creds{};
+    creds.ruid = creds.euid = ruid;
+    creds.rgid = creds.egid = rgid;
+  } else if (ruid != creds.ruid || rgid != creds.rgid) {
+    PdWriteError(peer.conn->s2c, PdOp::kSpawn, tag, Errno::kEPERM);
+    return;
+  }
   auto pid = kernel_->Spawn(path, argv, creds);
   if (!pid.ok()) {
     PdWriteError(peer.conn->s2c, PdOp::kSpawn, tag, pid.error());
@@ -618,7 +700,7 @@ void ProcdServer::HandleSpawn(Peer& peer, uint32_t tag, PdReader& r) {
   PdWriteFrame(peer.conn->s2c, PdOp::kSpawn, 0, tag, w.bytes());
 }
 
-bool ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
+void ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
   SpanDequeue(peer, f);
   PdReader r(f.body);
   uint32_t tag = f.hdr.tag;
@@ -638,7 +720,7 @@ bool ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
         PdWriteError(peer.conn->s2c, PdOp::kClose, tag, Errno::kEINVAL);
         break;
       }
-      peer.subs.erase(fd);
+      Unsubscribe(peer, fd);
       auto res = kernel_->Close(peer.proc, fd);
       if (!res.ok()) {
         PdWriteError(peer.conn->s2c, PdOp::kClose, tag, res.error());
@@ -739,7 +821,7 @@ bool ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
         PdWriteError(peer.conn->s2c, PdOp::kSubscribe, tag, of.error());
         break;
       }
-      peer.subs[fd] = {events, 0};
+      Subscribe(peer, fd, events, (*of)->vp->PrCountedTarget());
       PdWriteFrame(peer.conn->s2c, PdOp::kSubscribe, 0, tag, {});
       break;
     }
@@ -749,7 +831,7 @@ bool ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
         PdWriteError(peer.conn->s2c, PdOp::kUnsubscribe, tag, Errno::kEINVAL);
         break;
       }
-      peer.subs.erase(fd);
+      Unsubscribe(peer, fd);
       PdWriteFrame(peer.conn->s2c, PdOp::kUnsubscribe, 0, tag, {});
       break;
     }
@@ -770,7 +852,6 @@ bool ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
     // Replied inline (ok or error); parked frames record at completion.
     SpanReply(peer, static_cast<PdOp>(f.hdr.op));
   }
-  return true;
 }
 
 // --- Parked waits ------------------------------------------------------------
@@ -862,97 +943,195 @@ bool ProcdServer::TryCompleteWait(Peer& peer, bool idle) {
   return false;
 }
 
-bool ProcdServer::PushEvents(Peer& peer) {
-  bool pushed = false;
-  for (auto& [fd, sub] : peer.subs) {
-    auto& [events, last] = sub;
-    int revents;
-    auto of = kernel_->FdGet(peer.proc, fd);
-    if (!of.ok()) {
-      revents = POLLNVAL;
+bool ProcdServer::EvalParked(bool idle) {
+  bool progress = false;
+  size_t keep = 0;
+  for (Peer* peer : parked_) {
+    ++stats_.peer_scans;
+    progress |= TryCompleteWait(*peer, idle);
+    if (peer->wait != Peer::Wait::kNone) {
+      parked_[keep++] = peer;  // still waiting (or re-parked by a ctl tail)
+    } else if (peer->conn->c2s_.HasFrame() || peer->conn->client_closed_) {
+      Ready(*peer);  // frames or a hangup queued behind the wait: next round
+    }
+  }
+  parked_.resize(keep);
+  return progress;
+}
+
+// --- Subscriptions -------------------------------------------------------------
+
+void ProcdServer::Subscribe(Peer& peer, int32_t fd, int32_t events, Pid pid) {
+  auto [it, fresh] = peer.subs.try_emplace(fd);
+  it->second.events = events;
+  it->second.last = 0;
+  if (fresh) {
+    it->second.pid = pid;
+    if (pid >= 0) {
+      pid_subs_[pid].subs.push_back({&peer, fd});
     } else {
-      revents = MaskRevents((*of)->vp->Poll(**of), events);
+      every_round_subs_.push_back({&peer, fd});
     }
-    if (revents != last) {
-      last = revents;
-      PdWriter w;
-      w.Put<int32_t>(fd);
-      w.Put<int32_t>(revents);
-      PdWriteFrame(peer.conn->s2c, PdOp::kEvent, 0, /*tag=*/0, w.bytes());
-      ++stats_.events_pushed;
-      pushed = true;
+  }
+  // The level is pushed against last = 0 on the next event pass, as for any
+  // other change; every-round subscriptions are re-polled there anyway.
+  MarkPid(pid);
+}
+
+void ProcdServer::Unsubscribe(Peer& peer, int32_t fd) {
+  auto it = peer.subs.find(fd);
+  if (it == peer.subs.end()) {
+    return;
+  }
+  Pid pid = it->second.pid;
+  peer.subs.erase(it);
+  auto unlink = [&](std::vector<SubRef>& refs) {
+    auto ref = std::find_if(refs.begin(), refs.end(), [&](const SubRef& r) {
+      return r.peer == &peer && r.fd == fd;
+    });
+    *ref = refs.back();
+    refs.pop_back();
+  };
+  if (pid < 0) {
+    unlink(every_round_subs_);
+    return;
+  }
+  auto bucket = pid_subs_.find(pid);
+  unlink(bucket->second.subs);
+  if (bucket->second.subs.empty()) {
+    pid_subs_.erase(bucket);  // a stale marked_pids_ entry finds nothing
+  }
+}
+
+void ProcdServer::MarkPid(Pid pid) {
+  auto it = pid_subs_.find(pid);
+  if (it != pid_subs_.end() && !it->second.marked) {
+    it->second.marked = true;
+    marked_pids_.push_back(pid);
+  }
+}
+
+int ProcdServer::SubLevel(Peer& peer, int32_t fd, int32_t events) const {
+  auto of = kernel_->FdGet(peer.proc, fd);
+  return of.ok() ? MaskRevents((*of)->vp->Poll(**of), events) : POLLNVAL;
+}
+
+bool ProcdServer::RepollSubscriptions() {
+  std::vector<SubRef> repoll = every_round_subs_;
+  for (Pid pid : marked_pids_) {
+    auto it = pid_subs_.find(pid);
+    if (it != pid_subs_.end() && it->second.marked) {
+      it->second.marked = false;
+      repoll.insert(repoll.end(), it->second.subs.begin(), it->second.subs.end());
     }
+  }
+  marked_pids_.clear();
+  // (connection, fd) order: each peer's events leave in descriptor order.
+  std::sort(repoll.begin(), repoll.end(), [](const SubRef& a, const SubRef& b) {
+    uint64_t ai = a.peer->conn->id, bi = b.peer->conn->id;
+    return ai != bi ? ai < bi : a.fd < b.fd;
+  });
+  bool pushed = false;
+  for (const SubRef& r : repoll) {
+    Peer::Sub& sub = r.peer->subs.at(r.fd);
+    int revents = SubLevel(*r.peer, r.fd, sub.events);
+    if (revents == sub.last) {
+      continue;
+    }
+    sub.last = revents;
+    PdWriter w;
+    w.Put<int32_t>(r.fd);
+    w.Put<int32_t>(revents);
+    PdWriteFrame(r.peer->conn->s2c, PdOp::kEvent, 0, /*tag=*/0, w.bytes());
+    ++stats_.events_pushed;
+    pushed = true;
   }
   return pushed;
 }
 
+size_t ProcdServer::UnmarkedSubscriptionChanges() const {
+  size_t missed = 0;
+  for (const auto& up : peers_) {
+    for (const auto& [fd, sub] : up->subs) {  // empty once detached
+      if (sub.pid < 0 || pid_subs_.at(sub.pid).marked) {
+        continue;  // re-polled on the next event pass regardless
+      }
+      if (SubLevel(*up, fd, sub.events) != sub.last) {
+        ++missed;
+      }
+    }
+  }
+  return missed;
+}
+
 // --- The pump ----------------------------------------------------------------
+
+void ProcdServer::Ready(Peer& peer) {
+  if (!peer.queued) {
+    peer.queued = true;
+    ready_.push_back(&peer);
+  }
+}
+
+bool ProcdServer::ServePeer(Peer& peer) {
+  ProcdConn& conn = *peer.conn;
+  if (conn.client_closed_ && !conn.c2s_.HasFrame()) {
+    Detach(peer, /*chaos=*/false);
+    return true;
+  }
+  bool progress = false;
+  PdFrame f;
+  while (peer.wait == Peer::Wait::kNone && conn.c2s_.NextFrame(&f)) {
+    HandleFrame(peer, f);
+    progress = true;
+    if (peer.wait != Peer::Wait::kNone) {
+      parked_.push_back(&peer);
+    }
+  }
+  if (conn.client_closed_ && peer.wait == Peer::Wait::kNone && !conn.c2s_.HasFrame()) {
+    Ready(peer);  // hung up behind its frames: detach next round
+  }
+  return progress;
+}
 
 bool ProcdServer::Pump() {
   bool progress = false;
   // Round accounting first (before any dispatch) so a kStats frame served
-  // this round already sees the round that served it. peer_scans makes the
-  // O(peers)-per-round pump scan a measurable quantity instead of folklore.
+  // this round already sees the round that served it.
   ++stats_.pump_rounds;
-  stats_.peer_scans += live_peers_;
+  // The chaos window, once per round: a live peer's transport can die
+  // before any frame, between frames, or mid-parked-wait.
   FaultInjector* finj = kernel_->fault_injector();
-  for (auto& up : peers_) {
-    Peer& peer = *up;
-    if (peer.dead) {
-      continue;
-    }
-    // The chaos window: the peer's transport can die before any frame,
-    // between frames, or mid-parked-wait. One evaluation per peer per pump.
-    if (finj != nullptr && finj->Fire(FaultSite::kPeerDisconnect)) {
-      Detach(peer, /*chaos=*/true);
-      progress = true;
-      continue;
-    }
-    if (peer.conn->client_closed && !peer.conn->c2s.HasFrame()) {
-      Detach(peer, /*chaos=*/false);
-      progress = true;
-      continue;
-    }
-    PdFrame f;
-    while (peer.wait == Peer::Wait::kNone && !peer.dead &&
-           peer.conn->c2s.NextFrame(&f)) {
-      progress |= HandleFrame(peer, f);
+  if (finj != nullptr && !peers_.empty() && finj->Fire(FaultSite::kPeerDisconnect)) {
+    ++stats_.peer_scans;
+    Detach(*peers_[finj->Draw(FaultSite::kPeerDisconnect, peers_.size())], /*chaos=*/true);
+    progress = true;
+  }
+  batch_.swap(ready_);
+  for (Peer* peer : batch_) {
+    ++stats_.peer_scans;
+    peer->queued = false;
+    if (!peer->dead) {
+      progress |= ServePeer(*peer);
     }
   }
-  // Parked waits: evaluate without stepping first.
-  uint64_t nparked = 0;
-  for (auto& up : peers_) {
-    if (up->dead) {
-      continue;
-    }
-    if (up->wait != Peer::Wait::kNone) {
-      if (TryCompleteWait(*up, /*idle=*/false)) {
-        progress = true;
-        // A completed ctl continuation may have re-parked or produced new
-        // frames to process next pump.
-      }
-    }
-    if (up->wait != Peer::Wait::kNone) {
-      ++nparked;
-    }
-    progress |= PushEvents(*up);
-  }
-  bool any_parked = nparked != 0;
+  batch_.clear();
+  Reap();
+  // Parked waits: evaluate without stepping first. A completed ctl
+  // continuation may have re-parked or left frames for the next round.
+  progress |= EvalParked(/*idle=*/false);
   if (spans_on_) {
-    parked_peers_.Record(nparked);
+    parked_peers_.Record(parked_.size());
   }
-  if (!progress && any_parked) {
+  progress |= RepollSubscriptions();
+  if (!progress && !parked_.empty()) {
     // Parked waits are the only pending work: advance the simulation. If it
     // is already idle, the waits resolve the way local blocking calls do
     // (EDEADLK for stop-waits, 0-ready for polls).
     if (kernel_->Step()) {
       return true;
     }
-    for (auto& up : peers_) {
-      if (!up->dead && up->wait != Peer::Wait::kNone) {
-        progress |= TryCompleteWait(*up, /*idle=*/true);
-      }
-    }
+    progress |= EvalParked(/*idle=*/true);
   }
   return progress;
 }

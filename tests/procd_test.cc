@@ -1,8 +1,9 @@
-// procd behavioral tests: RPC round-trips, remote tools producing
-// byte-identical output to their local counterparts, peer death at every
-// blocking point behaving exactly like a local close of every descriptor
-// the peer held, the seeded PEER_DISCONNECT chaos sweep, and the windowed
-// PIOCPSALL cursor under pid churn.
+// procd behavioral tests: RPC round-trips, spawn credentials, subscription
+// events, remote tools producing byte-identical output to their local
+// counterparts, peer death at every blocking point behaving exactly like a
+// local close of every descriptor the peer held, the seeded PEER_DISCONNECT
+// chaos sweep, pump cost beside idle peers and across connect/hangup churn,
+// and the windowed PIOCPSALL cursor under pid churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,6 +171,36 @@ TEST(ProcdRpc, CtlStreamParksMidBatchAndRunsTail) {
       << "the post-park continuation executed the stream tail";
 }
 
+TEST(ProcdSpawn, PeerSpawnsOnlyUnderItsOwnIds) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kSpin).ok());
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo user(srv.Connect(Creds::User(100, 10)));
+  size_t procs = sim.kernel().ProcCount();
+  auto as_root = user.Spawn("/bin/prog", {"prog"}, Creds::Root());
+  ASSERT_FALSE(as_root.ok()) << "a uid-100 peer spawned a root process";
+  EXPECT_EQ(as_root.error(), Errno::kEPERM);
+  EXPECT_EQ(sim.kernel().ProcCount(), procs) << "a refused spawn creates nothing";
+
+  auto own = user.Spawn("/bin/prog", {"prog"}, Creds::User(100, 10));
+  ASSERT_TRUE(own.ok());
+  Proc* p = sim.kernel().FindProc(*own);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->creds.ruid, 100u);
+  EXPECT_EQ(p->creds.euid, 100u);
+  EXPECT_EQ(p->creds.rgid, 10u);
+  EXPECT_EQ(p->creds.egid, 10u);
+
+  // A super-user peer still names the ids it spawns under.
+  RemoteProcIo root(srv.Connect(Creds::Root()));
+  auto for_user = root.Spawn("/bin/prog", {"prog"}, Creds::User(200, 20));
+  ASSERT_TRUE(for_user.ok());
+  p = sim.kernel().FindProc(*for_user);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->creds.euid, 200u);
+  EXPECT_EQ(p->creds.egid, 20u);
+}
+
 TEST(ProcdRpc, WstopOnNativeTargetIdlesToDeadlock) {
   Sim sim;
   Proc* tgt = sim.kernel().CreateNativeProc(Creds::Root(), "inert");
@@ -182,6 +213,147 @@ TEST(ProcdRpc, WstopOnNativeTargetIdlesToDeadlock) {
   ASSERT_FALSE(ws.ok());
   EXPECT_EQ(ws.error(), Errno::kEDEADLK)
       << "an idle simulation resolves a parked wait like local PIOCWSTOP";
+}
+
+// ---------------------------------------------------------------------------
+// Subscription events: what a subscribed peer is pushed, and when.
+// ---------------------------------------------------------------------------
+
+using EventList = std::vector<std::pair<int32_t, int32_t>>;  // {fd, revents}
+
+// Pumps the server once and returns every event pushed to the peer since
+// the last drain, in arrival order.
+EventList DrainEvents(RemoteProcIo& rio) {
+  rio.Poke();
+  EventList out;
+  RemoteProcIo::Event ev;
+  while (rio.NextEvent(&ev)) {
+    out.emplace_back(ev.fd, ev.revents);
+  }
+  return out;
+}
+
+// Subscribes POLLPRI on the target through both interfaces: its flat /proc
+// file and its /proc2 status file.
+void SubscribeBothViews(RemoteProcIo& rio, Pid pid, int* flat, int* status) {
+  char path[32];
+  std::snprintf(path, sizeof(path), "/proc2/%d/status", pid);
+  auto f = rio.Open(FlatPath(pid), O_RDONLY);
+  auto s = rio.Open(path, O_RDONLY);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(s.ok());
+  ASSERT_LT(*f, *s) << "events arrive in descriptor order";
+  ASSERT_TRUE(rio.Subscribe(*f, POLLPRI).ok());
+  ASSERT_TRUE(rio.Subscribe(*s, POLLPRI).ok());
+  *flat = *f;
+  *status = *s;
+}
+
+TEST(ProcdEvents, StopRaisesPriAndRunDropsIt) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto pid = sim.Start("/bin/prog");
+  ASSERT_TRUE(pid.ok());
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  int flat = -1, status = -1;
+  ASSERT_NO_FATAL_FAILURE(SubscribeBothViews(rio, *pid, &flat, &status));
+  EXPECT_EQ(DrainEvents(rio), EventList{}) << "a running target's level is 0";
+
+  auto h = ProcHandle::Grab(sim.kernel(), sim.controller(), *pid);
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(h->Stop().ok());
+  EXPECT_EQ(DrainEvents(rio), (EventList{{flat, POLLPRI}, {status, POLLPRI}}));
+  EXPECT_EQ(DrainEvents(rio), EventList{}) << "one event per level change";
+  ASSERT_TRUE(h->Run().ok());
+  EXPECT_EQ(DrainEvents(rio), (EventList{{flat, 0}, {status, 0}}));
+}
+
+TEST(ProcdEvents, ExitRaisesHupAndReapRaisesNval) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  // A child of the controller, so its zombie stays until the controller
+  // waits for it.
+  auto pid = sim.kernel().Spawn("/bin/prog", {"prog"}, Creds::Root(), sim.controller());
+  ASSERT_TRUE(pid.ok());
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  int flat = -1, status = -1;
+  ASSERT_NO_FATAL_FAILURE(SubscribeBothViews(rio, *pid, &flat, &status));
+
+  auto h = ProcHandle::Grab(sim.kernel(), sim.controller(), *pid);
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(h->Kill(SIGKILL).ok());
+  sim.kernel().RunUntil([&]() {
+    Proc* p = sim.kernel().FindProc(*pid);
+    return p == nullptr || p->state == Proc::State::kZombie;
+  });
+  ASSERT_NE(sim.kernel().FindProc(*pid), nullptr) << "the zombie awaits its parent";
+  EXPECT_EQ(DrainEvents(rio), (EventList{{flat, POLLHUP}, {status, POLLHUP}}));
+
+  ASSERT_TRUE(sim.kernel().Wait(sim.controller(), *pid).ok());
+  ASSERT_EQ(sim.kernel().FindProc(*pid), nullptr);
+  EXPECT_EQ(DrainEvents(rio), (EventList{{flat, POLLNVAL}, {status, POLLNVAL}}));
+}
+
+TEST(ProcdEvents, SetIdExecRaisesNval) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/suid", kSpin, 04755, 0, 0).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", R"(
+      ldi r0, SYS_exec
+      ldi r1, path
+      ldi r2, 0
+      sys
+      ldi r0, SYS_exit
+      ldi r1, 1
+      sys
+      .data
+path: .asciz "/bin/suid"
+  )").ok());
+  auto pid = sim.Start("/bin/prog", {}, Creds::User(100, 10));
+  ASSERT_TRUE(pid.ok());
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  int flat = -1, status = -1;
+  ASSERT_NO_FATAL_FAILURE(SubscribeBothViews(rio, *pid, &flat, &status));
+  EXPECT_EQ(DrainEvents(rio), EventList{});
+
+  sim.kernel().RunUntil([&]() {
+    Proc* p = sim.kernel().FindProc(*pid);
+    return p == nullptr || p->setid;
+  });
+  ASSERT_NE(sim.kernel().FindProc(*pid), nullptr);
+  EXPECT_EQ(DrainEvents(rio), (EventList{{flat, POLLNVAL}, {status, POLLNVAL}}))
+      << "the set-id exec invalidated both descriptors";
+}
+
+TEST(ProcdEvents, ConsoleSubscriptionFollowsInputAndRead) {
+  Sim sim;
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  auto peer_pid = rio.PeerPid();
+  ASSERT_TRUE(peer_pid.ok());
+  Proc* peer = sim.kernel().FindProc(*peer_pid);
+  ASSERT_NE(peer, nullptr);
+  // The console has no path; install it in the peer's descriptor table the
+  // way Spawn gives a program its standard descriptors.
+  auto of = std::make_shared<OpenFile>();
+  of->vp = sim.kernel().console().shared_from_this();
+  of->oflags = O_RDWR;
+  of->writable = true;
+  auto fd = sim.kernel().FdAlloc(peer, of);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(rio.Subscribe(*fd, POLLIN).ok());
+  EXPECT_EQ(DrainEvents(rio), EventList{}) << "no input queued yet";
+
+  sim.kernel().console().PushInput("x");
+  EXPECT_EQ(DrainEvents(rio), (EventList{{*fd, POLLIN}}));
+  char c = 0;
+  auto n = rio.Read(*fd, &c, 1);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 1);
+  EXPECT_EQ(c, 'x');
+  EXPECT_EQ(DrainEvents(rio), (EventList{{*fd, 0}})) << "the read drained the input";
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +445,7 @@ TEST(ProcdPeerDeath, MidWstopWaitReleasesLedger) {
   w.Put<uint32_t>(PIOCWSTOP);
   w.Put<uint32_t>(0);
   w.Put<uint32_t>(0);
-  PdWriteFrame(conn->c2s, PdOp::kIoctl, 0, /*tag=*/777, w.bytes());
+  conn->Send(PdOp::kIoctl, /*tag=*/777, w.bytes());
   for (int i = 0; i < 5; ++i) {
     srv.Pump();
   }
@@ -281,7 +453,7 @@ TEST(ProcdPeerDeath, MidWstopWaitReleasesLedger) {
   EXPECT_FALSE(conn->s2c.NextFrame(&f)) << "the wait must be parked, not answered";
 
   // The peer dies mid-wait. Every effect of a local close must follow.
-  conn->client_closed = true;
+  conn->Hangup();
   srv.Pump();
   EXPECT_TRUE(conn->server_closed);
   EXPECT_EQ(srv.PeerCount(), 0u);
@@ -310,7 +482,7 @@ TEST(ProcdPeerDeath, MidPollSubscriptionReleasesDescriptors) {
   w.Put<uint32_t>(1);
   w.Put<int32_t>(*fd);
   w.Put<int32_t>(POLLPRI);
-  PdWriteFrame(conn->c2s, PdOp::kPoll, 0, /*tag=*/778, w.bytes());
+  conn->Send(PdOp::kPoll, /*tag=*/778, w.bytes());
   for (int i = 0; i < 5; ++i) {
     srv.Pump();
   }
@@ -320,7 +492,7 @@ TEST(ProcdPeerDeath, MidPollSubscriptionReleasesDescriptors) {
   Proc* p = sim.kernel().FindProc(*pid);
   ASSERT_NE(p, nullptr);
   ASSERT_EQ(p->trace.total_opens, 1);
-  conn->client_closed = true;
+  conn->Hangup();
   srv.Pump();
   EXPECT_EQ(p->trace.total_opens, 0)
       << "the subscribed descriptor closes with its peer";
@@ -348,7 +520,7 @@ TEST(ProcdPeerDeath, HoldingExclusiveOpenReleasesIt) {
     ASSERT_FALSE(blocked.ok());
     EXPECT_EQ(blocked.error(), Errno::kEBUSY);
 
-    conn->client_closed = true;  // the transport dies, handle still "open"
+    conn->Hangup();  // the transport dies, handle still "open"
     srv.Pump();
   }
   Proc* p = sim.kernel().FindProc(*pid);
@@ -381,7 +553,7 @@ TEST(ProcdPeerDeath, SoleRunOnLastCloseDescriptorFiresIt) {
 
   // The transport dies without a single Close frame. The kernel must see
   // exactly what ProcClose.RunOnLastCloseClearsTracingAndResumes sees.
-  conn->client_closed = true;
+  conn->Hangup();
   srv.Pump();
   EXPECT_EQ(p->MainLwp()->state, LwpState::kRunning)
       << "run-on-last-close fires on peer death";
@@ -394,6 +566,10 @@ TEST(ProcdPeerDeath, SoleRunOnLastCloseDescriptorFiresIt) {
 // The seeded PEER_DISCONNECT chaos sweep.
 // ---------------------------------------------------------------------------
 
+// PEER_DISCONNECT is evaluated once per pump round and severs one live peer
+// drawn from the site's own stream; over these 100 seeds it fires 242 times
+// at the default topology (it fired 270 times when every peer drew once per
+// round).
 TEST(ProcdChaosSweep, PeerDisconnectKeepsInvariantsAcrossSeeds) {
   uint64_t chaos_hits = 0;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
@@ -416,6 +592,12 @@ TEST(ProcdChaosSweep, PeerDisconnectKeepsInvariantsAcrossSeeds) {
     for (int i = 0; i < 3; ++i) {
       peers.push_back(std::make_unique<RemoteProcIo>(srv.Connect(Creds::Root())));
     }
+    // Every subscription level that moved must have been marked for the
+    // next event pass, after every step of the storm.
+    auto check = [&](const char* step) {
+      EXPECT_EQ(srv.UnmarkedSubscriptionChanges(), 0u)
+          << "seed " << seed << ": a level moved unmarked after " << step;
+    };
     // Every operation may die with kEIO when the chaos site severs the
     // peer mid-exchange; the kernel must stay consistent regardless.
     for (size_t i = 0; i < peers.size(); ++i) {
@@ -423,29 +605,40 @@ TEST(ProcdChaosSweep, PeerDisconnectKeepsInvariantsAcrossSeeds) {
       Pid target = (i + seed) % 2 == 0 ? *pid1 : *pid2;
       int oflags = (i + seed) % 3 == 0 ? (O_RDWR | O_EXCL) : O_RDWR;
       auto h = ProcHandle::Grab(rio, target, oflags);
+      check("grab");
       if (!h.ok()) {
         continue;
       }
       (void)h->Psinfo();
+      check("psinfo");
       (void)h->SetRunOnLastClose(true);
+      check("set run-on-last-close");
       (void)h->Stop();
+      check("stop");
       if ((i + seed) % 2 == 0) {
         (void)h->Run();
+        check("run");
       }
       auto fd = rio.Open(FlatPath(target), O_RDONLY);
+      check("open");
       if (fd.ok()) {
         (void)rio.Subscribe(*fd, POLLPRI | POLLHUP);
+        check("subscribe");
         PollFd pf{*fd, POLLPRI, 0};
         std::span<PollFd> span1(&pf, 1);
         (void)rio.PollFds(span1, 0);
+        check("poll");
       }
       rio.Poke();
+      check("poke");
     }
     // Drain: drop every surviving peer, then pump to full idle.
     for (auto& rio : peers) {
       rio->Hangup();
+      check("hangup");
     }
     for (int i = 0; i < 10'000 && srv.Pump(); ++i) {
+      check("drain pump");
     }
     EXPECT_EQ(srv.PeerCount(), 0u) << "seed " << seed;
     chaos_hits += srv.stats().chaos_disconnects;
@@ -453,6 +646,75 @@ TEST(ProcdChaosSweep, PeerDisconnectKeepsInvariantsAcrossSeeds) {
   }
   EXPECT_GT(chaos_hits, 0u)
       << "a 1/8 rate over 100 seeds must sever at least one peer";
+}
+
+// ---------------------------------------------------------------------------
+// Pump cost follows the peers with work, not the peers ever connected.
+// ---------------------------------------------------------------------------
+
+// Peer entries the pump visits over `calls` remote PIOCSTATUS calls.
+uint64_t ScansForStatusCalls(ProcdServer& srv, ProcHandle& h, int calls) {
+  uint64_t before = srv.stats().peer_scans;
+  for (int i = 0; i < calls; ++i) {
+    EXPECT_TRUE(h.Status().ok());
+  }
+  return srv.stats().peer_scans - before;
+}
+
+// An idle peer holding one open /proc descriptor on the target, optionally
+// subscribed to its poll level.
+std::unique_ptr<RemoteProcIo> IdlePeer(ProcdServer& srv, Pid target, bool subscribe) {
+  auto rio = std::make_unique<RemoteProcIo>(srv.Connect(Creds::Root(), "idle-peer"));
+  auto fd = rio->Open(FlatPath(target), O_RDONLY);
+  EXPECT_TRUE(fd.ok());
+  if (fd.ok() && subscribe) {
+    EXPECT_TRUE(rio->Subscribe(*fd, POLLPRI).ok());
+  }
+  return rio;
+}
+
+uint64_t StatusScansBesideIdlePeers(int idle) {
+  Sim sim;
+  Proc* target = sim.kernel().CreateNativeProc(Creds::Root(), "target");
+  ProcdServer srv(sim.kernel());
+  std::vector<std::unique_ptr<RemoteProcIo>> peers;
+  for (int i = 0; i < idle; ++i) {
+    peers.push_back(IdlePeer(srv, target->pid, /*subscribe=*/i % 2 == 0));
+  }
+  RemoteProcIo active(srv.Connect(Creds::Root()));
+  auto h = ProcHandle::Grab(active, target->pid, O_RDONLY);
+  EXPECT_TRUE(h.ok());
+  uint64_t scans = h.ok() ? ScansForStatusCalls(srv, *h, 100) : 0;
+  EXPECT_EQ(srv.UnmarkedSubscriptionChanges(), 0u);
+  return scans;
+}
+
+TEST(ProcdChurn, StatusScansDoNotGrowWithIdlePeers) {
+  uint64_t few = StatusScansBesideIdlePeers(10);
+  uint64_t many = StatusScansBesideIdlePeers(1000);
+  EXPECT_GT(few, 0u);
+  EXPECT_EQ(few, many) << "idle peers, subscribed or not, cost a round nothing";
+}
+
+TEST(ProcdChurn, ConnectHangupCyclesLeaveNoResidue) {
+  Sim sim;
+  Proc* target = sim.kernel().CreateNativeProc(Creds::Root(), "target");
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo active(srv.Connect(Creds::Root()));
+  auto h = ProcHandle::Grab(active, target->pid, O_RDONLY);
+  ASSERT_TRUE(h.ok());
+  uint64_t scans_before = ScansForStatusCalls(srv, *h, 100);
+  size_t peers_before = srv.PeerCount();
+
+  for (int i = 0; i < 3000; ++i) {
+    // Connects, opens, maybe subscribes, and hangs up as it goes out of scope.
+    IdlePeer(srv, target->pid, /*subscribe=*/i % 2 == 0);
+    ASSERT_EQ(srv.UnmarkedSubscriptionChanges(), 0u) << "cycle " << i;
+  }
+  EXPECT_EQ(srv.PeerCount(), peers_before) << "every hung-up peer is gone";
+  EXPECT_EQ(ScansForStatusCalls(srv, *h, 100), scans_before)
+      << "dead peers must not cost later rounds anything";
+  EXPECT_EQ(srv.UnmarkedSubscriptionChanges(), 0u);
 }
 
 // ---------------------------------------------------------------------------
