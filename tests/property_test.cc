@@ -166,6 +166,13 @@ struct FaultCase {
   int signal;
 };
 
+// Without a printer gtest names each case after the raw bytes of the struct,
+// i.e. after the run-time (ASLR-randomized) addresses of name and program, so
+// the listed test names changed from one build to the next.
+void PrintTo(const FaultCase& fc, std::ostream* os) {
+  *os << "fault " << fc.fault << ", signal " << fc.signal;
+}
+
 const FaultCase kFaultCases[] = {
     {"izdiv",
      R"(
