@@ -4,6 +4,7 @@
 // the raw event ring. The kernel's own observability travels over the same
 // filesystem interface a debugger uses for processes.
 #include <cstdio>
+#include <string>
 
 #include "svr4proc/procd/client.h"
 #include "svr4proc/procd/procd.h"
@@ -145,11 +146,10 @@ loop: ldi r0, SYS_getpid
               all.size(), active, zombies);
 
   // --- Block-engine counters (PIOCVMSTATS) ---------------------------------
-  // The trace ring forces the instrumented interpreter; with tracing
-  // disarmed the predecoded-block engine runs and its cache counters show
-  // up both per-process (PIOCVMSTATS) and kernel-wide (the bb_* lines of
-  // /proc2/kernel/metrics).
-  sim.kernel().SetTracing(/*ring=*/false, /*metrics=*/false);
+  // The predecoded-block engine runs with tracing still armed; its cache
+  // counters show up both per-process (PIOCVMSTATS) and kernel-wide (the
+  // bb_* lines of /proc2/kernel/metrics, including bb_slots, the cache
+  // slots allocated across live address spaces).
   // The spinner never exits: in free-running SMP mode a Step executes
   // thousands of instructions, and the sections below (PIOCVMSTATS,
   // PIOCPROF, /proc2/<pid>/prof) need the process alive to interrogate.
@@ -170,6 +170,16 @@ loop: addi r1, 1
               static_cast<unsigned long long>(vs.pr_bb_misses),
               static_cast<unsigned long long>(vs.pr_bb_invalidations),
               static_cast<unsigned long long>(vs.pr_bb_fallbacks));
+  constexpr char kSlotsKey[] = "\nbb_slots ";
+  auto engine = *ReadTextFile(lio, "/proc2/kernel/metrics");
+  size_t at = engine.find(kSlotsKey);
+  if (at == std::string::npos) {
+    std::fprintf(stderr, "kstat: /proc2/kernel/metrics has no bb_slots line\n");
+    return 1;
+  }
+  at += sizeof(kSlotsKey) - 1;
+  std::printf("block cache slots (all address spaces): %s\n",
+              engine.substr(at, engine.find('\n', at) - at).c_str());
 
   // --- The sampling profiler (PIOCPROF / /proc2/<pid>/prof) ----------------
   // Arm a 1-per-16-instruction pc sampler on the spinner, let it run, and

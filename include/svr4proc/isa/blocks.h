@@ -19,14 +19,23 @@
 // performs, so code that patches an instruction *later in its own block*
 // observes the new bytes exactly as the interpreter would.
 //
+// Each address space sizes its own cache by the code it runs: a direct-
+// mapped table of kBlockCacheMinSlots slots on the first lookup, doubled
+// (up to kBlockCacheMaxSlots) whenever more valid blocks have been evicted
+// by a different start pc since the last resize than the table has slots.
+// A process that runs a handful of blocks holds a 1 KiB table; one whose
+// hot code outgrows the table stops thrashing it. Blocks are a pure cache,
+// so the size changes only the counters, never what executes.
+//
 // The engine never runs when per-instruction observation is required: the
-// kernel falls back to the interpreter whenever hooks are armed (fault
-// injection, chaos, tracing), the trace bit is set, watchpoints are active,
-// or the software TLB is disabled.
+// kernel falls back to the interpreter whenever fault injection or chaos
+// scheduling is armed, the trace bit is set, watchpoints are active, or the
+// software TLB is disabled. Event tracing is emitted from cold paths both
+// engines share, so arming it leaves the block engine running.
 #ifndef SVR4PROC_ISA_BLOCKS_H_
 #define SVR4PROC_ISA_BLOCKS_H_
 
-#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -132,19 +141,32 @@ int PredecodeOne(const uint8_t* bytes, uint32_t pc, PInstr* out);
 // every instruction that can only trap (bpt/hlt/undefined).
 bool IsBlockTerminator(uint8_t opcode);
 
-// Direct-mapped block cache slots; power of two.
-inline constexpr uint32_t kBlockCacheSlots = 512;
+// Block cache size bounds in slots; powers of two. Every cache starts at
+// the minimum on its first lookup and never grows past the maximum.
+inline constexpr uint32_t kBlockCacheMinSlots = 16;
+inline constexpr uint32_t kBlockCacheMaxSlots = 4096;
+static_assert(std::has_single_bit(kBlockCacheMinSlots) &&
+              std::has_single_bit(kBlockCacheMaxSlots) &&
+              kBlockCacheMinSlots <= kBlockCacheMaxSlots);
 // Block length cap in instructions.
 inline constexpr uint32_t kMaxBlockInstrs = 64;
 
-// Per-AddressSpace cache of predecoded blocks keyed by start pc.
+// Per-AddressSpace cache of predecoded blocks keyed by start pc: a direct-
+// mapped table that allocates nothing until the first Get and then grows
+// with the code the address space runs (see the file comment).
 class BlockCache {
  public:
   // Returns a valid block starting at pc, building one if necessary.
   // Returns nullptr when pc cannot be block-cached right now (first
   // instruction unfetchable, or its page is not a cacheable private
   // executable mapping) — the caller must interpret that instruction.
+  // Growing the table moves blocks, so the returned pointer is valid only
+  // until the next Get on this cache.
   const Block* Get(uint32_t pc, AddressSpace& as);
+
+  // Slots allocated: 0 before the first Get, then a power of two between
+  // kBlockCacheMinSlots and kBlockCacheMaxSlots.
+  uint32_t slot_count() const { return static_cast<uint32_t>(slots_.size()); }
 
   BlockStats& stats() { return stats_; }
   const BlockStats& stats() const { return stats_; }
@@ -155,9 +177,22 @@ class BlockCache {
     Block blk;
   };
 
+  // The low address bits plus the address over eight: contiguous code of
+  // any block stride spreads over the slots. Low bits alone collide when
+  // blocks start at aligned addresses, and a multiplicative (Fibonacci)
+  // hash clusters for some strides, 13-byte blocks among them.
+  Slot& SlotFor(uint32_t pc) { return slots_[(pc + (pc >> 3)) & mask_]; }
+  // Get's miss path: the first allocation, miss and invalidation counting,
+  // growth, and the build. Out of line so the hit path stays a few
+  // instructions with no register spills.
+  [[gnu::noinline]] const Block* Fill(uint32_t pc, AddressSpace& as);
   bool BuildInto(Slot& s, uint32_t pc, AddressSpace& as);
+  void Grow();
 
-  std::array<Slot, kBlockCacheSlots> slots_;
+  std::vector<Slot> slots_;
+  uint32_t mask_ = 0;       // slots_.size() - 1 once allocated
+  uint32_t evictions_ = 0;  // valid blocks replaced by a block with a
+                            // different start pc since the last resize
   BlockStats stats_;
 };
 

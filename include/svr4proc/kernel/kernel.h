@@ -79,9 +79,10 @@ struct KernelCounters {
 };
 
 // Which execution engine runs un-hooked quanta. Hooked quanta (fault
-// injection, chaos, trace ring armed) always take the instrumented
-// interpreter regardless of this setting, so observation hooks never miss an
-// instruction.
+// injection or chaos armed) always take the instrumented interpreter
+// regardless of this setting, so the perturbation hooks never miss an
+// instruction. Tracing is not a hook here: its events come from cold paths
+// both engines share, so an armed ring or registry keeps the block engine.
 enum class ExecEngine {
   kAuto,    // block engine whenever hooks are off (the default)
   kInterp,  // force the decode-dispatch interpreter
@@ -280,8 +281,9 @@ class Kernel {
   // tests, benches, and CI sweeps can pin an engine without code changes.
   void SetExecEngine(ExecEngine e) { exec_engine_ = e; }
   ExecEngine exec_engine() const { return exec_engine_; }
-  // Block-cache counters aggregated over all live address spaces, rendered
-  // in /proc2/kernel/metrics format (one "name value" line each).
+  // Block-cache counters and allocated slots aggregated over all live
+  // address spaces, rendered in /proc2/kernel/metrics format (one
+  // "name value" line each).
   std::string ExecEngineMetricsText() const;
 
   // --- Simulated SMP (kernel/smp.h) ------------------------------------------

@@ -12,9 +12,10 @@
 //
 // Cost when disarmed: every emission site is one load + one predicted
 // branch (Emit returns immediately), the same discipline as the fault
-// injector's null-pointer gates. Nothing is emitted per instruction, so
-// the interpreter hot loop carries no tracing code in either template
-// stamp.
+// injector's null-pointer gates. Nothing is emitted per instruction:
+// every event comes from a cold path both execution engines share, so
+// neither hot loop carries tracing code and arming tracing does not change
+// which engine runs.
 //
 // This header is self-contained (no kernel types) so the vm and fault
 // layers can hold a KTrace pointer without a layering inversion.

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "svr4proc/vm/vm.h"
 
@@ -315,26 +316,55 @@ bool BlockCache::BuildInto(Slot& s, uint32_t start, AddressSpace& as) {
 }
 
 const Block* BlockCache::Get(uint32_t pc, AddressSpace& as) {
-  // Fibonacci hash of the byte address; blocks start at branch targets, so
-  // low bits alone would cluster.
-  Slot& s = slots_[(pc * 2654435761u) >> (32 - 9)];
-  static_assert(kBlockCacheSlots == 1u << 9);
-  if (s.valid && s.blk.start == pc) {
-    if (s.blk.gen == as.CodeGen()) {
+  if (!slots_.empty()) {
+    Slot& s = SlotFor(pc);
+    if (s.valid && s.blk.start == pc && s.blk.gen == as.CodeGen()) {
       ++stats_.hits;
       return &s.blk;
     }
-    ++stats_.invalidations;
+  }
+  return Fill(pc, as);
+}
+
+const Block* BlockCache::Fill(uint32_t pc, AddressSpace& as) {
+  if (slots_.empty()) {
+    slots_.resize(kBlockCacheMinSlots);
+    mask_ = kBlockCacheMinSlots - 1;
+  }
+  Slot* s = &SlotFor(pc);
+  if (s->valid && s->blk.start == pc) {
+    ++stats_.invalidations;  // Get found it with a stale generation
   } else {
     ++stats_.misses;
+    // A conflict: another block owns this slot. Once conflicts since the
+    // last resize outnumber the slots, the hot code has outgrown the table.
+    if (s->valid && slots_.size() < kBlockCacheMaxSlots &&
+        ++evictions_ > slots_.size()) {
+      Grow();
+      s = &SlotFor(pc);
+    }
   }
-  if (!BuildInto(s, pc, as)) {
-    s.valid = false;
+  if (!BuildInto(*s, pc, as)) {
+    s->valid = false;
     return nullptr;
   }
-  s.valid = true;
+  s->valid = true;
   ++stats_.built;
-  return &s.blk;
+  return &s->blk;
+}
+
+void BlockCache::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  mask_ = mask_ * 2 + 1;
+  // One more index bit splits old slot i into new slots i and i + old size,
+  // so the blocks move over without displacing one another.
+  for (Slot& s : old) {
+    if (s.valid) {
+      SlotFor(s.blk.start) = std::move(s);
+    }
+  }
+  evictions_ = 0;
 }
 
 // The threaded executor. Control flow contract per instruction:

@@ -930,8 +930,7 @@ bool Kernel::Step() {
   }
   // Free-running mode engages only with real parallelism available and no
   // observation hooks armed: fault injection, chaos, and tracing all force
-  // the deterministic path (the same fallback contract as the block
-  // engine's hook gate).
+  // the deterministic path.
   if (smp_.mode() == SmpMode::kFreeRun && smp_.ncpus() > 1 &&
       finj_ == nullptr && !chaos_ && !kt_.armed() && prof_armed_ == 0) {
     return StepFreeRun();
@@ -1344,17 +1343,17 @@ Result<int> Kernel::RunToExit(Pid pid, uint64_t max_steps) {
 void Kernel::ExecuteLwp(Lwp* lwp, int budget) {
   // The perturbation hooks (fault injection, chaos preemption) are compiled
   // into a separate stamp of the loop so the common unhooked case keeps the
-  // exact instruction path of a kernel without them. Tracing rides the same
-  // gate: with tracing disarmed the unhooked stamp carries no tracing code
-  // at all (events are emitted from the cold syscall/stop/fault functions
-  // behind single-branch armed checks, never per instruction).
+  // exact instruction path of a kernel without them. Tracing needs no stamp:
+  // every event is emitted from the cold syscall/stop/fault/scheduler
+  // functions both engines share, behind single-branch armed checks, never
+  // per instruction, so an armed ring or registry keeps the block engine.
   // The sampling profiler is a second, orthogonal stamp axis: quanta of a
   // PIOCPROF-armed process run an instrumented instantiation; everything
   // else keeps the profiler-free loop, so a disarmed profiler costs one
   // predicted branch per quantum.
   const bool prof =
       prof_armed_ != 0 && lwp->proc->prof != nullptr && lwp->proc->prof->on;
-  if (finj_ != nullptr || chaos_ || kt_.armed()) {
+  if (finj_ != nullptr || chaos_) {
     ++counters_.quanta_interp;
     if (prof) {
       ExecuteLwpImpl<true, true>(lwp, budget);
@@ -1575,6 +1574,7 @@ void Kernel::ExecuteLwpBlocks(Lwp* lwp, int budget) {
 
 std::string Kernel::ExecEngineMetricsText() const {
   BlockStats total;
+  uint64_t slots = 0;
   std::set<const AddressSpace*> seen;
   for (const Proc* p = all_head_; p != nullptr; p = p->pt_all_next) {
     if (!p->as || !seen.insert(p->as.get()).second) {
@@ -1582,6 +1582,7 @@ std::string Kernel::ExecEngineMetricsText() const {
     }
     if (const BlockCache* bc = p->as->blocks_if()) {
       const BlockStats& s = bc->stats();
+      slots += bc->slot_count();
       total.built += s.built;
       total.hits += s.hits;
       total.misses += s.misses;
@@ -1597,6 +1598,7 @@ std::string Kernel::ExecEngineMetricsText() const {
      << "\n";
   os << "exec_quanta_interp " << counters_.quanta_interp << "\n";
   os << "exec_quanta_blocks " << counters_.quanta_blocks << "\n";
+  os << "bb_slots " << slots << "\n";
   os << "bb_built " << total.built << "\n";
   os << "bb_hits " << total.hits << "\n";
   os << "bb_misses " << total.misses << "\n";

@@ -326,6 +326,10 @@ struct SysCase {
   const char* body;  // performs the syscall once, then exits
 };
 
+// Without a printer gtest names each case after the raw bytes of the struct,
+// i.e. after the run-time (ASLR-randomized) addresses of name and body.
+void PrintTo(const SysCase& sc, std::ostream* os) { *os << "syscall " << sc.num; }
+
 const SysCase kSysCases[] = {
     {"getpid", SYS_getpid, "      ldi r0, SYS_getpid\n      sys\n"},
     {"getuid", SYS_getuid, "      ldi r0, SYS_getuid\n      sys\n"},
