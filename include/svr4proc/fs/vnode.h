@@ -143,12 +143,6 @@ class Vnode : public std::enable_shared_from_this<Vnode> {
   // /proc file. Lets the kernel's invariant checker recount descriptor
   // references without knowing the fstypes.
   virtual int32_t PrCountedTarget() const { return -1; }
-
-  // True for /proc2 ctl files, whose writes are batched control-message
-  // streams. procd needs this to intercept blocking control codes (PCSTOP /
-  // PCWSTOP) and park them instead of pumping the simulation inline while
-  // other peers starve.
-  virtual bool PrCtlStream() const { return false; }
 };
 
 // Maps a regular file's contents as a VM object. Pages are cached in the

@@ -191,8 +191,14 @@ class Kernel {
   Result<void> PrStop(Proc* target);
   // True when stopped on an event of interest.
   bool PrIsStopped(const Proc* target) const;
-  // Pumps the simulation until the target stops (or exits: ENOENT).
+  // Pumps the simulation until the target stops (or exits: ENOENT; or the
+  // simulation goes idle first: EDEADLK).
   Result<void> PrWaitStop(Proc* target);
+  // The stop-wait rule PrWaitStop pumps on, evaluated once: Ok when an lwp
+  // of `pid` has stopped, ENOENT once the process is gone or a zombie, else
+  // EDEADLK if the simulation is `idle` and EAGAIN while the wait goes on.
+  // procd evaluates it for its parked peers.
+  Result<void> PrStopWaitCheck(Pid pid, bool idle);
   // Makes a stopped process runnable, applying RunArgs. EBUSY if it is not
   // stopped on an event of interest (e.g. a job-control stop, which only
   // SIGCONT can resume, or a stop owned by ptrace — "/proc gets the last

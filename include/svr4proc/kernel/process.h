@@ -258,9 +258,16 @@ struct Proc {
   bool setid = false;       // set-id since last exec (restricts /proc opens)
   bool system_proc = false; // sched/pageout: no user address space
   bool native = false;      // host-driven controller; never scheduled
+  // A native controller that must not block: each procd peer, because one
+  // daemon serves them all. A blocking /proc operation runs its checks,
+  // audit record and directive for it as for any caller, and then leaves
+  // the target's pid in deferred_wait instead of pumping the simulation;
+  // the daemon parks the peer on Kernel::PrStopWaitCheck.
+  bool defers_waits = false;
 
   enum class State { kActive, kZombie } state = State::kActive;
   int exit_status = 0;
+  Pid deferred_wait = -1;   // stop-wait left to a defers_waits caller; -1: none
 
   AddressSpacePtr as;
   VnodePtr exe;  // executable file vnode (PIOCOPENM with a null address)

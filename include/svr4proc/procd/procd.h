@@ -17,13 +17,22 @@
 // enough that a bench can hold 10k peers); the frame codec is the part a
 // socket transport would reuse unchanged.
 //
-// Blocking control operations (PIOCSTOP / PIOCWSTOP and the PCSTOP /
-// PCWSTOP messages inside a batched ctl write) never block the daemon:
-// the directive half executes immediately, the wait half is parked, and
-// every Pump() re-evaluates parked waits against the same completion rules
-// as Kernel::PrWaitStop (target gone: ENOENT; stopped: done; simulation
-// idle: EDEADLK). A ctl write parked mid-stream keeps its unexecuted tail
-// as a continuation, preserving batched-write semantics.
+// Blocking control operations (PIOCSTOP / PIOCWSTOP, and the PCSTOP /
+// PCWSTOP messages of a ctl or lwpctl write) never block the daemon. They
+// go through Kernel::Ioctl and Kernel::Write like every other operation, so
+// the ctl core runs the row's checks, appends the audit record and issues
+// the directive exactly as for a local caller; because a peer's controller
+// process defers waits (Proc::defers_waits), the core then hands back the
+// stop-wait instead of pumping the simulation. The peer parks on it, and
+// every Pump() re-evaluates Kernel::PrStopWaitCheck, the rule PrWaitStop
+// itself pumps on (target gone: ENOENT; stopped: done; simulation idle:
+// EDEADLK). A ctl write returns after its blocking message; the peer parks
+// holding the rest of the stream and writes it once the wait is over,
+// preserving batched-write semantics.
+//
+// A kIoctl frame's operand is sized by the op's CtlOp row (procfs/ctl.h),
+// not by the frame: in_len and out_cap must be exactly what the row takes,
+// or EINVAL is answered before anything runs.
 //
 // A pump round costs O(peers with work), never O(peers connected): it
 // serves the ready list (peers whose client sent a frame or hung up), the
@@ -37,6 +46,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,6 +71,9 @@ enum class PdOp : uint16_t {
   kLseek,           // -> {i32 fd, i64 off, i32 whence}     <- {i64 pos}
   kIoctl,           // -> {i32 fd, u32 op, u32 in_len, u32 out_cap, in}
                     //                                      <- {i32 rv, out}
+                    //    in_len/out_cap: CtlFlatOperand of the op's row, or
+                    //    0/0 for a null operand; a kOutArray row names one
+                    //    element and `out` holds as many as the target has
   kPsall,           // -> {i32 fd, i32 start, u32 limit}
                     //                  <- {i32 next_pid, u32 n, PrPsinfo[n]}
   kReadDirChunk,    // -> {u64 cookie, u32 max, path}
@@ -264,7 +277,7 @@ class ProcdServer {
 
   struct Stats {
     uint64_t frames_in = 0;          // request frames processed
-    uint64_t ctl_ops = 0;            // control operations dispatched
+    uint64_t ctl_ops = 0;            // ioctl and psall frames dispatched
     uint64_t events_pushed = 0;      // kEvent frames sent
     uint64_t disconnects = 0;        // peers detached (all causes)
     uint64_t chaos_disconnects = 0;  // ... of which PEER_DISCONNECT fired
@@ -320,11 +333,15 @@ class ProcdServer {
   void HandlePoll(Peer& peer, uint32_t tag, PdReader& r);
   void HandleSpawn(Peer& peer, uint32_t tag, PdReader& r);
 
-  // Runs a ctl-message stream for a parked-capable write: executes
-  // non-blocking prefixes through the kernel, parks at the first blocking
-  // message. Returns true if the peer parked (no reply yet).
-  bool RunCtlWrite(Peer& peer, uint32_t tag, int fd, std::vector<uint8_t> stream,
-                   int64_t consumed);
+  // Writes through the kernel and replies with the bytes accepted. A ctl
+  // stream returns after a blocking message whose stop-wait the ctl core
+  // deferred to the peer: the peer parks on it holding the unwritten tail.
+  // `done` counts bytes accepted by earlier writes of the same frame.
+  void WriteThrough(Peer& peer, uint32_t tag, int fd, std::span<const uint8_t> bytes,
+                    int64_t done);
+  // Parks the peer on the stop-wait the ctl core left in its controller
+  // process, if any. Returns whether it parked (no reply yet).
+  bool ParkDeferredWait(Peer& peer, PdOp op, uint32_t tag);
 
   // The ready list: a peer is queued at most once, by its client's Send or
   // Hangup, or by the server when work is left behind a wait or a hangup.
@@ -335,7 +352,7 @@ class ProcdServer {
   // Parked-wait machinery. EvalParked visits only the parked list.
   bool EvalParked(bool idle);
   bool TryCompleteWait(Peer& peer, bool idle);
-  void ReplyStopWait(Peer& peer, Errno e, bool ok);
+  void ReplyStopWait(Peer& peer, Errno e);
   int EvalPoll(Peer& peer, std::vector<PollFd>& pfds);
 
   // Subscriptions. Those on /proc descriptors are indexed by target pid and

@@ -1121,13 +1121,23 @@ void Kernel::DrainZombieSlim() {
 // instruction granularity.
 bool Kernel::StepFreeRun() {
   const int np = smp_.ncpus();
+  // Kernel work — a serial quantum, a trap in the fold — can reap any pick's
+  // process (a parent's wait(2) frees its zombie child), so a pick is named
+  // by pid + ident + lwpid and re-resolved before it is touched again.
   struct Pick {
     Lwp* lwp = nullptr;
+    Pid pid = 0;
+    uint64_t ident = 0;
+    int lwpid = 0;
     int cpu = 0;
     bool parallel = false;
     uint32_t budget = 0;
     uint32_t executed = 0;
     StepResult last{};
+  };
+  auto resolve = [this](const Pick& pk) -> Lwp* {
+    Proc* p = FindProc(pk.pid);
+    return p != nullptr && p->ident == pk.ident ? p->FindLwp(pk.lwpid) : nullptr;
   };
   Pick picks[kMaxCpus];
   int npicks = 0;
@@ -1156,9 +1166,12 @@ bool Kernel::StepFreeRun() {
     smp_.AckIpis(cpu);  // this CPU reached a quantum boundary
     RunqRemove(l);      // held out of every queue until the fold
     Pick& pk = picks[npicks++];
-    pk.lwp = l;
-    pk.cpu = cpu;
     Proc* p = l->proc;
+    pk.lwp = l;
+    pk.pid = p->pid;
+    pk.ident = p->ident;
+    pk.lwpid = l->lwpid;
+    pk.cpu = cpu;
     AddressSpace* as = p->as.get();
     smp_.cpu(cpu).cur_as = as;
     bool needs_kernel = l->in_syscall || l->lwp_dstop || NeedIssig(l) ||
@@ -1196,17 +1209,19 @@ bool Kernel::StepFreeRun() {
     if (pk.parallel) {
       continue;
     }
-    if (pk.lwp->state != LwpState::kRunning ||
-        pk.lwp->proc->state != Proc::State::kActive) {
-      continue;  // an earlier serial quantum stopped or killed it
+    Lwp* l = resolve(pk);
+    if (l == nullptr || l->state != LwpState::kRunning ||
+        l->proc->state != Proc::State::kActive) {
+      continue;  // an earlier serial quantum stopped, killed or reaped it
     }
-    RunQuantumOn(pk.cpu, pk.lwp, static_cast<int>(pk.budget));
+    RunQuantumOn(pk.cpu, l, static_cast<int>(pk.budget));
   }
 
   int par_idx[kMaxCpus];
   int npar = 0;
   for (int i = 0; i < npicks; ++i) {
     if (picks[i].parallel) {
+      picks[i].lwp = resolve(picks[i]);
       par_idx[npar++] = i;
     }
   }
@@ -1214,9 +1229,9 @@ bool Kernel::StepFreeRun() {
     workers_.Dispatch(npar, [&](int w) {
       Pick& pk = picks[par_idx[w]];
       Lwp* l = pk.lwp;
-      if (l->state != LwpState::kRunning ||
+      if (l == nullptr || l->state != LwpState::kRunning ||
           l->proc->state != Proc::State::kActive) {
-        return;  // a serial quantum stopped or killed it meanwhile
+        return;  // a serial quantum stopped, killed or reaped it meanwhile
       }
       pk.executed = RunUserChunk(l, pk.budget, pk.cpu, &pk.last);
     });
@@ -1224,6 +1239,7 @@ bool Kernel::StepFreeRun() {
 
   for (int i = 0; i < npicks; ++i) {
     Pick& pk = picks[i];
+    Lwp* l = resolve(pk);  // an earlier pick's trap may have reaped it
     if (pk.parallel) {
       CpuState& c = smp_.cpu(pk.cpu);
       ++c.stats.quanta;
@@ -1234,23 +1250,28 @@ bool Kernel::StepFreeRun() {
         ++counters_.quanta_interp;
       }
       c.stats.instructions += pk.executed;
-      if (pk.lwp->proc->pid != c.sw_pid || pk.lwp->lwpid != c.sw_lwpid) {
+      if (pk.pid != c.sw_pid || pk.lwpid != c.sw_lwpid) {
         ++c.stats.switches;
-        c.sw_pid = pk.lwp->proc->pid;
-        c.sw_lwpid = pk.lwp->lwpid;
+        c.sw_pid = pk.pid;
+        c.sw_lwpid = pk.lwpid;
       }
       ticks_ += pk.executed;
-      pk.lwp->proc->utime += pk.executed;
       counters_.instructions += pk.executed;
-      cur_cpu_ = pk.cpu;
-      if (pk.last.kind == StepResult::kSyscall) {
-        SyscallTrap(pk.lwp);
-      } else if (pk.last.kind == StepResult::kFault) {
-        HandleFault(pk.lwp, pk.last.fault, pk.last.fault_addr);
+      if (l != nullptr) {
+        l->proc->utime += pk.executed;
+        cur_cpu_ = pk.cpu;
+        if (pk.last.kind == StepResult::kSyscall) {
+          SyscallTrap(l);
+        } else if (pk.last.kind == StepResult::kFault) {
+          HandleFault(l, pk.last.fault, pk.last.fault_addr);
+        }
+        cur_cpu_ = 0;
+        l = resolve(pk);
       }
-      cur_cpu_ = 0;
     }
-    Lwp* l = pk.lwp;
+    if (l == nullptr) {
+      continue;
+    }
     Proc* p = l->proc;
     if (l->state == LwpState::kRunning && l->q_where == Lwp::kQNone &&
         p->state == Proc::State::kActive && !p->native && !p->system_proc) {
@@ -2123,28 +2144,23 @@ bool Kernel::PrIsStopped(const Proc* target) const {
   return false;
 }
 
-Result<void> Kernel::PrWaitStop(Proc* target) {
-  Pid pid = target->pid;
-  auto stopped_any = [](Proc* p) {
-    for (const auto& l : p->lwps) {
-      if (l->state == LwpState::kStopped) {
-        return true;
-      }
-    }
-    return false;
-  };
-  RunUntil([&]() {
-    Proc* p = FindProc(pid);
-    return p == nullptr || p->state != Proc::State::kActive || stopped_any(p);
-  });
+Result<void> Kernel::PrStopWaitCheck(Pid pid, bool idle) {
   Proc* p = FindProc(pid);
   if (p == nullptr || p->state != Proc::State::kActive) {
     return Errno::kENOENT;  // the process exited while we waited
   }
-  if (!stopped_any(p)) {
-    return Errno::kEDEADLK;  // simulation went idle without a stop
+  for (const auto& l : p->lwps) {
+    if (l->state == LwpState::kStopped) {
+      return Result<void>::Ok();
+    }
   }
-  return Result<void>::Ok();
+  return idle ? Errno::kEDEADLK : Errno::kEAGAIN;  // idle: no stop can come
+}
+
+Result<void> Kernel::PrWaitStop(Proc* target) {
+  Pid pid = target->pid;
+  RunUntil([&]() { return PrStopWaitCheck(pid, /*idle=*/false).error() != Errno::kEAGAIN; });
+  return PrStopWaitCheck(pid, /*idle=*/true);
 }
 
 Result<void> Kernel::PrRunLwp(Lwp* lwp, const RunArgs& args) {

@@ -7,134 +7,9 @@
 
 #include <cstring>
 
-#include "svr4proc/isa/isa.h"
-#include "svr4proc/kernel/signal.h"
-#include "svr4proc/procfs/types.h"
+#include "svr4proc/procfs/ctl.h"
 
 namespace svr4 {
-
-namespace {
-
-struct IoSizes {
-  uint32_t in = 0;
-  uint32_t out = 0;
-};
-
-// Operand sizes for the flat (trivially copyable) PIOC operations — the
-// client-side twin of the local dispatch's argument handling. Variable-size
-// operations (PIOCMAP, PIOCGWATCH, PIOCPSALL, PIOCPAGEDATA) are intercepted
-// before this table is consulted.
-bool PiocSizes(uint32_t op, bool have_arg, IoSizes* s) {
-  switch (op) {
-    case PIOCSTATUS:
-      s->out = sizeof(PrStatus);
-      return true;
-    case PIOCSTOP:
-    case PIOCWSTOP:
-      s->out = have_arg ? sizeof(PrStatus) : 0;
-      return true;
-    case PIOCRUN:
-      s->in = sizeof(PrRun);
-      return true;
-    case PIOCSTRACE:
-    case PIOCSHOLD:
-      s->in = sizeof(SigSet);
-      return true;
-    case PIOCGTRACE:
-    case PIOCGHOLD:
-      s->out = sizeof(SigSet);
-      return true;
-    case PIOCSSIG:
-      s->in = have_arg ? sizeof(SigInfo) : 0;
-      return true;
-    case PIOCKILL:
-    case PIOCUNKILL:
-    case PIOCNICE:
-    case PIOCPROF:
-      s->in = 4;
-      return true;
-    case PIOCMAXSIG:
-    case PIOCNMAP:
-    case PIOCNWATCH:
-      s->out = sizeof(int);
-      return true;
-    case PIOCACTION:
-      s->out = SigSet::kMaxMember * sizeof(SigAction);
-      return true;
-    case PIOCSFAULT:
-      s->in = sizeof(FltSet);
-      return true;
-    case PIOCGFAULT:
-      s->out = sizeof(FltSet);
-      return true;
-    case PIOCSENTRY:
-    case PIOCSEXIT:
-      s->in = sizeof(SysSet);
-      return true;
-    case PIOCGENTRY:
-    case PIOCGEXIT:
-      s->out = sizeof(SysSet);
-      return true;
-    case PIOCCFAULT:
-    case PIOCSFORK:
-    case PIOCRFORK:
-    case PIOCSRLC:
-    case PIOCRRLC:
-      return true;
-    case PIOCSREG:
-      s->in = sizeof(Regs);
-      return true;
-    case PIOCGREG:
-      s->out = sizeof(Regs);
-      return true;
-    case PIOCSFPREG:
-      s->in = sizeof(FpRegs);
-      return true;
-    case PIOCGFPREG:
-      s->out = sizeof(FpRegs);
-      return true;
-    case PIOCOPENM:
-      s->in = have_arg ? 4 : 0;
-      return true;
-    case PIOCCRED:
-      s->out = sizeof(PrCred);
-      return true;
-    case PIOCGROUPS:
-      s->out = PRNGROUPS * sizeof(Gid);
-      return true;
-    case PIOCPSINFO:
-      s->out = sizeof(PrPsinfo);
-      return true;
-    case PIOCGETPR:
-      s->out = sizeof(PrRawProc);
-      return true;
-    case PIOCGETU:
-      s->out = sizeof(PrRawUser);
-      return true;
-    case PIOCUSAGE:
-      s->out = sizeof(PrUsage);
-      return true;
-    case PIOCSWATCH:
-      s->in = sizeof(PrWatch);
-      return true;
-    case PIOCVMSTATS:
-      s->out = sizeof(PrVmStats);
-      return true;
-    case PIOCAUDIT:
-      s->out = sizeof(PrCtlAudit);
-      return true;
-    case PIOCKSTAT:
-      s->out = sizeof(PrKstat);
-      return true;
-    case PIOCLWPIDS:
-      s->out = sizeof(PrLwpIds);
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 void RemoteProcIo::Hangup() {
   if (conn_ == nullptr || conn_->client_closed()) {
@@ -341,33 +216,14 @@ Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
     std::memcpy(all->pr_procs.data(), rows, n * sizeof(PrPsinfo));
     return 0;
   }
-  if (op == PIOCPAGEDATA) {
-    return Errno::kEINVAL;  // no remote encoding for page-data buffers
+  // The op's CtlOp row sizes the operand, and the server checks the frame
+  // against the same row; an unknown code travels bare, for the kernel's
+  // errno.
+  const CtlOp* row = FindCtlOpByPioc(op);
+  if (row != nullptr && row->flat_size < 0) {
+    return Errno::kEINVAL;  // a host-memory operand (PIOCPAGEDATA) has no flat encoding
   }
-  IoSizes s;
-  if (op == PIOCMAP) {
-    // The caller's buffer is PrMapEntry[n+1]; size it the way the caller
-    // did, with a fresh PIOCNMAP.
-    int n = 0;
-    auto nr = Ioctl(fd, PIOCNMAP, &n);
-    if (!nr.ok()) {
-      return nr.error();
-    }
-    s.out = static_cast<uint32_t>(n + 1) * sizeof(PrMapEntry);
-  } else if (op == PIOCGWATCH) {
-    int n = 0;
-    auto nr = Ioctl(fd, PIOCNWATCH, &n);
-    if (!nr.ok()) {
-      return nr.error();
-    }
-    s.out = static_cast<uint32_t>(n) * sizeof(PrWatch);
-  } else if (!PiocSizes(op, arg != nullptr, &s)) {
-    return Errno::kEINVAL;
-  }
-  if (arg == nullptr) {
-    s.in = 0;
-    s.out = 0;
-  }
+  CtlFlatBytes s = row != nullptr && arg != nullptr ? CtlFlatOperand(*row) : CtlFlatBytes{};
   PdWriter w;
   w.Put<int32_t>(fd);
   w.Put<uint32_t>(op);
@@ -385,12 +241,14 @@ Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
   if (!r.Get(&rv)) {
     return Errno::kEIO;
   }
-  if (s.out != 0) {
-    const uint8_t* out = r.Raw(s.out);
-    if (out == nullptr) {
-      return Errno::kEIO;
-    }
-    std::memcpy(arg, out, s.out);
+  // A kOutArray reply holds as many elements as the target has.
+  size_t n = r.remaining();
+  bool array = s.out != 0 && row->arg == CtlArgKind::kOutArray;
+  if (n != s.out && !array) {
+    return Errno::kEIO;
+  }
+  if (n != 0) {
+    std::memcpy(arg, r.Raw(n), n);
   }
   return rv;
 }

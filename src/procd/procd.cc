@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <utility>
 
 #include "svr4proc/kernel/faults.h"
 #include "svr4proc/procfs/ctl.h"
@@ -120,9 +121,9 @@ struct ProcdPeer {
   uint32_t wait_tag = 0;
   Pid wait_pid = -1;            // stop-wait: the target process
   uint32_t wait_out_cap = 0;    // flat PIOCWSTOP/PIOCSTOP: PrStatus reply?
-  int wait_fd = -1;             // ctl-stream continuation descriptor
-  std::vector<uint8_t> wait_cont;  // unexecuted ctl-stream tail
-  int64_t wait_consumed = 0;       // stream bytes already accepted
+  int wait_fd = -1;             // ctl write: the descriptor
+  std::vector<uint8_t> wait_cont;  // ctl write: the tail not yet written
+  int64_t wait_consumed = 0;       // ctl write: bytes already accepted
   std::vector<PollFd> wait_pfds;   // parked poll set
   uint64_t wait_deadline = 0;      // poll: 0 = no timeout
 
@@ -176,6 +177,7 @@ std::shared_ptr<ProcdConn> ProcdServer::Connect(const Creds& creds,
   if (p == nullptr) {
     return nullptr;
   }
+  p->defers_waits = true;  // a peer's stop-wait must not stall the others
   auto conn = std::make_shared<ProcdConn>();
   conn->id = next_conn_id_++;
   conn->server = this;
@@ -383,93 +385,36 @@ void ProcdServer::HandleRead(Peer& peer, uint32_t tag, PdReader& r, bool pread) 
   PdWriteFrame(peer.conn->s2c, op, 0, tag, buf);
 }
 
-bool ProcdServer::RunCtlWrite(Peer& peer, uint32_t tag, int fd,
-                              std::vector<uint8_t> stream, int64_t consumed) {
-  // Walk the ctl messages, batching non-blocking prefixes into plain
-  // kernel writes and parking at a blocking code. `consumed` carries bytes
-  // accepted by earlier segments of the same original write.
-  size_t pos = 0;
-  size_t flushed = 0;  // start of the unflushed prefix
-  auto flush = [&](size_t end) -> Result<void> {
-    if (end == flushed) {
-      return Result<void>::Ok();
-    }
-    auto wr = kernel_->Write(peer.proc, fd, stream.data() + flushed, end - flushed);
-    if (!wr.ok()) {
-      return wr.error();
-    }
-    flushed = end;
-    return Result<void>::Ok();
-  };
-  while (pos + 4 <= stream.size()) {
-    int32_t code = 0;
-    std::memcpy(&code, stream.data() + pos, 4);
-    int opsize = PrCtlOperandSize(code);
-    if (opsize < 0 || pos + 4 + static_cast<size_t>(opsize) > stream.size()) {
-      // Unknown code or truncated operand: hand the tail to the kernel for
-      // the canonical errno (executed prefix keeps its effect, as locally).
-      break;
-    }
-    const CtlOp* row = FindCtlOpByPc(code);
-    if (row != nullptr && row->blocking) {
-      auto fr = flush(pos);
-      if (!fr.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, fr.error());
-        return false;
-      }
-      // Validate the descriptor against the live target, mirroring the
-      // local dispatch order (ident: ENOENT, generation: EACCES).
-      auto of = kernel_->FdGet(peer.proc, fd);
-      if (!of.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, of.error());
-        return false;
-      }
-      if (!(*of)->writable) {
-        PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, Errno::kEBADF);
-        return false;
-      }
-      Proc* target = kernel_->FindProc((*of)->vp->PrCountedTarget());
-      if (target == nullptr || (*of)->pr_ident != target->ident) {
-        PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, Errno::kENOENT);
-        return false;
-      }
-      if ((*of)->pr_gen != target->trace.gen) {
-        PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, Errno::kEACCES);
-        return false;
-      }
-      if (code == PCSTOP) {
-        auto st = kernel_->PrStop(target);
-        if (!st.ok()) {
-          PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, st.error());
-          return false;
-        }
-      }
-      peer.wait = Peer::Wait::kStopWait;
-      peer.wait_op = PdOp::kWrite;
-      peer.wait_tag = tag;
-      peer.wait_pid = target->pid;
-      peer.wait_out_cap = 0;
-      peer.wait_fd = fd;
-      peer.wait_consumed = consumed + static_cast<int64_t>(pos) + 4;
-      peer.wait_cont.assign(stream.begin() + static_cast<long>(pos) + 4, stream.end());
-      ++stats_.ctl_ops;
-      ++peer.ctl_ops;
-      SpanPark(peer, PdOp::kWrite);
-      return true;
-    }
-    pos += 4 + static_cast<size_t>(opsize);
-    ++stats_.ctl_ops;
-    ++peer.ctl_ops;
-  }
-  auto fr = flush(stream.size());
-  if (!fr.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, fr.error());
+bool ProcdServer::ParkDeferredWait(Peer& peer, PdOp op, uint32_t tag) {
+  Pid pid = std::exchange(peer.proc->deferred_wait, -1);
+  if (pid < 0) {
     return false;
   }
+  peer.wait = Peer::Wait::kStopWait;
+  peer.wait_op = op;
+  peer.wait_tag = tag;
+  peer.wait_pid = pid;
+  SpanPark(peer, op);
+  return true;
+}
+
+void ProcdServer::WriteThrough(Peer& peer, uint32_t tag, int fd,
+                               std::span<const uint8_t> bytes, int64_t done) {
+  auto wr = kernel_->Write(peer.proc, fd, bytes.data(), bytes.size());
+  if (!wr.ok()) {
+    PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, wr.error());
+    return;
+  }
+  done += *wr;
+  if (ParkDeferredWait(peer, PdOp::kWrite, tag)) {
+    peer.wait_fd = fd;
+    peer.wait_cont.assign(bytes.begin() + *wr, bytes.end());
+    peer.wait_consumed = done;
+    return;
+  }
   PdWriter w;
-  w.Put<int64_t>(consumed + static_cast<int64_t>(stream.size()));
+  w.Put<int64_t>(done);
   PdWriteFrame(peer.conn->s2c, PdOp::kWrite, 0, tag, w.bytes());
-  return false;
 }
 
 void ProcdServer::HandleWrite(Peer& peer, uint32_t tag, PdReader& r) {
@@ -479,107 +424,56 @@ void ProcdServer::HandleWrite(Peer& peer, uint32_t tag, PdReader& r) {
     return;
   }
   size_t n = r.remaining();
-  const uint8_t* data = r.Raw(n);
-  auto of = kernel_->FdGet(peer.proc, fd);
-  if (of.ok() && (*of)->vp->PrCtlStream()) {
-    // A batched control write: blocking messages park instead of pumping
-    // the simulation inline (which would starve every other peer).
-    (void)RunCtlWrite(peer, tag, fd, std::vector<uint8_t>(data, data + n), 0);
-    return;
-  }
-  auto wr = kernel_->Write(peer.proc, fd, data, n);
-  if (!wr.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, wr.error());
-    return;
-  }
-  PdWriter w;
-  w.Put<int64_t>(*wr);
-  PdWriteFrame(peer.conn->s2c, PdOp::kWrite, 0, tag, w.bytes());
+  WriteThrough(peer, tag, fd, std::span<const uint8_t>(r.Raw(n), n), 0);
 }
 
 void ProcdServer::HandleIoctl(Peer& peer, uint32_t tag, PdReader& r) {
   int32_t fd = 0;
   uint32_t op = 0, in_len = 0, out_cap = 0;
-  if (!r.Get(&fd) || !r.Get(&op) || !r.Get(&in_len) || !r.Get(&out_cap) ||
-      in_len > (1u << 22) || out_cap > (1u << 22)) {
+  if (!r.Get(&fd) || !r.Get(&op) || !r.Get(&in_len) || !r.Get(&out_cap)) {
     PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kEINVAL);
     return;
   }
+  // The operand is sized by the op's CtlOp row, never by the frame: sizes
+  // the row does not take are refused before anything runs.
+  const CtlOp* row = FindCtlOpByPioc(op);
   const uint8_t* in = r.Raw(in_len);
-  if (in == nullptr && in_len != 0) {
-    PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kEINVAL);
-    return;
-  }
-  if (op == PIOCPSALL || op == PIOCPAGEDATA) {
-    // Non-flat operand layouts: PSALL has its own RPC; page data has no
-    // remote encoding.
+  if (!CtlFlatSizesOk(row, in_len, out_cap) || (in == nullptr && in_len != 0)) {
     PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kEINVAL);
     return;
   }
   ++stats_.ctl_ops;
   ++peer.ctl_ops;
-  const CtlOp* row = FindCtlOpByPioc(op);
-  if (row != nullptr && row->blocking) {
-    // PIOCSTOP / PIOCWSTOP: replicate the local dispatch checks, execute
-    // the directive half, park the wait half.
-    auto of = kernel_->FdGet(peer.proc, fd);
-    if (!of.ok()) {
-      PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, of.error());
+  size_t out_len = out_cap;
+  if (out_cap != 0 && row->arg == CtlArgKind::kOutArray) {
+    // The element count comes from the live target: a null operand asks
+    // for it, and nothing runs between that call and the next.
+    auto n = kernel_->Ioctl(peer.proc, fd, op, nullptr);
+    if (!n.ok()) {
+      PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, n.error());
       return;
     }
-    Proc* target = kernel_->FindProc((*of)->vp->PrCountedTarget());
-    if (target == nullptr || (*of)->pr_ident != target->ident) {
-      PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kENOENT);
-      return;
-    }
-    if ((*of)->pr_gen != target->trace.gen) {
-      PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kEACCES);
-      return;
-    }
-    if (!row->read_only && !(*of)->writable) {
-      PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kEBADF);
-      return;
-    }
-    if (target->state != Proc::State::kActive) {
-      PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kENOENT);
-      return;
-    }
-    if (op == PIOCSTOP) {
-      auto st = kernel_->PrStop(target);
-      if (!st.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, st.error());
-        return;
-      }
-    }
-    peer.wait = Peer::Wait::kStopWait;
-    peer.wait_op = PdOp::kIoctl;
-    peer.wait_tag = tag;
-    peer.wait_pid = target->pid;
-    peer.wait_out_cap = out_cap;
-    peer.wait_fd = fd;
-    peer.wait_cont.clear();
-    peer.wait_consumed = 0;
-    SpanPark(peer, PdOp::kIoctl);
-    return;
+    out_len = static_cast<size_t>(*n) * out_cap;
   }
-  // Generic dispatch: every remaining flat operand is a trivially copyable
-  // struct, so a sized scratch buffer round-trips it.
-  size_t cap = std::max(in_len, out_cap);
-  std::vector<uint64_t> scratch((cap + 7) / 8);
+  // Every flat operand is a trivially copyable struct, so a sized scratch
+  // buffer round-trips it.
+  std::vector<uint64_t> scratch((std::max<size_t>(in_len, out_len) + 7) / 8 + 1);
   if (in_len != 0) {
     std::memcpy(scratch.data(), in, in_len);
   }
-  void* arg = cap != 0 ? scratch.data() : nullptr;
+  void* arg = in_len != 0 || out_cap != 0 ? scratch.data() : nullptr;
   auto rv = kernel_->Ioctl(peer.proc, fd, op, arg);
   if (!rv.ok()) {
     PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, rv.error());
     return;
   }
+  if (ParkDeferredWait(peer, PdOp::kIoctl, tag)) {
+    peer.wait_out_cap = out_cap;  // the PrStatus is taken once the wait is over
+    return;
+  }
   PdWriter w;
   w.Put<int32_t>(*rv);
-  if (out_cap != 0) {
-    w.PutBytes(scratch.data(), out_cap);
-  }
+  w.PutBytes(scratch.data(), out_len);
   PdWriteFrame(peer.conn->s2c, PdOp::kIoctl, 0, tag, w.bytes());
 }
 
@@ -856,38 +750,35 @@ void ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
 
 // --- Parked waits ------------------------------------------------------------
 
-void ProcdServer::ReplyStopWait(Peer& peer, Errno e, bool ok) {
+void ProcdServer::ReplyStopWait(Peer& peer, Errno e) {
   PdOp op = peer.wait_op;
   uint32_t tag = peer.wait_tag;
-  if (!ok) {
-    peer.wait = Peer::Wait::kNone;
-    PdWriteError(peer.conn->s2c, op, tag, e);
-    SpanReply(peer, op);
-    return;
-  }
-  if (op == PdOp::kWrite) {
-    // A ctl stream parked mid-write: execute the continuation (which may
-    // park again on another blocking message).
-    std::vector<uint8_t> cont = std::move(peer.wait_cont);
-    int64_t consumed = peer.wait_consumed;
-    int fd = peer.wait_fd;
-    peer.wait = Peer::Wait::kNone;
-    if (!RunCtlWrite(peer, tag, fd, std::move(cont), consumed)) {
-      SpanReply(peer, op);
-    }
-    return;
-  }
-  // Flat PIOCSTOP/PIOCWSTOP: optional PrStatus out-parameter.
-  PdWriter w;
-  w.Put<int32_t>(0);
-  if (peer.wait_out_cap >= sizeof(PrStatus)) {
-    Proc* target = kernel_->FindProc(peer.wait_pid);
-    PrStatus st = BuildPrStatus(*kernel_, target);
-    w.PutBytes(&st, sizeof(st));
-  }
+  std::vector<uint8_t> tail = std::move(peer.wait_cont);
+  peer.wait_cont.clear();
   peer.wait = Peer::Wait::kNone;
-  PdWriteFrame(peer.conn->s2c, op, 0, tag, w.bytes());
-  SpanReply(peer, op);
+  if (e != Errno::kOk) {
+    PdWriteError(peer.conn->s2c, op, tag, e);
+  } else if (!tail.empty()) {
+    // A ctl stream parked mid-write: write the tail, which may park again
+    // on another blocking message.
+    WriteThrough(peer, tag, peer.wait_fd, tail, peer.wait_consumed);
+  } else {
+    PdWriter w;
+    if (op == PdOp::kWrite) {
+      w.Put<int64_t>(peer.wait_consumed);  // the stream ended with the wait
+    } else {
+      // Flat PIOCSTOP/PIOCWSTOP: optional PrStatus out-parameter.
+      w.Put<int32_t>(0);
+      if (peer.wait_out_cap != 0) {
+        PrStatus st = BuildPrStatus(*kernel_, kernel_->FindProc(peer.wait_pid));
+        w.PutBytes(&st, sizeof(st));
+      }
+    }
+    PdWriteFrame(peer.conn->s2c, op, 0, tag, w.bytes());
+  }
+  if (peer.wait == Peer::Wait::kNone) {
+    SpanReply(peer, op);
+  }
 }
 
 bool ProcdServer::TryCompleteWait(Peer& peer, bool idle) {
@@ -895,28 +786,12 @@ bool ProcdServer::TryCompleteWait(Peer& peer, bool idle) {
     case Peer::Wait::kNone:
       return false;
     case Peer::Wait::kStopWait: {
-      // Mirrors Kernel::PrWaitStop's completion rules exactly.
-      Proc* p = kernel_->FindProc(peer.wait_pid);
-      if (p == nullptr || p->state != Proc::State::kActive) {
-        ReplyStopWait(peer, Errno::kENOENT, /*ok=*/false);
-        return true;
+      auto done = kernel_->PrStopWaitCheck(peer.wait_pid, idle);
+      if (done.error() == Errno::kEAGAIN) {
+        return false;
       }
-      bool stopped_any = false;
-      for (const auto& l : p->lwps) {
-        if (l->state == LwpState::kStopped) {
-          stopped_any = true;
-          break;
-        }
-      }
-      if (stopped_any) {
-        ReplyStopWait(peer, Errno::kOk, /*ok=*/true);
-        return true;
-      }
-      if (idle) {
-        ReplyStopWait(peer, Errno::kEDEADLK, /*ok=*/false);
-        return true;
-      }
-      return false;
+      ReplyStopWait(peer, done.error());
+      return true;
     }
     case Peer::Wait::kPoll: {
       int ready = EvalPoll(peer, peer.wait_pfds);

@@ -51,29 +51,16 @@ namespace {
 
 // --- Handlers: exactly one per operation -----------------------------------
 
+// PCWSTOP's directive: none (the wait half runs in CtlDispatchOp).
 Result<int32_t> OpNull(CtlCtx&, void*) { return 0; }
 
+// PCSTOP's and PCDSTOP's directive.
 Result<int32_t> OpStop(CtlCtx& c, void*) {
   if (c.lwp != nullptr) {
     SVR4_RETURN_IF_ERROR(c.k->PrStopLwp(c.lwp));
   } else {
     SVR4_RETURN_IF_ERROR(c.k->PrStop(c.p));
   }
-  SVR4_RETURN_IF_ERROR(c.k->PrWaitStop(c.p));
-  return 0;
-}
-
-Result<int32_t> OpDirectedStop(CtlCtx& c, void*) {
-  if (c.lwp != nullptr) {
-    SVR4_RETURN_IF_ERROR(c.k->PrStopLwp(c.lwp));
-  } else {
-    SVR4_RETURN_IF_ERROR(c.k->PrStop(c.p));
-  }
-  return 0;
-}
-
-Result<int32_t> OpWaitStop(CtlCtx& c, void*) {
-  SVR4_RETURN_IF_ERROR(c.k->PrWaitStop(c.p));
   return 0;
 }
 
@@ -292,6 +279,9 @@ Result<int32_t> OpNMap(CtlCtx& c, void* arg) {
 
 Result<int32_t> OpMap(CtlCtx& c, void* arg) {
   auto maps = BuildPrMap(c.p);
+  if (arg == nullptr) {
+    return static_cast<int32_t>(maps.size() + 1);  // entries, with the terminator
+  }
   auto* out = static_cast<PrMapEntry*>(arg);
   for (size_t i = 0; i < maps.size(); ++i) {
     out[i] = maps[i];
@@ -395,6 +385,9 @@ Result<int32_t> OpGetWatches(CtlCtx& c, void* arg) {
   if (!c.p->as) {
     return Errno::kEINVAL;
   }
+  if (arg == nullptr) {
+    return static_cast<int32_t>(c.p->as->Watches().size());
+  }
   auto* out = static_cast<PrWatch*>(arg);
   int i = 0;
   for (const auto& w : c.p->as->Watches()) {
@@ -482,124 +475,129 @@ Result<int32_t> OpProf(CtlCtx& c, void* arg) {
 
 constexpr int32_t kNoPc = -1;
 constexpr uint32_t kNoPioc = 0;
+constexpr int32_t kNoFlat = -1;
 
-// Field order: name, pioc, pc, arg, operand_size, read_only, zombie_ok,
-// lwp_scope, blocking, status_out, alias_pc, alias_operand, priv, handler.
+// Field order: name, pioc, pc, arg, operand_size, flat_size, read_only,
+// zombie_ok, lwp_scope, blocking, status_out, flat_optional, alias_pc,
+// alias_operand, priv, handler.
 const CtlOp kCtlOps[] = {
     // Control operations, shared by both encodings. Dual rows carry the
     // canonical PC* name so either front-end leaves the same audit trail.
-    {"PCNULL", kNoPioc, PCNULL, CtlArgKind::kNone, 0,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpNull},
-    {"PCSTOP", PIOCSTOP, PCSTOP, CtlArgKind::kNone, 0,
-     false, false, true, true, true, kNoPc, 0, nullptr, OpStop},
-    {"PCDSTOP", kNoPioc, PCDSTOP, CtlArgKind::kNone, 0,
-     false, false, true, false, false, kNoPc, 0, nullptr, OpDirectedStop},
-    {"PCWSTOP", PIOCWSTOP, PCWSTOP, CtlArgKind::kNone, 0,
-     false, false, false, true, true, kNoPc, 0, nullptr, OpWaitStop},
-    {"PCRUN", PIOCRUN, PCRUN, CtlArgKind::kRun, 8,
-     false, false, true, false, false, kNoPc, 0, nullptr, OpRun},
-    {"PCSTRACE", PIOCSTRACE, PCSTRACE, CtlArgKind::kSigSet, sizeof(SigSet),
-     false, false, false, false, false, kNoPc, 0, nullptr, OpSetSigTrace},
-    {"PCSFAULT", PIOCSFAULT, PCSFAULT, CtlArgKind::kFltSet, sizeof(FltSet),
-     false, false, false, false, false, kNoPc, 0, nullptr, OpSetFltTrace},
-    {"PCSENTRY", PIOCSENTRY, PCSENTRY, CtlArgKind::kSysSet, sizeof(SysSet),
-     false, false, false, false, false, kNoPc, 0, nullptr, OpSetSysEntry},
-    {"PCSEXIT", PIOCSEXIT, PCSEXIT, CtlArgKind::kSysSet, sizeof(SysSet),
-     false, false, false, false, false, kNoPc, 0, nullptr, OpSetSysExit},
-    {"PCSHOLD", PIOCSHOLD, PCSHOLD, CtlArgKind::kSigSet, sizeof(SigSet),
-     false, false, false, false, false, kNoPc, 0, nullptr, OpSetHold},
-    {"PCKILL", PIOCKILL, PCKILL, CtlArgKind::kInt, 4,
-     false, false, false, false, false, kNoPc, 0, nullptr, OpKill},
-    {"PCUNKILL", PIOCUNKILL, PCUNKILL, CtlArgKind::kInt, 4,
-     false, false, false, false, false, kNoPc, 0, nullptr, OpUnkill},
-    {"PCSSIG", PIOCSSIG, PCSSIG, CtlArgKind::kSigInfo, sizeof(SigInfo),
-     false, false, false, false, false, kNoPc, 0, nullptr, OpSetSig},
-    {"PCCSIG", kNoPioc, PCCSIG, CtlArgKind::kNone, 0,
-     false, false, false, false, false, kNoPc, 0, nullptr, OpClearSig},
-    {"PCCFAULT", PIOCCFAULT, PCCFAULT, CtlArgKind::kNone, 0,
-     false, false, false, false, false, kNoPc, 0, nullptr, OpClearFault},
-    {"PCSREG", PIOCSREG, PCSREG, CtlArgKind::kRegs, sizeof(Regs),
-     false, false, true, false, false, kNoPc, 0, nullptr, OpSetRegs},
-    {"PCSFPREG", PIOCSFPREG, PCSFPREG, CtlArgKind::kFpRegs, sizeof(FpRegs),
-     false, false, true, false, false, kNoPc, 0, nullptr, OpSetFpRegs},
-    {"PCNICE", PIOCNICE, PCNICE, CtlArgKind::kInt, 4,
-     false, false, false, false, false, kNoPc, 0, NicePriv, OpNice},
-    {"PCSET", kNoPioc, PCSET, CtlArgKind::kFlags, 4,
-     false, false, false, false, false, kNoPc, 0, nullptr, OpSetModes},
-    {"PCUNSET", kNoPioc, PCUNSET, CtlArgKind::kFlags, 4,
-     false, false, false, false, false, kNoPc, 0, nullptr, OpClearModes},
-    {"PCWATCH", PIOCSWATCH, PCWATCH, CtlArgKind::kWatch, sizeof(PrWatch),
-     false, false, false, false, false, kNoPc, 0, nullptr, OpWatch},
+    {"PCNULL", kNoPioc, PCNULL, CtlArgKind::kNone, 0, kNoFlat,
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpNull},
+    {"PCSTOP", PIOCSTOP, PCSTOP, CtlArgKind::kNone, 0, sizeof(PrStatus),
+     false, false, true, true, true, true, kNoPc, 0, nullptr, OpStop},
+    {"PCDSTOP", kNoPioc, PCDSTOP, CtlArgKind::kNone, 0, kNoFlat,
+     false, false, true, false, false, false, kNoPc, 0, nullptr, OpStop},
+    {"PCWSTOP", PIOCWSTOP, PCWSTOP, CtlArgKind::kNone, 0, sizeof(PrStatus),
+     false, false, false, true, true, true, kNoPc, 0, nullptr, OpNull},
+    {"PCRUN", PIOCRUN, PCRUN, CtlArgKind::kRun, 8, sizeof(PrRun),
+     false, false, true, false, false, true, kNoPc, 0, nullptr, OpRun},
+    {"PCSTRACE", PIOCSTRACE, PCSTRACE, CtlArgKind::kSigSet, sizeof(SigSet), sizeof(SigSet),
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpSetSigTrace},
+    {"PCSFAULT", PIOCSFAULT, PCSFAULT, CtlArgKind::kFltSet, sizeof(FltSet), sizeof(FltSet),
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpSetFltTrace},
+    {"PCSENTRY", PIOCSENTRY, PCSENTRY, CtlArgKind::kSysSet, sizeof(SysSet), sizeof(SysSet),
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpSetSysEntry},
+    {"PCSEXIT", PIOCSEXIT, PCSEXIT, CtlArgKind::kSysSet, sizeof(SysSet), sizeof(SysSet),
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpSetSysExit},
+    {"PCSHOLD", PIOCSHOLD, PCSHOLD, CtlArgKind::kSigSet, sizeof(SigSet), sizeof(SigSet),
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpSetHold},
+    {"PCKILL", PIOCKILL, PCKILL, CtlArgKind::kInt, 4, 4,
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpKill},
+    {"PCUNKILL", PIOCUNKILL, PCUNKILL, CtlArgKind::kInt, 4, 4,
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpUnkill},
+    // A null flat siginfo clears the current signal (PCCSIG).
+    {"PCSSIG", PIOCSSIG, PCSSIG, CtlArgKind::kSigInfo, sizeof(SigInfo), sizeof(SigInfo),
+     false, false, false, false, false, true, kNoPc, 0, nullptr, OpSetSig},
+    {"PCCSIG", kNoPioc, PCCSIG, CtlArgKind::kNone, 0, kNoFlat,
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpClearSig},
+    {"PCCFAULT", PIOCCFAULT, PCCFAULT, CtlArgKind::kNone, 0, 0,
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpClearFault},
+    {"PCSREG", PIOCSREG, PCSREG, CtlArgKind::kRegs, sizeof(Regs), sizeof(Regs),
+     false, false, true, false, false, false, kNoPc, 0, nullptr, OpSetRegs},
+    {"PCSFPREG", PIOCSFPREG, PCSFPREG, CtlArgKind::kFpRegs, sizeof(FpRegs), sizeof(FpRegs),
+     false, false, true, false, false, false, kNoPc, 0, nullptr, OpSetFpRegs},
+    {"PCNICE", PIOCNICE, PCNICE, CtlArgKind::kInt, 4, 4,
+     false, false, false, false, false, false, kNoPc, 0, NicePriv, OpNice},
+    {"PCSET", kNoPioc, PCSET, CtlArgKind::kFlags, 4, kNoFlat,
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpSetModes},
+    {"PCUNSET", kNoPioc, PCUNSET, CtlArgKind::kFlags, 4, kNoFlat,
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpClearModes},
+    {"PCWATCH", PIOCSWATCH, PCWATCH, CtlArgKind::kWatch, sizeof(PrWatch), sizeof(PrWatch),
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpWatch},
 
     // Flat mode codes: pure aliases marshalling to PCSET/PCUNSET with a
     // fixed operand, so the mode semantics exist in exactly one handler.
-    {"PIOCSFORK", PIOCSFORK, kNoPc, CtlArgKind::kNone, -1,
-     false, false, false, false, false, PCSET, PR_FORK, nullptr, nullptr},
-    {"PIOCRFORK", PIOCRFORK, kNoPc, CtlArgKind::kNone, -1,
-     false, false, false, false, false, PCUNSET, PR_FORK, nullptr, nullptr},
-    {"PIOCSRLC", PIOCSRLC, kNoPc, CtlArgKind::kNone, -1,
-     false, false, false, false, false, PCSET, PR_RLC, nullptr, nullptr},
-    {"PIOCRRLC", PIOCRRLC, kNoPc, CtlArgKind::kNone, -1,
-     false, false, false, false, false, PCUNSET, PR_RLC, nullptr, nullptr},
+    {"PIOCSFORK", PIOCSFORK, kNoPc, CtlArgKind::kNone, -1, 0,
+     false, false, false, false, false, false, PCSET, PR_FORK, nullptr, nullptr},
+    {"PIOCRFORK", PIOCRFORK, kNoPc, CtlArgKind::kNone, -1, 0,
+     false, false, false, false, false, false, PCUNSET, PR_FORK, nullptr, nullptr},
+    {"PIOCSRLC", PIOCSRLC, kNoPc, CtlArgKind::kNone, -1, 0,
+     false, false, false, false, false, false, PCSET, PR_RLC, nullptr, nullptr},
+    {"PIOCRRLC", PIOCRRLC, kNoPc, CtlArgKind::kNone, -1, 0,
+     false, false, false, false, false, false, PCUNSET, PR_RLC, nullptr, nullptr},
 
     // Flat-only queries: status interrogation travels over ioctl in the
     // flat interface and over read(2) of status files in the hierarchy.
-    {"PIOCSTATUS", PIOCSTATUS, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpStatus},
-    {"PIOCGTRACE", PIOCGTRACE, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetSigTrace},
-    {"PIOCGHOLD", PIOCGHOLD, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetHold},
-    {"PIOCMAXSIG", PIOCMAXSIG, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpMaxSig},
+    {"PIOCSTATUS", PIOCSTATUS, kNoPc, CtlArgKind::kOut, -1, sizeof(PrStatus),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpStatus},
+    {"PIOCGTRACE", PIOCGTRACE, kNoPc, CtlArgKind::kOut, -1, sizeof(SigSet),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpGetSigTrace},
+    {"PIOCGHOLD", PIOCGHOLD, kNoPc, CtlArgKind::kOut, -1, sizeof(SigSet),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpGetHold},
+    {"PIOCMAXSIG", PIOCMAXSIG, kNoPc, CtlArgKind::kOut, -1, sizeof(int),
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpMaxSig},
     {"PIOCACTION", PIOCACTION, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpActions},
-    {"PIOCGFAULT", PIOCGFAULT, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetFltTrace},
-    {"PIOCGENTRY", PIOCGENTRY, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetSysEntry},
-    {"PIOCGEXIT", PIOCGEXIT, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetSysExit},
-    {"PIOCGREG", PIOCGREG, kNoPc, CtlArgKind::kOut, -1,
-     true, false, true, false, false, kNoPc, 0, nullptr, OpGetRegs},
-    {"PIOCGFPREG", PIOCGFPREG, kNoPc, CtlArgKind::kOut, -1,
-     true, false, true, false, false, kNoPc, 0, nullptr, OpGetFpRegs},
-    {"PIOCNMAP", PIOCNMAP, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpNMap},
-    {"PIOCMAP", PIOCMAP, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpMap},
-    {"PIOCOPENM", PIOCOPENM, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpOpenMapped},
-    {"PIOCCRED", PIOCCRED, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpCred},
-    {"PIOCGROUPS", PIOCGROUPS, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpGroups},
-    {"PIOCPSINFO", PIOCPSINFO, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpPsinfo},
-    {"PIOCGETPR", PIOCGETPR, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetProcRaw},
-    {"PIOCGETU", PIOCGETU, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetUserRaw},
-    {"PIOCUSAGE", PIOCUSAGE, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpUsage},
-    {"PIOCNWATCH", PIOCNWATCH, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpNWatch},
-    {"PIOCGWATCH", PIOCGWATCH, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpGetWatches},
-    {"PIOCPAGEDATA", PIOCPAGEDATA, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpPageData},
-    {"PIOCLWPIDS", PIOCLWPIDS, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpLwpIds},
-    {"PIOCVMSTATS", PIOCVMSTATS, kNoPc, CtlArgKind::kOut, -1,
-     true, false, false, false, false, kNoPc, 0, nullptr, OpVmStats},
-    {"PIOCAUDIT", PIOCAUDIT, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpAudit},
-    {"PIOCKSTAT", PIOCKSTAT, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpKstat},
-    {"PIOCPSALL", PIOCPSALL, kNoPc, CtlArgKind::kOut, -1,
-     true, true, false, false, false, kNoPc, 0, nullptr, OpPsAll},
-    {"PIOCPROF", PIOCPROF, kNoPc, CtlArgKind::kInt, 4,
-     false, false, false, false, false, kNoPc, 0, nullptr, OpProf},
+     SigSet::kMaxMember * sizeof(SigAction),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpActions},
+    {"PIOCGFAULT", PIOCGFAULT, kNoPc, CtlArgKind::kOut, -1, sizeof(FltSet),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpGetFltTrace},
+    {"PIOCGENTRY", PIOCGENTRY, kNoPc, CtlArgKind::kOut, -1, sizeof(SysSet),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpGetSysEntry},
+    {"PIOCGEXIT", PIOCGEXIT, kNoPc, CtlArgKind::kOut, -1, sizeof(SysSet),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpGetSysExit},
+    {"PIOCGREG", PIOCGREG, kNoPc, CtlArgKind::kOut, -1, sizeof(Regs),
+     true, false, true, false, false, false, kNoPc, 0, nullptr, OpGetRegs},
+    {"PIOCGFPREG", PIOCGFPREG, kNoPc, CtlArgKind::kOut, -1, sizeof(FpRegs),
+     true, false, true, false, false, false, kNoPc, 0, nullptr, OpGetFpRegs},
+    {"PIOCNMAP", PIOCNMAP, kNoPc, CtlArgKind::kOut, -1, sizeof(int),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpNMap},
+    {"PIOCMAP", PIOCMAP, kNoPc, CtlArgKind::kOutArray, -1, sizeof(PrMapEntry),
+     true, false, false, false, false, true, kNoPc, 0, nullptr, OpMap},
+    // A null vaddr opens the executable itself.
+    {"PIOCOPENM", PIOCOPENM, kNoPc, CtlArgKind::kVaddr, -1, sizeof(uint32_t),
+     true, false, false, false, false, true, kNoPc, 0, nullptr, OpOpenMapped},
+    {"PIOCCRED", PIOCCRED, kNoPc, CtlArgKind::kOut, -1, sizeof(PrCred),
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpCred},
+    {"PIOCGROUPS", PIOCGROUPS, kNoPc, CtlArgKind::kOut, -1, PRNGROUPS * sizeof(Gid),
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpGroups},
+    {"PIOCPSINFO", PIOCPSINFO, kNoPc, CtlArgKind::kOut, -1, sizeof(PrPsinfo),
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpPsinfo},
+    {"PIOCGETPR", PIOCGETPR, kNoPc, CtlArgKind::kOut, -1, sizeof(PrRawProc),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpGetProcRaw},
+    {"PIOCGETU", PIOCGETU, kNoPc, CtlArgKind::kOut, -1, sizeof(PrRawUser),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpGetUserRaw},
+    {"PIOCUSAGE", PIOCUSAGE, kNoPc, CtlArgKind::kOut, -1, sizeof(PrUsage),
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpUsage},
+    {"PIOCNWATCH", PIOCNWATCH, kNoPc, CtlArgKind::kOut, -1, sizeof(int),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpNWatch},
+    {"PIOCGWATCH", PIOCGWATCH, kNoPc, CtlArgKind::kOutArray, -1, sizeof(PrWatch),
+     true, false, false, false, false, true, kNoPc, 0, nullptr, OpGetWatches},
+    {"PIOCPAGEDATA", PIOCPAGEDATA, kNoPc, CtlArgKind::kOut, -1, kNoFlat,
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpPageData},
+    {"PIOCLWPIDS", PIOCLWPIDS, kNoPc, CtlArgKind::kOut, -1, sizeof(PrLwpIds),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpLwpIds},
+    {"PIOCVMSTATS", PIOCVMSTATS, kNoPc, CtlArgKind::kOut, -1, sizeof(PrVmStats),
+     true, false, false, false, false, false, kNoPc, 0, nullptr, OpVmStats},
+    {"PIOCAUDIT", PIOCAUDIT, kNoPc, CtlArgKind::kOut, -1, sizeof(PrCtlAudit),
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpAudit},
+    {"PIOCKSTAT", PIOCKSTAT, kNoPc, CtlArgKind::kOut, -1, sizeof(PrKstat),
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpKstat},
+    {"PIOCPSALL", PIOCPSALL, kNoPc, CtlArgKind::kOut, -1, kNoFlat,
+     true, true, false, false, false, false, kNoPc, 0, nullptr, OpPsAll},
+    {"PIOCPROF", PIOCPROF, kNoPc, CtlArgKind::kInt, 4, 4,
+     false, false, false, false, false, false, kNoPc, 0, nullptr, OpProf},
 };
 
 // Both code spaces are dense — PIOC codes are kPiocBase|1..48, PC codes
@@ -685,10 +683,37 @@ int PrCtlOperandSize(int32_t code) {
   return op == nullptr ? -1 : op->operand_size;
 }
 
+CtlFlatBytes CtlFlatOperand(const CtlOp& op) {
+  auto n = static_cast<uint32_t>(std::max(op.flat_size, 0));
+  bool out = op.arg == CtlArgKind::kOut || op.arg == CtlArgKind::kOutArray || op.status_out;
+  return out ? CtlFlatBytes{0, n} : CtlFlatBytes{n, 0};
+}
+
+bool CtlFlatSizesOk(const CtlOp* op, uint32_t in, uint32_t out) {
+  if (op == nullptr) {
+    return in == 0 && out == 0;
+  }
+  if (op->flat_size < 0) {
+    return false;
+  }
+  CtlFlatBytes want = CtlFlatOperand(*op);
+  return (in == want.in && out == want.out) ||
+         (op->flat_optional && in == 0 && out == 0);
+}
+
 Result<int32_t> CtlDispatchOp(CtlCtx& ctx, const CtlOp& op, void* arg) {
   auto r = RunChecksAndHandler(ctx, op, arg);
   if (!op.read_only) {
     AppendAudit(ctx, op, r);
+  }
+  if (r.ok() && op.blocking) {
+    // Directive now, wait later. The checks passed, so the caller is a
+    // native controller.
+    if (ctx.caller->defers_waits) {
+      ctx.caller->deferred_wait = ctx.p->pid;
+    } else {
+      SVR4_RETURN_IF_ERROR(ctx.k->PrWaitStop(ctx.p));
+    }
   }
   return r;
 }
@@ -812,9 +837,11 @@ Result<int64_t> RunCtlStream(Kernel& k, Proc* p, Lwp* lwp, std::span<const uint8
         r = CtlDispatchOp(ctx, *op, &v);
         break;
       }
+      case CtlArgKind::kVaddr:
       case CtlArgKind::kOut:
-        // Query operations have no ctl-message encoding (pc == -1), so a
-        // table row can never route here.
+      case CtlArgKind::kOutArray:
+        // Flat-only operations have no ctl-message encoding (pc == -1), so
+        // a table row can never route here.
         return Errno::kEINVAL;
     }
     if (!r.ok()) {
@@ -822,6 +849,10 @@ Result<int64_t> RunCtlStream(Kernel& k, Proc* p, Lwp* lwp, std::span<const uint8
       return r.error();
     }
     pos += 4 + static_cast<size_t>(op->operand_size);
+    if (op->blocking && caller->defers_waits) {
+      // The caller parks on the stop-wait and writes the rest afterwards.
+      return static_cast<int64_t>(pos);
+    }
   }
   if (pos != buf.size()) {
     return Errno::kEINVAL;  // trailing garbage

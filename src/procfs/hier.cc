@@ -253,8 +253,6 @@ class Pr2FileVnode : public Vnode {
 
   int32_t PrCountedTarget() const override { return pid_; }
 
-  bool PrCtlStream() const override { return kind_ == Pr2Kind::kCtl; }
-
  private:
   Result<Proc*> Target(const OpenFile& of) const {
     Proc* p = kernel_->FindProc(pid_);

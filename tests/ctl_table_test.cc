@@ -146,6 +146,64 @@ TEST(CtlTable, RowsAreInternallyConsistent) {
   }
 }
 
+// The flat operand sizes live in the rows; pin the shape of the ones with
+// optional, count-sized, or in-direction operands.
+TEST(CtlTable, FlatOperandsFollowTheArgKind) {
+  auto bytes = [](uint32_t pioc) { return CtlFlatOperand(*FindCtlOpByPioc(pioc)); };
+  EXPECT_EQ(bytes(PIOCSTATUS).out, sizeof(PrStatus));
+  EXPECT_EQ(bytes(PIOCSTATUS).in, 0u);
+  EXPECT_EQ(bytes(PIOCSTOP).out, sizeof(PrStatus)) << "status_out rows return a PrStatus";
+  EXPECT_EQ(bytes(PIOCSTRACE).in, sizeof(SigSet));
+  EXPECT_EQ(bytes(PIOCRUN).in, sizeof(PrRun)) << "the flat PrRun, not the 8-byte message";
+  EXPECT_EQ(bytes(PIOCOPENM).in, 4u) << "PIOCOPENM reads a u32 vaddr";
+  EXPECT_EQ(bytes(PIOCOPENM).out, 0u);
+  EXPECT_EQ(bytes(PIOCMAP).out, sizeof(PrMapEntry)) << "count-sized: one element";
+  EXPECT_EQ(bytes(PIOCCFAULT).in + bytes(PIOCCFAULT).out, 0u);
+  EXPECT_FALSE(CtlFlatSizesOk(FindCtlOpByPioc(PIOCPSALL), 0, 0)) << "host-memory operand";
+  EXPECT_TRUE(CtlFlatSizesOk(FindCtlOpByPioc(PIOCWSTOP), 0, 0)) << "null status pointer";
+  EXPECT_FALSE(CtlFlatSizesOk(FindCtlOpByPioc(PIOCSTATUS), 0, 0));
+  EXPECT_TRUE(CtlFlatSizesOk(nullptr, 0, 0)) << "unknown codes travel bare";
+  for (const CtlOp& op : CtlOpTable()) {
+    if (op.pioc == 0) {
+      EXPECT_LT(op.flat_size, 0) << op.name << ": no flat encoding, no flat size";
+    }
+    if (op.arg == CtlArgKind::kOut || op.arg == CtlArgKind::kOutArray ||
+        op.arg == CtlArgKind::kVaddr) {
+      EXPECT_LT(op.pc, 0) << op.name << ": flat-only operand kinds";
+    }
+  }
+}
+
+// Every fixed-size flat query, run into a buffer of exactly its row's size
+// followed by canary bytes, leaves the canary untouched: the row states what
+// the handler writes, which is what lets procd size remote operands by it.
+TEST(CtlTable, FlatQueriesWriteNoMoreThanTheirRowSize) {
+  Sim sim;
+  Pid pid = StartProgram(sim, kCounter);
+  auto h = ProcHandle::Grab(sim.kernel(), sim.controller(), pid);
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(h->Stop().ok());
+  constexpr size_t kCanary = 64;
+  constexpr uint8_t kFill = 0xA5;
+  int checked = 0;
+  for (const CtlOp& op : CtlOpTable()) {
+    if (op.pioc == 0 || op.arg != CtlArgKind::kOut || op.flat_size < 0) {
+      continue;
+    }
+    size_t size = static_cast<size_t>(op.flat_size);
+    std::vector<uint8_t> buf(size + kCanary, kFill);
+    auto r = sim.kernel().Ioctl(sim.controller(), h->fd(), op.pioc, buf.data());
+    EXPECT_TRUE(r.ok()) << op.name;
+    size_t clobbered = 0;
+    for (size_t i = size; i < buf.size(); ++i) {
+      clobbered += buf[i] != kFill;
+    }
+    EXPECT_EQ(clobbered, 0u) << op.name << " wrote past its " << size << "-byte row size";
+    ++checked;
+  }
+  EXPECT_GT(checked, 20);
+}
+
 // --- Differential harness ----------------------------------------------------
 
 // One deterministic simulation per front-end; the same control script is

@@ -1,9 +1,11 @@
 // procd behavioral tests: RPC round-trips, spawn credentials, subscription
 // events, remote tools producing byte-identical output to their local
-// counterparts, peer death at every blocking point behaving exactly like a
-// local close of every descriptor the peer held, the seeded PEER_DISCONNECT
-// chaos sweep, pump cost beside idle peers and across connect/hangup churn,
-// and the windowed PIOCPSALL cursor under pid churn.
+// counterparts, kIoctl frames sized only by the CtlOp table, blocking
+// operations behaving remotely exactly as locally, peer death at every
+// blocking point behaving exactly like a local close of every descriptor the
+// peer held, the seeded PEER_DISCONNECT chaos sweep, pump cost beside idle
+// peers and across connect/hangup churn, and the windowed PIOCPSALL cursor
+// under pid churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "svr4proc/kernel/faults.h"
 #include "svr4proc/procd/client.h"
 #include "svr4proc/procd/procd.h"
+#include "svr4proc/procfs/ctl.h"
 #include "svr4proc/procfs/procfs2.h"
 #include "svr4proc/tools/proclib.h"
 #include "svr4proc/tools/ps.h"
@@ -214,6 +217,456 @@ TEST(ProcdRpc, WstopOnNativeTargetIdlesToDeadlock) {
   EXPECT_EQ(ws.error(), Errno::kEDEADLK)
       << "an idle simulation resolves a parked wait like local PIOCWSTOP";
 }
+
+// ---------------------------------------------------------------------------
+// The trust boundary: a kIoctl frame's operand is sized by the op's CtlOp
+// row, and a frame whose in_len/out_cap the row does not take is refused
+// before any handler runs.
+// ---------------------------------------------------------------------------
+
+struct RawReply {
+  bool error = false;
+  Errno e = Errno::kOk;
+};
+
+// Sends one hand-built kIoctl frame carrying `in` and pumps until its reply.
+RawReply RawIoctl(ProcdServer& srv, ProcdConn& conn, int fd, uint32_t op, uint32_t in_len,
+                  uint32_t out_cap, const std::vector<uint8_t>& in = {}) {
+  static uint32_t tag = 5000;
+  PdWriter w;
+  w.Put<int32_t>(fd);
+  w.Put<uint32_t>(op);
+  w.Put<uint32_t>(in_len);
+  w.Put<uint32_t>(out_cap);
+  w.PutBytes(in.data(), in.size());
+  conn.Send(PdOp::kIoctl, ++tag, w.bytes());
+  PdFrame f;
+  for (int i = 0; i < 100 && !conn.s2c.NextFrame(&f); ++i) {
+    srv.Pump();
+  }
+  RawReply out;
+  EXPECT_EQ(f.hdr.tag, tag) << "no reply to the raw frame";
+  out.error = (f.hdr.flags & kPdErrFlag) != 0;
+  if (out.error && f.body.size() == 4) {
+    int32_t e = 0;
+    std::memcpy(&e, f.body.data(), 4);
+    out.e = static_cast<Errno>(e);
+  }
+  return out;
+}
+
+// A stopped target, a remote peer holding a writable /proc descriptor on
+// it, and a local handle for reading its audit ring.
+class TrustRig {
+ public:
+  TrustRig() {
+    EXPECT_TRUE(sim_.InstallProgram("/bin/prog", kCounter).ok());
+    auto pid = sim_.Start("/bin/prog");
+    EXPECT_TRUE(pid.ok());
+    pid_ = *pid;
+    auto h = ProcHandle::Grab(sim_.kernel(), sim_.controller(), pid_);
+    EXPECT_TRUE(h.ok());
+    local_ = std::make_unique<ProcHandle>(std::move(*h));
+    EXPECT_TRUE(local_->Stop().ok());
+    srv_ = std::make_unique<ProcdServer>(sim_.kernel());
+    conn_ = srv_->Connect(Creds::Root());
+    rio_ = std::make_unique<RemoteProcIo>(conn_);
+    auto fd = rio_->Open(FlatPath(pid_), O_RDWR);
+    EXPECT_TRUE(fd.ok());
+    fd_ = fd.ok() ? *fd : -1;
+  }
+
+  RawReply Send(uint32_t op, uint32_t in_len, uint32_t out_cap,
+                const std::vector<uint8_t>& in = {}) {
+    return RawIoctl(*srv_, *conn_, fd_, op, in_len, out_cap, in);
+  }
+  uint64_t AuditTotal() {
+    auto a = local_->Audit();
+    EXPECT_TRUE(a.ok());
+    return a.ok() ? a->pr_total : 0;
+  }
+
+  Sim& sim() { return sim_; }
+  Pid pid() const { return pid_; }
+  ProcHandle& local() { return *local_; }
+  RemoteProcIo& rio() { return *rio_; }
+  int fd() const { return fd_; }
+
+ private:
+  Sim sim_;
+  Pid pid_ = -1;
+  std::unique_ptr<ProcHandle> local_;
+  std::unique_ptr<ProcdServer> srv_;
+  std::shared_ptr<ProcdConn> conn_;
+  std::unique_ptr<RemoteProcIo> rio_;
+  int fd_ = -1;
+};
+
+TEST(ProcdTrust, StatusIntoEightBytesIsRefused) {
+  TrustRig rig;
+  RawReply r = rig.Send(PIOCSTATUS, 0, 8);
+  EXPECT_TRUE(r.error);
+  EXPECT_EQ(r.e, Errno::kEINVAL) << "a 240-byte PrStatus must not be written into 8";
+}
+
+TEST(ProcdTrust, StatusIntoNoBufferIsRefused) {
+  TrustRig rig;
+  RawReply r = rig.Send(PIOCSTATUS, 0, 0);
+  EXPECT_TRUE(r.error);
+  EXPECT_EQ(r.e, Errno::kEINVAL) << "PIOCSTATUS has no null operand";
+}
+
+TEST(ProcdTrust, ShortTraceSetIsRefused) {
+  TrustRig rig;
+  uint64_t before = rig.AuditTotal();
+  RawReply r = rig.Send(PIOCSTRACE, 4, 0, {1, 2, 3, 4});
+  EXPECT_TRUE(r.error);
+  EXPECT_EQ(r.e, Errno::kEINVAL) << "a SigSet must not be read from 4 bytes";
+  EXPECT_EQ(rig.AuditTotal(), before) << "the handler must not run";
+}
+
+// Every flat row, every in_len/out_cap in {0, size-1, size+1} the row does
+// not take: EINVAL, and no handler runs (the audit ring stands still and
+// the stopped target stays stopped).
+TEST(ProcdTrust, MissizedFramesRunNoHandler) {
+  TrustRig rig;
+  int frames = 0;
+  for (const CtlOp& row : CtlOpTable()) {
+    if (row.pioc == 0) {
+      continue;
+    }
+    CtlFlatBytes want = CtlFlatOperand(row);
+    auto takes = [&](uint32_t in, uint32_t out) {
+      return row.flat_size >= 0 && ((in == want.in && out == want.out) ||
+                                    (row.flat_optional && in == 0 && out == 0));
+    };
+    std::vector<std::pair<uint32_t, uint32_t>> sizes;
+    for (uint32_t in : {0u, want.in - 1, want.in + 1}) {
+      sizes.emplace_back(in, want.out);
+    }
+    for (uint32_t out : {0u, want.out - 1, want.out + 1}) {
+      sizes.emplace_back(want.in, out);
+    }
+    for (auto [in, out] : sizes) {
+      if (takes(in, out)) {
+        continue;
+      }
+      // The frame carries every byte it claims (up to a sane bound), so
+      // only the size check can refuse it.
+      std::vector<uint8_t> bytes(std::min<uint32_t>(in, 1u << 16), 0);
+      uint64_t before = rig.AuditTotal();
+      RawReply r = rig.Send(row.pioc, in, out, bytes);
+      EXPECT_TRUE(r.error) << row.name << " in=" << in << " out=" << out;
+      EXPECT_EQ(r.e, Errno::kEINVAL) << row.name << " in=" << in << " out=" << out;
+      EXPECT_EQ(rig.AuditTotal(), before) << row.name << " ran its handler";
+      ++frames;
+    }
+  }
+  EXPECT_GT(frames, 100);
+  Proc* p = rig.sim().kernel().FindProc(rig.pid());
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->MainLwp()->state, LwpState::kStopped);
+}
+
+// Frames sized by the row answer every flat query byte-identically to the
+// same ioctl issued locally (nothing runs the kernel in between).
+TEST(ProcdTrust, SizedQueriesMatchLocalBytes) {
+  TrustRig rig;
+  auto maps = rig.local().GetMap();
+  ASSERT_TRUE(maps.ok() && !maps->empty());
+  ASSERT_TRUE(rig.local().SetWatch(PrWatch{(*maps)[0].pr_vaddr, 4, WA_WRITE}).ok());
+  int queries = 0;
+  for (const CtlOp& row : CtlOpTable()) {
+    bool array = row.arg == CtlArgKind::kOutArray;
+    if (row.pioc == 0 || row.flat_size < 0 || (row.arg != CtlArgKind::kOut && !array)) {
+      continue;
+    }
+    size_t bytes = static_cast<size_t>(row.flat_size);
+    if (array) {
+      auto n = rig.local().io().Ioctl(rig.local().fd(), row.pioc, nullptr);
+      ASSERT_TRUE(n.ok()) << row.name;
+      ASSERT_GT(*n, 0) << row.name << ": an empty array proves nothing";
+      bytes *= static_cast<size_t>(*n);
+    }
+    std::vector<uint8_t> local(bytes, 0), remote(bytes, 0);
+    auto lr = rig.local().io().Ioctl(rig.local().fd(), row.pioc, local.data());
+    auto rr = rig.rio().Ioctl(rig.fd(), row.pioc, remote.data());
+    ASSERT_EQ(lr.ok(), rr.ok()) << row.name;
+    if (lr.ok()) {
+      EXPECT_EQ(*lr, *rr) << row.name;
+    } else {
+      EXPECT_EQ(lr.error(), rr.error()) << row.name;
+    }
+    EXPECT_EQ(local, remote) << row.name << " differs over the wire";
+    ++queries;
+  }
+  EXPECT_GT(queries, 20);
+}
+
+// ---------------------------------------------------------------------------
+// Blocking operations: the ctl core runs the checks, the audit record and
+// the directive for a remote peer exactly as for a local controller, and
+// only the wait parks. Every op, on every kind of target, must leave the
+// same errno, reply bytes and audit ring remotely as locally.
+// ---------------------------------------------------------------------------
+
+// Counts, then stops itself with SIGSTOP: a PCWSTOP on it has a stop to
+// wait for.
+constexpr char kSelfStop[] = R"(
+      ldi r5, 0
+loop: addi r5, 1
+      cmpi r5, 2000
+      jlt loop
+      ldi r0, SYS_getpid
+      sys
+      mov r1, r0
+      ldi r0, SYS_kill
+      ldi r2, SIGSTOP
+      sys
+spin: jmp spin
+)";
+
+constexpr char kExiter[] = R"(
+      ldi r0, SYS_exit
+      ldi r1, 3
+      sys
+)";
+
+constexpr char kPause[] = R"(
+      ldi r0, SYS_pause
+      sys
+      jmp 0
+)";
+
+constexpr char kSetIdExec[] = R"(
+      ldi r5, 0
+loop: addi r5, 1
+      cmpi r5, 500
+      jlt loop
+      ldi r0, SYS_exec
+      ldi r1, path
+      ldi r2, 0
+      sys
+      ldi r0, SYS_exit
+      ldi r1, 1
+      sys
+      .data
+path: .asciz "/bin/suid"
+)";
+
+enum class BlockOp {
+  kPiocStop,          // PIOCSTOP, no status pointer
+  kPiocStopStatus,    // PIOCSTOP into a PrStatus
+  kPiocWstop,         // PIOCWSTOP, no status pointer
+  kPiocWstopStatus,   // PIOCWSTOP into a PrStatus
+  kCtlStop,           // ctl write: PCSTOP then PCRUN (a tail that needs the stop)
+  kCtlWstop,          // ctl write: PCWSTOP
+  kLwpCtlStop,        // lwpctl write: PCSTOP
+  kPiocStopOnCtlFd,   // PIOCSTOP on a /proc2 ctl descriptor: no ioctls there
+};
+
+enum class Target {
+  kLive,         // running, and stops (on request or by itself)
+  kReadOnly,     // the descriptor lacks the write right
+  kZombie,       // exited, not yet waited for
+  kSetIdExec,    // the descriptor was invalidated by a set-id exec
+  kReusedPid,    // the pid now names a different process
+  kIdleKernel,   // nothing can run: a wait that finds no stop is EDEADLK
+};
+
+struct BlockCase {
+  BlockOp op;
+  Target target;
+};
+
+void PrintTo(const BlockCase& c, std::ostream* os) {
+  static const char* kOps[] = {"PIOCSTOP",  "PIOCSTOP+status", "PIOCWSTOP",
+                               "PIOCWSTOP+status", "ctl PCSTOP+PCRUN", "ctl PCWSTOP",
+                               "lwpctl PCSTOP", "PIOCSTOP on ctl fd"};
+  static const char* kTargets[] = {"live", "read-only fd", "zombie",
+                                   "set-id exec", "reused pid", "idle kernel"};
+  *os << kOps[static_cast<int>(c.op)] << " / " << kTargets[static_cast<int>(c.target)];
+}
+
+struct BlockOutcome {
+  Errno e = Errno::kOk;       // the open's or the operation's errno
+  int64_t rv = 0;             // ioctl return value or bytes written
+  std::vector<uint8_t> out;   // the PrStatus, when one was asked for
+  PrCtlAudit audit{};         // the target pid's audit ring afterwards
+  uint64_t parks = 0;         // remote only: frames that parked
+};
+
+bool IsIoctl(BlockOp op) {
+  return op == BlockOp::kPiocStop || op == BlockOp::kPiocStopStatus ||
+         op == BlockOp::kPiocWstop || op == BlockOp::kPiocWstopStatus ||
+         op == BlockOp::kPiocStopOnCtlFd;
+}
+
+// One simulation: the target set up for the case, then the operation issued
+// by a controller at the same pid on either side — a native stand-in
+// locally, the peer's controller process remotely.
+BlockOutcome RunBlockCase(const BlockCase& c, bool remote) {
+  BlockOutcome res;
+  Sim sim;
+  Kernel& k = sim.kernel();
+  EXPECT_TRUE(sim.InstallProgram("/bin/selfstop", kSelfStop).ok());
+  EXPECT_TRUE(sim.InstallProgram("/bin/exiter", kExiter).ok());
+  EXPECT_TRUE(sim.InstallProgram("/bin/pause", kPause).ok());
+  EXPECT_TRUE(sim.InstallProgram("/bin/setid", kSetIdExec).ok());
+  EXPECT_TRUE(sim.InstallProgram("/bin/suid", kSpin, 04755, 0, 0).ok());
+  EXPECT_TRUE(sim.InstallProgram("/bin/spin", kSpin).ok());
+  if (c.target == Target::kReusedPid) {
+    k.SetMaxPid(32);
+  }
+  const char* prog = "/bin/selfstop";
+  Creds creds = Creds::Root();
+  switch (c.target) {
+    case Target::kZombie: prog = "/bin/exiter"; break;
+    case Target::kSetIdExec: prog = "/bin/setid"; creds = Creds::User(100, 10); break;
+    case Target::kReusedPid: prog = "/bin/spin"; break;
+    case Target::kIdleKernel: prog = "/bin/pause"; break;
+    default: break;
+  }
+  // The controller is the parent, so a zombie waits to be waited for.
+  auto spawned = k.Spawn(prog, {prog}, creds, sim.controller());
+  EXPECT_TRUE(spawned.ok());
+  Pid pid = *spawned;
+
+  std::unique_ptr<ProcdServer> srv;
+  std::unique_ptr<ProcIo> io;
+  if (remote) {
+    srv = std::make_unique<ProcdServer>(k);
+    io = std::make_unique<RemoteProcIo>(srv->Connect(Creds::Root()));
+  } else {
+    io = std::make_unique<LocalProcIo>(k, sim.NewController(Creds::Root(), "peer-standin"));
+  }
+
+  char path[64];
+  if (IsIoctl(c.op) && c.op != BlockOp::kPiocStopOnCtlFd) {
+    std::snprintf(path, sizeof(path), "/proc/%05d", pid);
+  } else if (c.op == BlockOp::kLwpCtlStop) {
+    std::snprintf(path, sizeof(path), "/proc2/%d/lwp/1/lwpctl", pid);
+  } else {
+    std::snprintf(path, sizeof(path), "/proc2/%d/ctl", pid);
+  }
+  bool rw = IsIoctl(c.op) && c.op != BlockOp::kPiocStopOnCtlFd;
+  int oflags = c.target == Target::kReadOnly ? O_RDONLY : rw ? O_RDWR : O_WRONLY;
+  auto fd = io->Open(path, oflags);
+
+  switch (c.target) {
+    case Target::kZombie:
+      EXPECT_TRUE(k.RunUntil([&] { return k.FindProc(pid)->state == Proc::State::kZombie; }));
+      break;
+    case Target::kSetIdExec:
+      EXPECT_TRUE(k.RunUntil([&] { return k.FindProc(pid)->setid; }));
+      break;
+    case Target::kReusedPid: {
+      EXPECT_TRUE(k.Kill(sim.controller(), pid, SIGKILL).ok());
+      EXPECT_TRUE(k.Wait(sim.controller(), pid).ok());
+      for (int i = 0; i < 64 && k.FindProc(pid) == nullptr; ++i) {
+        k.CreateNativeProc(Creds::Root(), "newcomer");
+      }
+      EXPECT_NE(k.FindProc(pid), nullptr) << "the pid was never reused";
+      break;
+    }
+    case Target::kIdleKernel:
+      for (int i = 0; i < 1000 && k.Step(); ++i) {
+      }
+      EXPECT_FALSE(k.Step()) << "the kernel must be idle";
+      break;
+    default:
+      break;
+  }
+
+  auto parks = [&] {
+    return srv == nullptr ? 0
+                          : srv->op_span(PdOp::kIoctl).parks + srv->op_span(PdOp::kWrite).parks;
+  };
+  uint64_t parks_before = parks();
+  if (!fd.ok()) {
+    res.e = fd.error();
+  } else if (IsIoctl(c.op)) {
+    bool status = c.op == BlockOp::kPiocStopStatus || c.op == BlockOp::kPiocWstopStatus;
+    uint32_t code = c.op == BlockOp::kPiocWstop || c.op == BlockOp::kPiocWstopStatus
+                        ? PIOCWSTOP
+                        : PIOCSTOP;
+    PrStatus st;
+    std::memset(static_cast<void*>(&st), 0, sizeof(st));
+    auto r = io->Ioctl(*fd, code, status ? &st : nullptr);
+    if (r.ok()) {
+      res.rv = *r;
+      if (status) {
+        const uint8_t* b = reinterpret_cast<const uint8_t*>(&st);
+        res.out.assign(b, b + sizeof(st));
+      }
+    } else {
+      res.e = r.error();
+    }
+  } else {
+    std::vector<uint8_t> msg;
+    auto put = [&](const void* p, size_t n) {
+      const uint8_t* b = static_cast<const uint8_t*>(p);
+      msg.insert(msg.end(), b, b + n);
+    };
+    int32_t code = c.op == BlockOp::kCtlWstop ? PCWSTOP : PCSTOP;
+    put(&code, 4);
+    if (c.op == BlockOp::kCtlStop) {
+      // PCRUN fails with EBUSY unless the wait before it saw the stop.
+      int32_t run[3] = {PCRUN, 0, 0};
+      put(run, sizeof(run));
+    }
+    auto r = io->Write(*fd, msg.data(), msg.size());
+    if (r.ok()) {
+      res.rv = *r;
+    } else {
+      res.e = r.error();
+    }
+  }
+  res.parks = parks() - parks_before;
+  auto h = ProcHandle::Grab(k, sim.controller(), pid, O_RDONLY);
+  if (h.ok()) {
+    auto a = h->Audit();
+    if (a.ok()) {
+      res.audit = *a;
+    }
+  }
+  return res;
+}
+
+class ProcdBlocking : public ::testing::TestWithParam<BlockCase> {};
+
+TEST_P(ProcdBlocking, RemoteMatchesLocal) {
+  const BlockCase& c = GetParam();
+  BlockOutcome local = RunBlockCase(c, /*remote=*/false);
+  BlockOutcome remote = RunBlockCase(c, /*remote=*/true);
+  EXPECT_EQ(ErrnoName(remote.e), ErrnoName(local.e));
+  EXPECT_EQ(remote.rv, local.rv);
+  EXPECT_EQ(remote.out, local.out) << "the PrStatus reply differs";
+  EXPECT_EQ(remote.audit.pr_total, local.audit.pr_total);
+  EXPECT_EQ(std::memcmp(&remote.audit, &local.audit, sizeof(PrCtlAudit)), 0)
+      << "audit diverged:\n"
+      << FormatCtlAudit(local.audit) << "--- remote ---\n" << FormatCtlAudit(remote.audit);
+  // Only an operation that passed its checks has a wait to park; it parks
+  // even when the wait is over at once, and never pumps inside the daemon.
+  // lwp files are not counted in the /proc open ledger, so a set-id exec
+  // leaves an lwpctl descriptor valid (on both sides alike).
+  bool waits = (c.target == Target::kLive || c.target == Target::kIdleKernel ||
+                (c.target == Target::kSetIdExec && c.op == BlockOp::kLwpCtlStop)) &&
+               c.op != BlockOp::kPiocStopOnCtlFd;
+  EXPECT_EQ(remote.parks, waits ? 1u : 0u);
+}
+
+std::vector<BlockCase> AllBlockCases() {
+  std::vector<BlockCase> cases;
+  for (int op = 0; op <= static_cast<int>(BlockOp::kPiocStopOnCtlFd); ++op) {
+    for (int t = 0; t <= static_cast<int>(Target::kIdleKernel); ++t) {
+      cases.push_back({static_cast<BlockOp>(op), static_cast<Target>(t)});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, ProcdBlocking, ::testing::ValuesIn(AllBlockCases()));
 
 // ---------------------------------------------------------------------------
 // Subscription events: what a subscribed peer is pushed, and when.

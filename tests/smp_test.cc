@@ -69,6 +69,40 @@ child:
       sys
 )";
 
+// Forks three spinning children, then SIGKILLs and waits for each in turn.
+// In a free-running super-step a child with the kill pending is a serial
+// pick and dies in its quantum, while the parent's wait, trapped later in
+// the same fold, reaps it: the fold must not touch the reaped child's pick.
+constexpr char kKillAndReap[] = R"(
+      ldi r9, 0
+spawn:
+      ldi r0, SYS_fork
+      sys
+      cmpi r0, 0
+      jz child
+      push r0
+      addi r9, 1
+      cmpi r9, 3
+      jlt spawn
+reap:
+      pop r8
+      ldi r0, SYS_kill
+      mov r1, r8
+      ldi r2, SIGKILL
+      sys
+      ldi r0, SYS_wait
+      sys
+      addi r9, -1
+      cmpi r9, 0
+      jgt reap
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+child:
+spin: addi r8, 1
+      jmp spin
+)";
+
 void ExpectInvariantsClean(Kernel& k, const char* where) {
   auto violations = k.CheckInvariants();
   for (const auto& v : violations) {
@@ -377,6 +411,22 @@ TEST(Smp, FreeRunSurvivesForkChurnAndStops) {
   ASSERT_TRUE(status.ok());
   EXPECT_NE(status->pr_flags & PR_STOPPED, 0u);
   ExpectInvariantsClean(k, "free-run-churn");
+}
+
+TEST(Smp, FreeRunFoldSkipsPicksReapedByAnEarlierWait) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  k.SetNumCpus(4);
+  k.SetSmpMode(SmpMode::kFreeRun);
+  ASSERT_TRUE(sim.InstallProgram("/bin/reaper", kKillAndReap).ok());
+  for (int round = 0; round < 8; ++round) {
+    auto pid = sim.Start("/bin/reaper");
+    ASSERT_TRUE(pid.ok());
+    auto st = k.RunToExit(*pid);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(WExitCode(*st), 0) << "round " << round;
+  }
+  ExpectInvariantsClean(k, "free-run-reap");
 }
 
 // ---------------------------------------------------------------------------
