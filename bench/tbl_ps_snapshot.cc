@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "bench_json.h"
 
@@ -87,20 +88,44 @@ BENCHMARK(BM_PsPiecemeal)->Arg(8)->Arg(32)->Arg(128);
 // space): what the scale axis measures is table and snapshot machinery, not
 // simulated execution. items_per_second is the per-line rate — flat across
 // the axis when lookup, readdir, and snapshot are all O(1) per process.
+// The bulk rows' second argument, when 1, builds the population from exec'd
+// pause() loops instead, so every row also reports an address space's sizes.
 
-std::unique_ptr<Sim> MakePopulation(int nprocs) {
+std::unique_ptr<Sim> MakePopulation(int nprocs, bool address_spaces = false) {
   auto sim = std::make_unique<Sim>();
+  if (!address_spaces) {
+    for (int i = 0; i < nprocs; ++i) {
+      (void)sim->kernel().CreateNativeProc(Creds::Root(), "worker");
+    }
+    return sim;
+  }
+  (void)sim->InstallProgram("/bin/sleeper", R"(
+top:  ldi r0, SYS_pause
+      sys
+      jmp top
+  )");
   for (int i = 0; i < nprocs; ++i) {
-    (void)sim->kernel().CreateNativeProc(Creds::Root(), "worker");
+    (void)sim->Start("/bin/sleeper");
+  }
+  // Each sleeper reaches pause() in its first quantum.
+  for (int i = 0; i < 2 * nprocs; ++i) {
+    sim->kernel().Step();
   }
   return sim;
 }
 
-void ScaleArgs(benchmark::internal::Benchmark* b) {
-  b->Arg(1'000)->Arg(10'000)->Arg(100'000);
+std::vector<int64_t> ScaleSizes() {
+  std::vector<int64_t> sizes = {1'000, 10'000, 100'000};
   // The 10^6 point takes minutes on the per-pid path; opt in explicitly.
   if (std::getenv("SVR4PROC_BENCH_HUGE") != nullptr) {
-    b->Arg(1'000'000);
+    sizes.push_back(1'000'000);
+  }
+  return sizes;
+}
+
+void ScaleArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t n : ScaleSizes()) {
+    b->Arg(n);
   }
   b->Unit(benchmark::kMillisecond);
 }
@@ -119,9 +144,10 @@ void BM_PsOneOpPerProcessScale(benchmark::State& state) {
 }
 BENCHMARK(BM_PsOneOpPerProcessScale)->Apply(ScaleArgs);
 
-// The bulk path: one PIOCPSALL returns the whole population.
+// The bulk path: one PIOCPSALL window per 1024 rows returns the whole
+// population.
 void BM_PsBulkSnapshot(benchmark::State& state) {
-  auto sim = MakePopulation(static_cast<int>(state.range(0)));
+  auto sim = MakePopulation(static_cast<int>(state.range(0)), state.range(1) != 0);
   uint64_t lines = 0;
   for (auto _ : state) {
     auto snap = PsSnapshotAll(sim->kernel(), sim->controller());
@@ -130,7 +156,15 @@ void BM_PsBulkSnapshot(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(lines));
 }
-BENCHMARK(BM_PsBulkSnapshot)->Apply(ScaleArgs);
+void BulkArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t n : ScaleSizes()) {
+    b->Args({n, 0});
+  }
+  // Rows with address spaces, at a population that fits one window.
+  b->Args({1'000, 1});
+  b->Unit(benchmark::kMillisecond);
+}
+BENCHMARK(BM_PsBulkSnapshot)->Apply(BulkArgs);
 
 }  // namespace
 

@@ -98,8 +98,10 @@ class ProcHandle {
   Result<PrVmStats> VmStats();
   Result<PrCtlAudit> Audit();  // the control audit ring (PIOCAUDIT)
   Result<PrKstat> Kstat();     // kernel-wide metrics registry (PIOCKSTAT)
-  // Bulk ps info for the whole population, one operation (PIOCPSALL). The
-  // handle's own target is just the descriptor the request rides on.
+  // Bulk ps info for the whole population: PIOCPSALL in windows of 1024
+  // rows. One window (up to 1024 processes) is one operation whose buffer
+  // becomes the result; later windows are appended to it. The handle's own
+  // target is just the descriptor the requests ride on.
   Result<std::vector<PrPsinfo>> PsinfoAll();
   // The target's slice of the kernel event ring, read from
   // /proc2/<pid>/trace. Works on zombies, and keeps working after the

@@ -300,8 +300,18 @@ class AddressSpace : public MemoryIf {
   const Watch* WatchHit(uint32_t addr, uint32_t len, Access kind) const;
 
   std::vector<MappingInfo> Maps() const;
-  uint32_t VirtualSize() const;  // bytes in all mappings
-  uint32_t ResidentPages() const;  // materialized frames
+  // Bytes in all mappings and materialized frames. O(1): every mutator
+  // keeps the counts current, so a ps row walks no mappings or frames.
+  uint32_t VirtualSize() const { return pages_.virtual_pages * kPageSize; }
+  uint32_t ResidentPages() const { return pages_.resident_pages; }
+  // The walk those counts must equal. Unmap and SetBreak, the mutators that
+  // drop frames, reset the counts from it; Kernel::CheckInvariants reports
+  // any address space whose counts differ from it.
+  struct PageCounts {
+    uint32_t virtual_pages = 0;
+    uint32_t resident_pages = 0;
+  };
+  PageCounts CountPages() const;
   bool Mapped(uint32_t addr) const;
 
   // Object backing the given address (for PIOCOPENM); null if unmapped or
@@ -418,6 +428,11 @@ class AddressSpace : public MemoryIf {
   KTrace* kt_ = nullptr;
   int32_t kt_pid_ = 0;
   SmpState* smp_ = nullptr;
+  // The counts behind VirtualSize()/ResidentPages(). Kept after the TLB
+  // state: the inline TLB paths read tlb_..counters_ on every simulated
+  // load and store, and a field placed before them shifts those members
+  // across a cache line.
+  PageCounts pages_;
 };
 
 inline constexpr uint32_t kMaxStackGrowPages = 256;

@@ -404,6 +404,20 @@ std::vector<std::string> Kernel::CheckInvariants() {
       }
     }
 
+    // Address-space page counts: ps rows read them without a walk, so they
+    // must equal the walk.
+    if (p->as) {
+      AddressSpace::PageCounts walk = p->as->CountPages();
+      if (p->as->VirtualSize() != walk.virtual_pages * kPageSize) {
+        v.push_back(Violation(pid, "virtual size != mapping walk", p->as->VirtualSize(),
+                              walk.virtual_pages * kPageSize));
+      }
+      if (p->as->ResidentPages() != walk.resident_pages) {
+        v.push_back(Violation(pid, "resident pages != frame walk", p->as->ResidentPages(),
+                              walk.resident_pages));
+      }
+    }
+
     // Lifecycle and scheduler coherence.
     if (p->state == Proc::State::kZombie) {
       if (p->as) {

@@ -208,11 +208,12 @@ Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
     if (!r.Get(&all->pr_next_pid) || !r.Get(&n)) {
       return Errno::kEIO;
     }
-    all->pr_procs.resize(n);
+    // The body must hold the n rows it claims before anything is sized by n.
     const uint8_t* rows = r.Raw(n * sizeof(PrPsinfo));
     if (rows == nullptr) {
       return Errno::kEIO;
     }
+    all->pr_procs.resize(n);
     std::memcpy(all->pr_procs.data(), rows, n * sizeof(PrPsinfo));
     return 0;
   }

@@ -311,12 +311,18 @@ Result<std::vector<PrPsinfo>> ProcHandle::PsinfoAll() {
   // snapshot: each ioctl marshals at most pr_limit records, and pr_next_pid
   // chains the windows. Entries appearing between windows may be missed and
   // exits may shift records — the same snapshot contract ps(1) already has.
+  // The first window's buffer becomes the result, so a population that fits
+  // one window is never copied; later windows are appended.
   std::vector<PrPsinfo> out;
   PrPsAll a;
   a.pr_limit = 1024;
   for (;;) {
     SVR4_RETURN_IF_ERROR(Io(PIOCPSALL, &a));
-    out.insert(out.end(), a.pr_procs.begin(), a.pr_procs.end());
+    if (out.empty()) {
+      out.swap(a.pr_procs);
+    } else {
+      out.insert(out.end(), a.pr_procs.begin(), a.pr_procs.end());
+    }
     if (a.pr_next_pid < 0) {
       break;
     }

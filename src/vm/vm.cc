@@ -130,6 +130,7 @@ AddressSpace::Mapping* AddressSpace::GrowStackFor(uint32_t addr) {
     grown.frames.insert(grown.frames.begin(), gap_pages, Frame{});
     grown.npages += gap_pages;
     grown.start = new_start;
+    pages_.virtual_pages += gap_pages;
     // obj_pgoff stays 0 for anon stacks; adjust for object-backed ones.
     auto [it, ok] = maps_.emplace(new_start, std::move(grown));
     (void)ok;
@@ -169,6 +170,7 @@ Result<void> AddressSpace::Map(uint32_t start, uint32_t len, uint32_t ma_flags,
   m.name = std::move(name);
   m.grows_down = grows_down;
   m.frames.resize(m.npages);
+  pages_.virtual_pages += m.npages;  // the Unmap above took out any overlap
   maps_.emplace(start, std::move(m));
   TlbFlush();
   return Result<void>::Ok();
@@ -214,6 +216,7 @@ Result<void> AddressSpace::Unmap(uint32_t start, uint32_t len) {
     maps_.emplace(s, std::move(m));
   }
   if (changed) {
+    pages_ = CountPages();  // frames were dropped: recount
     TlbFlush();
   }
   return Result<void>::Ok();
@@ -305,6 +308,7 @@ Result<void> AddressSpace::SetBreak(uint32_t new_end) {
     }
     m.frames.resize(want_pages);
     m.npages = want_pages;
+    pages_ = CountPages();  // a shrink drops frames: recount
     TlbFlush();  // resize may have reallocated the frames vector
     return Result<void>::Ok();
   }
@@ -351,6 +355,7 @@ Result<VmPage*> AddressSpace::EnsureFrame(Mapping& m, uint32_t page_index, bool 
       f.owned = false;  // still the object's page; copy on write
       ++counters_.major_faults;
     }
+    ++pages_.resident_pages;  // counted only once the page is in place
   }
   if (for_write && !shared) {
     // Copy-on-write: the frame may be the object's page or shared with a
@@ -683,6 +688,7 @@ AddressSpacePtr AddressSpace::Clone() const {
   child->tlb_enabled_ = tlb_enabled_;
   child->finj_ = finj_;
   child->smp_ = smp_;
+  child->pages_ = pages_;
   if (tlb_banks_.size() > 1) {
     child->SetCpuCount(static_cast<int>(tlb_banks_.size()));
   }
@@ -736,24 +742,17 @@ std::vector<MappingInfo> AddressSpace::Maps() const {
   return out;
 }
 
-uint32_t AddressSpace::VirtualSize() const {
-  uint32_t total = 0;
+AddressSpace::PageCounts AddressSpace::CountPages() const {
+  PageCounts c;
   for (const auto& [start, m] : maps_) {
-    total += m.npages * kPageSize;
-  }
-  return total;
-}
-
-uint32_t AddressSpace::ResidentPages() const {
-  uint32_t n = 0;
-  for (const auto& [start, m] : maps_) {
+    c.virtual_pages += m.npages;
     for (const auto& f : m.frames) {
       if (f.page) {
-        ++n;
+        ++c.resident_pages;
       }
     }
   }
-  return n;
+  return c;
 }
 
 bool AddressSpace::Mapped(uint32_t addr) const { return FindMapping(addr) != nullptr; }

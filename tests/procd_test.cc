@@ -4,8 +4,9 @@
 // operations behaving remotely exactly as locally, peer death at every
 // blocking point behaving exactly like a local close of every descriptor the
 // peer held, the seeded PEER_DISCONNECT chaos sweep, pump cost beside idle
-// peers and across connect/hangup churn, and the windowed PIOCPSALL cursor
-// under pid churn.
+// peers and across connect/hangup churn, the windowed PIOCPSALL cursor
+// under pid churn, a two-window snapshot byte-identical to the local one,
+// and a psall reply that claims rows it does not carry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1228,6 +1229,70 @@ TEST(ProcdPsall, WindowedCursorUnderChurnAndPidWrapNeverSkipsOrDuplicates) {
         << "pid " << pid << " alive across the whole scan must appear once";
   }
   ExpectInvariantsClean(sim.kernel(), 0);
+}
+
+TEST(ProcdPsall, TwoWindowSnapshotIsByteIdenticalToLocal) {
+  // More rows than one 1024-row window, so the remote PsinfoAll appends a
+  // second kPsall reply: native processes, exec'd ones (non-zero
+  // pr_size/pr_rssize) in both windows, and a zombie.
+  Sim sim;
+  Kernel& k = sim.kernel();
+  ASSERT_TRUE(sim.InstallProgram("/bin/spin", kSpin).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/burst", kSysBurst).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(sim.Start("/bin/spin").ok());
+  }
+  for (int i = 0; i < 1'100; ++i) {
+    ASSERT_NE(k.CreateNativeProc(Creds::Root(), "worker"), nullptr);
+  }
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(sim.Start("/bin/spin").ok());
+  }
+  auto z = k.Spawn("/bin/burst", {"burst"}, Creds::Root(), sim.controller());
+  ASSERT_TRUE(z.ok());
+  ASSERT_TRUE(k.RunToExit(*z).ok());
+  ProcdServer srv(k);
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+
+  auto local = PsSnapshotAll(k, sim.controller());
+  ASSERT_TRUE(local.ok());
+  auto remote = PsSnapshotAll(rio, 1);
+  ASSERT_TRUE(remote.ok());
+  ASSERT_GT(local->size(), 1024u) << "the snapshot must span two windows";
+  ASSERT_EQ(local->size(), remote->size());
+  EXPECT_EQ(std::memcmp(local->data(), remote->data(), local->size() * sizeof(PrPsinfo)), 0)
+      << "the two-window snapshot differs over the wire";
+  size_t with_pages = 0;
+  for (const PrPsinfo& row : *local) {
+    with_pages += row.pr_size > 0 && row.pr_rssize > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(with_pages, 20u);
+  auto zrow = std::find_if(local->begin(), local->end(),
+                           [&](const PrPsinfo& row) { return row.pr_pid == *z; });
+  ASSERT_NE(zrow, local->end());
+  EXPECT_EQ(zrow->pr_state, 'Z');
+  EXPECT_GE(zrow - local->begin(), 1024) << "the zombie is in the second window";
+}
+
+TEST(ProcdPsall, ReplyClaimingRowsItDoesNotCarryIsEio) {
+  // A kPsall reply is sized by the rows its body holds, never by the count
+  // it claims: 2^32-1 claimed rows with none attached is an I/O error, and
+  // nothing is allocated for them. The reply is queued before the call, for
+  // tag 1, the tag of a fresh RemoteProcIo's first request.
+  Sim sim;
+  ProcdServer srv(sim.kernel());
+  auto conn = srv.Connect(Creds::Root());
+  RemoteProcIo rio(conn);
+  PdWriter w;
+  w.Put<int32_t>(-1);           // pr_next_pid
+  w.Put<uint32_t>(0xFFFFFFFFu);  // rows claimed
+  PdWriteFrame(conn->s2c, PdOp::kPsall, 0, /*tag=*/1, w.bytes());
+  PrPsAll all;
+  auto rv = rio.Ioctl(0, PIOCPSALL, &all);
+  ASSERT_FALSE(rv.ok());
+  EXPECT_EQ(rv.error(), Errno::kEIO);
+  EXPECT_TRUE(all.pr_procs.empty());
+  EXPECT_EQ(all.pr_procs.capacity(), 0u);
 }
 
 }  // namespace

@@ -423,6 +423,51 @@ TEST(ScaleSnapshot, WindowedPsAllMatchesBulk) {
   }
 }
 
+TEST(ScaleSnapshot, MultiWindowSnapshotMatchesOneUnlimitedPsAll) {
+  // More rows than one 1024-row PsinfoAll window: native processes, exec'd
+  // ones on both sides of the window boundary, whose rows carry page
+  // counts, and a zombie in the second window. The windows, appended to the
+  // first, must equal one unlimited PIOCPSALL byte for byte.
+  Sim sim;
+  Kernel& k = sim.kernel();
+  ASSERT_TRUE(sim.InstallProgram("/bin/spin", kSpin).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/ex", kExit).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(sim.Start("/bin/spin").ok());
+  }
+  for (int i = 0; i < 1'100; ++i) {
+    ASSERT_NE(k.CreateNativeProc(Creds::Root(), "worker"), nullptr);
+  }
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(sim.Start("/bin/spin").ok());
+  }
+  auto z = k.Spawn("/bin/ex", {"ex"}, Creds::Root(), sim.controller());
+  ASSERT_TRUE(z.ok());
+  ASSERT_TRUE(k.RunToExit(*z).ok());
+
+  auto snap = PsSnapshotAll(k, sim.controller());
+  ASSERT_TRUE(snap.ok());
+  auto h = ProcHandle::Grab(k, sim.controller(), 1, O_RDONLY);
+  ASSERT_TRUE(h.ok());
+  PrPsAll bulk;  // pr_limit 0: the whole population in one window
+  ASSERT_TRUE(k.Ioctl(sim.controller(), h->fd(), PIOCPSALL, &bulk).ok());
+  ASSERT_GT(bulk.pr_procs.size(), 1024u) << "the snapshot must span two windows";
+  ASSERT_EQ(snap->size(), bulk.pr_procs.size());
+  EXPECT_EQ(std::memcmp(snap->data(), bulk.pr_procs.data(), snap->size() * sizeof(PrPsinfo)),
+            0);
+
+  size_t with_pages = 0;
+  size_t zombies = 0;
+  for (const PrPsinfo& row : *snap) {
+    with_pages += row.pr_size > 0 && row.pr_rssize > 0 ? 1 : 0;
+    zombies += row.pr_state == 'Z' ? 1 : 0;
+  }
+  EXPECT_EQ(with_pages, 20u) << "every exec'd process shows its pages";
+  EXPECT_EQ(zombies, 1u);
+  EXPECT_EQ(snap->back().pr_pid, *z) << "the zombie is the last row, in the second window";
+  EXPECT_TRUE(k.CheckInvariants().empty());
+}
+
 // --- Monitors with large descriptor sets -------------------------------------
 
 TEST(ScalePoll, MonitorHoldsThousandsOfDescriptors) {

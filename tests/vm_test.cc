@@ -377,14 +377,110 @@ TEST(VmPageData, ReferencedAndModifiedTracking) {
   }
 }
 
+// Fails every page read, as a file whose backing store has gone bad.
+class FailingObject : public VmObject {
+ public:
+  Result<PagePtr> GetPage(uint64_t) override { return Errno::kEIO; }
+};
+
+// The O(1) page counts equal the given figures, and so does the walk.
+void ExpectPages(const AddressSpace& as, uint32_t virtual_pages, uint32_t resident_pages,
+                 const char* after) {
+  EXPECT_EQ(as.VirtualSize(), virtual_pages * kPageSize) << after;
+  EXPECT_EQ(as.ResidentPages(), resident_pages) << after;
+  AddressSpace::PageCounts walk = as.CountPages();
+  EXPECT_EQ(walk.virtual_pages, virtual_pages) << after << " (walk)";
+  EXPECT_EQ(walk.resident_pages, resident_pages) << after << " (walk)";
+}
+
 TEST(VmMisc, VirtualSizeAndResidency) {
   AddressSpace as;
-  ASSERT_TRUE(as.Map(0x10000, 8 * kPageSize, MA_READ | MA_WRITE, Anon(), 0, "d").ok());
-  EXPECT_EQ(as.VirtualSize(), 8 * kPageSize);
-  EXPECT_EQ(as.ResidentPages(), 0u) << "nothing materialized yet";
   uint32_t v = 1;
+  ASSERT_TRUE(as.Map(0x10000, 8 * kPageSize, MA_READ | MA_WRITE, Anon(), 0, "d").ok());
+  ExpectPages(as, 8, 0, "Map: nothing materialized yet");
   ASSERT_FALSE(as.MemWrite(0x10000, &v, 4).has_value());
-  EXPECT_EQ(as.ResidentPages(), 1u);
+  ExpectPages(as, 8, 1, "first touch of a private anonymous page");
+  ASSERT_FALSE(as.MemWrite(0x10000, &v, 4).has_value());
+  ExpectPages(as, 8, 1, "second touch of the same page");
+  for (uint32_t a = 0x11000; a < 0x18000; a += kPageSize) {
+    ASSERT_FALSE(as.MemWrite(a, &v, 4).has_value());
+  }
+  ExpectPages(as, 8, 8, "every page of d touched");
+
+  // Map over d's last two pages and two fresh ones: the overlap is replaced.
+  ASSERT_TRUE(as.Map(0x16000, 4 * kPageSize, MA_READ | MA_WRITE, Anon(), 0, "o").ok());
+  ExpectPages(as, 10, 6, "Map over an already-mapped range");
+
+  // d is [0x10000, 0x16000), all six pages resident.
+  ASSERT_TRUE(as.Unmap(0x10000, kPageSize).ok());
+  ExpectPages(as, 9, 5, "Unmap of d's left end");
+  ASSERT_TRUE(as.Unmap(0x15000, kPageSize).ok());
+  ExpectPages(as, 8, 4, "Unmap of d's right end");
+  ASSERT_TRUE(as.Unmap(0x12000, kPageSize).ok());
+  ExpectPages(as, 7, 3, "Unmap of d's middle");
+  ASSERT_EQ(as.Maps().size(), 3u) << "d split in two, plus o";
+
+  ASSERT_TRUE(as.Protect(0x13000, kPageSize, MA_READ).ok());
+  ASSERT_EQ(as.Maps().size(), 4u) << "the protect split d's right piece";
+  ExpectPages(as, 7, 3, "Protect split");
+
+  ASSERT_TRUE(as.Map(0x40000, kPageSize, MA_READ | MA_WRITE | MA_BREAK, Anon(), 0, "brk").ok());
+  ASSERT_FALSE(as.MemWrite(0x40000, &v, 4).has_value());
+  ExpectPages(as, 8, 4, "break mapped and touched");
+  ASSERT_TRUE(as.SetBreak(0x40000 + 4 * kPageSize).ok());
+  ExpectPages(as, 11, 4, "SetBreak grow");
+  ASSERT_FALSE(as.MemWrite(0x43000, &v, 4).has_value());
+  ExpectPages(as, 11, 5, "grown break page touched");
+  ASSERT_TRUE(as.SetBreak(0x40000 + kPageSize).ok());
+  ExpectPages(as, 8, 4, "SetBreak shrink drops the touched page");
+
+  const uint32_t top = 0x8000000;
+  ASSERT_TRUE(as.Map(top - kPageSize, kPageSize, MA_READ | MA_WRITE | MA_STACK, Anon(), 0,
+                     "stack", true)
+                  .ok());
+  ExpectPages(as, 9, 4, "stack mapped");
+  ASSERT_FALSE(as.MemWrite(top - 3 * kPageSize, &v, 4).has_value());
+  ExpectPages(as, 11, 5, "stack grown by two pages, one touched");
+
+  auto file = std::make_shared<PatternObject>();
+  ASSERT_TRUE(as.Map(0x60000, 2 * kPageSize, MA_READ | MA_WRITE, file, 0, "f").ok());
+  uint32_t r = 0;
+  ASSERT_FALSE(as.MemRead(0x60000, &r, 4, Access::kRead).has_value());
+  ExpectPages(as, 13, 6, "first touch of a file-backed page");
+  ASSERT_FALSE(as.MemWrite(0x60000, &v, 4).has_value());
+  ExpectPages(as, 13, 6, "COW break replaces the frame, adds none");
+
+  ASSERT_TRUE(as.Map(0x70000, kPageSize, MA_READ | MA_WRITE | MA_SHARED, Anon(), 0, "s").ok());
+  ASSERT_FALSE(as.MemWrite(0x70000, &v, 4).has_value());
+  ExpectPages(as, 14, 7, "first touch of a shared page");
+
+  // A first touch whose GetPage fails faults and counts nothing, on the
+  // private and on the shared path.
+  auto bad = std::make_shared<FailingObject>();
+  ASSERT_TRUE(as.Map(0x80000, kPageSize, MA_READ, bad, 0, "bad").ok());
+  ASSERT_TRUE(as.Map(0x90000, kPageSize, MA_READ | MA_SHARED, bad, 0, "bads").ok());
+  ExpectPages(as, 16, 7, "failing objects mapped");
+  EXPECT_TRUE(as.MemRead(0x80000, &r, 4, Access::kRead).has_value());
+  EXPECT_TRUE(as.MemRead(0x90000, &r, 4, Access::kRead).has_value());
+  ExpectPages(as, 16, 7, "failed first touches");
+
+  // Clone copies both counts; afterwards each side counts only its own
+  // first touches, and COW breaks on either side add nothing.
+  auto child = as.Clone();
+  ExpectPages(*child, 16, 7, "Clone");
+  ASSERT_FALSE(as.MemWrite(0x11000, &v, 4).has_value());
+  ASSERT_FALSE(child->MemWrite(0x11000, &v, 4).has_value());
+  ExpectPages(as, 16, 7, "parent COW break after Clone");
+  ExpectPages(*child, 16, 7, "child COW break after Clone");
+  ASSERT_FALSE(as.MemWrite(0x61000, &v, 4).has_value());
+  ExpectPages(as, 16, 8, "parent first touch after Clone");
+  ExpectPages(*child, 16, 7, "the child does not see the parent's touch");
+  ASSERT_FALSE(child->MemWrite(0x40000, &v, 4).has_value());
+  ASSERT_FALSE(child->MemWrite(0x14000, &v, 4).has_value());
+  ExpectPages(*child, 16, 7, "child writes to resident pages");
+  ASSERT_FALSE(child->MemWrite(0x61000, &v, 4).has_value());
+  ExpectPages(*child, 16, 8, "child first touch after Clone");
+  ExpectPages(as, 16, 8, "the parent does not see the child's touch");
 }
 
 TEST(VmMisc, AsFaultMaterializesRange) {
