@@ -90,8 +90,13 @@ struct OpenFile {
   // process; a mismatch here means the descriptor's process is simply gone
   // (ENOENT), and its close must not touch the new process's ledger.
   uint64_t pr_ident = 0;
-  // fstype-private state.
-  std::shared_ptr<void> priv;
+  // The process that opened this /proc descriptor, by pid and birth
+  // identity (0 for a kernel-internal open). A ctl write looks it up anew,
+  // so an opener that has been reaped, or whose pid was reused, is nobody.
+  uint64_t pr_opener_ident = 0;
+  int32_t pr_opener = 0;
+  // This descriptor holds its target's O_EXCL exclusive-write right.
+  bool pr_excl = false;
 };
 using OpenFilePtr = std::shared_ptr<OpenFile>;
 

@@ -215,13 +215,31 @@ class Kernel {
   // Posts a signal from kernel context (faults, alarms, SIGCLD).
   void PostSignal(Proc* target, int sig, const SigInfo& info);
 
-  // Called by procfs when the last writable descriptor closes.
-  void PrLastClose(Proc* target);
-  // Called by procfs when a descriptor from a dead generation (invalidated
-  // by a set-id exec) closes: drains the stale ledger and runs last-close
-  // actions when the invalidated set is fully gone. Shared by both /proc
-  // front-ends so the drain rules cannot drift.
-  void PrStaleClose(Proc* target, bool counted_writable);
+  // --- The /proc open ledger (TraceState's open counts and excl) ------------
+  // Every counted /proc file — flat, /proc2 per-process and lwp — opens,
+  // validates, polls and closes its descriptors through these, so the
+  // paper's rules (O_EXCL, run-on-last-close, invalidation by a set-id
+  // exec) hold for all of them alike. PrCountedVnode::Open has already
+  // checked the open permission and the file's own access modes.
+  //
+  // Counts `of` in the target's ledger and stamps it with the target's
+  // generation and ident and the opener's pid and ident (opener may be
+  // null). EBUSY for a writer while an exclusive holder exists, or for
+  // O_EXCL while any writer does.
+  Result<void> PrLedgerOpen(OpenFile& of, Proc* target, Proc* opener);
+  // The last reference to `of` closed. Inert once `pid` is reaped or
+  // reused; otherwise emits PROC_CLOSE, releases the descriptor's counts
+  // (from the stale ledger if a set-id exec invalidated it) and runs
+  // run-on-last-close when the last writer is gone.
+  void PrLedgerClose(const OpenFile& of, Pid pid);
+  // The process `of` names: ENOENT once it is gone (its pid free or
+  // reused), EACCES once a set-id exec invalidated the descriptor.
+  Result<Proc*> PrLedgerTarget(const OpenFile& of, Pid pid);
+  // poll(2) level of `of`: POLLNVAL when it no longer validates, POLLHUP
+  // on a zombie, POLLPRI while stopped on an event of interest.
+  int PrLedgerPoll(const OpenFile& of, Pid pid);
+  // The process that opened `of`, or null once it is gone.
+  Proc* PrLedgerOpener(const OpenFile& of);
 
   // --- Fault injection & chaos (faults.cc) ----------------------------------
   // Arms (or replaces) the fault plan; the injector pointer is propagated to
@@ -428,6 +446,11 @@ class Kernel {
   void JobControlStop(Proc* p, int sig);
   void JobControlCont(Proc* p);
   int PromoteSignal(Proc* p);
+
+  // The last-close actions PrLedgerClose runs when the last writer goes:
+  // clear exclusivity and, with run-on-last-close set, the tracing flags,
+  // then resume the target.
+  void PrLastClose(Proc* target);
 
   // Syscall path.
   void SyscallTrap(Lwp* lwp);

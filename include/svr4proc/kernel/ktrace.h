@@ -49,7 +49,7 @@ enum class KtEvent : uint32_t {
   kExec = 12,          // a0 = new entry point
   kExit = 13,          // a0 = wait status
   kProcOpen = 14,      // pid = target; a0 = opener pid, a1 = 1 if writable
-  kProcClose = 15,     // pid = target; a0 = closer pid, a1 = 1 if writable
+  kProcClose = 15,     // pid = target; a0 = opener pid, a1 = 1 if writable
   kFaultInject = 16,   // a0 = FaultSite, a1 = cumulative fires at that site
   kIpi = 17,           // cross-CPU interrupt charged: a0 = sending cpu,
                        // a1 = target cpu | pending-depth<<16 (smp.h)

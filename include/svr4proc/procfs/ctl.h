@@ -127,10 +127,12 @@ Result<int32_t> CtlDispatchPioc(CtlCtx& ctx, uint32_t code, void* arg);
 // code + fixed-size operand per message), decoding each operand to its
 // canonical type and dispatching. Messages already executed keep their
 // effect if a later one fails. lwp non-null scopes lwp-capable operations.
-// For a caller that defers waits, the walk ends after a blocking message
-// and returns the bytes consumed up to and including it.
+// caller is the descriptor's opener, null once it is gone; only a native
+// caller may send blocking messages. For a caller that defers waits, the
+// walk ends after a blocking message and returns the bytes consumed up to
+// and including it.
 Result<int64_t> RunCtlStream(Kernel& k, Proc* p, Lwp* lwp, std::span<const uint8_t> buf,
-                             bool native_caller, Proc* caller);
+                             Proc* caller);
 
 // The shared core: runs the access checks encoded in the row (write right,
 // zombie state, native-caller requirement, privilege predicate), invokes

@@ -28,38 +28,51 @@ class ProcDirVnode : public Vnode {
   Kernel* kernel_;
 };
 
-// One process file. Reads and writes transfer data between the caller and
-// the process's address space at the virtual address given by the file
-// offset; ioctl performs the PIOC* information and control operations.
-class ProcVnode : public Vnode {
+// Base of every counted /proc file: the flat process file, the /proc2
+// per-process files and the per-lwp files. Their descriptors open, close,
+// poll and validate through the kernel's /proc open ledger, so the paper's
+// descriptor rules hold for all of them alike. A subclass adds only its own
+// rules: the access modes it accepts (Admit), its zombie rule, and the lwp
+// lookup.
+class PrCountedVnode : public Vnode {
  public:
-  ProcVnode(Kernel* k, Pid pid) : kernel_(k), pid_(pid) {}
-
   VType type() const override { return VType::kProc; }
-  Result<VAttr> GetAttr() override;
-  Result<void> Open(OpenFile& of, const Creds& cr, Proc* caller) override;
-  void Close(OpenFile& of) override;
-  Result<int64_t> Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) override;
-  Result<int64_t> Write(OpenFile& of, uint64_t off, std::span<const uint8_t> buf) override;
-  Result<int32_t> Ioctl(OpenFile& of, Proc* caller, uint32_t op, void* arg) override;
-  int Poll(OpenFile& of) override;
+  // ENOENT once the target is gone; then the file's own rules, the paper's
+  // open permission, and Kernel::PrLedgerOpen.
+  Result<void> Open(OpenFile& of, const Creds& cr, Proc* caller) final;
+  void Close(OpenFile& of) override { kernel_->PrLedgerClose(of, pid_); }
+  int Poll(OpenFile& of) override { return kernel_->PrLedgerPoll(of, pid_); }
   int32_t PrCountedTarget() const override { return pid_; }
 
-  Pid pid() const { return pid_; }
-
- private:
-  // Validates the descriptor and returns the live target process.
-  Result<Proc*> Target(const OpenFile& of) const;
+ protected:
+  PrCountedVnode(Kernel* k, Pid pid) : kernel_(k), pid_(pid) {}
+  // The file's own open rules: the access modes it accepts and, for an lwp
+  // file, that its lwp exists. The default accepts every mode.
+  virtual Result<void> Admit(const OpenFile& /*of*/, Proc* /*target*/) {
+    return Result<void>::Ok();
+  }
 
   Kernel* kernel_;
   Pid pid_;
 };
 
-// Checks the /proc open-permission rules ("permission to open requires that
-// both the uid and gid of the traced process match those of the controlling
-// process; setuid and setgid processes can be opened only by the
-// super-user"). Shared with the hierarchical implementation.
-Result<void> ProcOpenPermission(const Creds& cr, const Proc* target);
+// One process file. Reads and writes transfer data between the caller and
+// the process's address space at the virtual address given by the file
+// offset; ioctl performs the PIOC* information and control operations.
+class ProcVnode : public PrCountedVnode {
+ public:
+  ProcVnode(Kernel* k, Pid pid) : PrCountedVnode(k, pid) {}
+
+  Result<VAttr> GetAttr() override;
+  Result<int64_t> Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) override;
+  Result<int64_t> Write(OpenFile& of, uint64_t off, std::span<const uint8_t> buf) override;
+  Result<int32_t> Ioctl(OpenFile& of, Proc* caller, uint32_t op, void* arg) override;
+};
+
+// Parses a /proc or /proc2 name that must be a decimal pid or lwp id:
+// digits only, leading zeros allowed, at most INT32_MAX. Names arrive in
+// untrusted paths (procd peers send them); anything else is ENOENT.
+Result<int32_t> ParseProcId(const std::string& name);
 
 // Translates a prrun_t into kernel RunArgs. Shared with /proc2's PCRUN.
 RunArgs ToRunArgs(const PrRun& r);

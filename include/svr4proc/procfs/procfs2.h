@@ -10,18 +10,28 @@
 // space, "a natural structure in which to present the relationship between
 // a process and the individual threads-of-control".
 //
-// Layout:
-//   /proc2/<pid>/status   read-only   PrStatus
-//   /proc2/<pid>/psinfo   read-only   PrPsinfo
-//   /proc2/<pid>/cred     read-only   PrCred
-//   /proc2/<pid>/usage    read-only   PrUsage
-//   /proc2/<pid>/sigact   read-only   SigAction[128]
-//   /proc2/<pid>/map      read-only   PrMapEntry[]
+// Layout (each directory's names are listed once, in a table in hier.cc):
 //   /proc2/<pid>/as       read/write  the address space (offset = vaddr)
 //   /proc2/<pid>/ctl      write-only  control message stream
+//   /proc2/<pid>/status   read-only   PrStatus
+//   /proc2/<pid>/psinfo   read-only   PrPsinfo
+//   /proc2/<pid>/map      read-only   PrMapEntry[]
+//   /proc2/<pid>/cred     read-only   PrCred
+//   /proc2/<pid>/sigact   read-only   SigAction[128]
+//   /proc2/<pid>/usage    read-only   PrUsage
 //   /proc2/<pid>/ctlaudit read-only   PrCtlAudit (control audit ring)
-//   /proc2/<pid>/lwp/<n>/lwpstatus    PrLwpStatus
-//   /proc2/<pid>/lwp/<n>/lwpctl       per-lwp control message stream
+//   /proc2/<pid>/trace    read-only   the event ring filtered to <pid>
+//   /proc2/<pid>/prof     read-only   folded-stack profiler dump
+//   /proc2/<pid>/lwp/<n>/lwpstatus    read-only   PrLwpStatus
+//   /proc2/<pid>/lwp/<n>/lwpctl       write-only  per-lwp control messages
+//   /proc2/kernel/{faults,trace,metrics,psall,cpus,procd}   read-only,
+//                                     process-independent introspection
+//
+// Every file under /proc2/<pid>, lwp files included, is a counted /proc
+// file: its descriptors open, validate, poll and close through the
+// kernel's /proc open ledger (Kernel::PrLedger*), exactly like the flat
+// /proc/<pid> file's, so O_EXCL, run-on-last-close and invalidation by a
+// set-id exec apply to each of them.
 //
 // Control semantics are defined once, in the shared op table (procfs/ctl.h);
 // this front-end only parses the message framing. Note PCRUN's 8-byte wire

@@ -2286,6 +2286,127 @@ Result<void> Kernel::PrSetSig(Proc* target, int sig, const SigInfo& info) {
   return Result<void>::Ok();
 }
 
+// --- The /proc open ledger ------------------------------------------------------
+
+namespace {
+
+// A descriptor from a dead generation closes: the set-id exec already moved
+// its ledger entry to the stale side, so drain that side. Returns whether
+// the last-close actions are due.
+bool PrStaleClose(TraceState& t, bool writable) {
+  if (t.stale_total_opens > 0) {
+    --t.stale_total_opens;
+  }
+  if (writable && t.stale_writable_opens > 0) {
+    --t.stale_writable_opens;
+  }
+  if (t.writable_opens > 0) {
+    // A live-generation writer exists; last-close responsibility moved to it
+    // the moment it opened, and a stale drain must not resume the target or
+    // clear state a live controller now owns.
+    return false;
+  }
+  // The last invalidated writer is gone: the exec-time directed stop and
+  // run-on-last-close fire exactly as if the writer closed normally. If the
+  // invalidated set held no writer at all (or its writers drained without
+  // tripping run-on-last-close), they fire at its final stale descriptor of
+  // any kind; otherwise a target whose controllers were all read-only at
+  // exec time would stay directed-stopped forever.
+  return t.stale_writable_opens == 0 &&
+         (writable || (t.stale_total_opens == 0 && t.run_on_last_close));
+}
+
+}  // namespace
+
+Result<void> Kernel::PrLedgerOpen(OpenFile& of, Proc* target, Proc* opener) {
+  TraceState& t = target->trace;
+  if (of.writable) {
+    if (t.excl) {
+      return Errno::kEBUSY;  // an exclusive controller exists
+    }
+    if (of.oflags & O_EXCL) {
+      // "A /proc file can be opened for exclusive read/write use ... a
+      // controlling process can avoid collisions with other controlling
+      // processes." Read-only opens are unaffected.
+      if (t.writable_opens > 0) {
+        return Errno::kEBUSY;
+      }
+      t.excl = true;
+      of.pr_excl = true;
+    }
+    ++t.writable_opens;
+  }
+  ++t.total_opens;
+  of.pr_gen = t.gen;
+  of.pr_ident = target->ident;
+  if (opener != nullptr) {
+    of.pr_opener = opener->pid;
+    of.pr_opener_ident = opener->ident;
+  }
+  kt_.Emit(KtEvent::kProcOpen, target->pid, 0, static_cast<uint32_t>(of.pr_opener),
+           of.writable ? 1 : 0);
+  return Result<void>::Ok();
+}
+
+void Kernel::PrLedgerClose(const OpenFile& of, Pid pid) {
+  Proc* p = FindProc(pid);
+  if (p == nullptr || of.pr_ident != p->ident) {
+    // Reaped, or the pid was reused: the ledger that counted this
+    // descriptor went with its process, and the successor's never did.
+    return;
+  }
+  kt_.Emit(KtEvent::kProcClose, pid, 0, static_cast<uint32_t>(of.pr_opener),
+           of.writable ? 1 : 0);
+  TraceState& t = p->trace;
+  bool last;
+  if (of.pr_gen != t.gen) {
+    // Invalidated by a set-id exec: its counts are on the stale ledger, and
+    // the new incarnation's counters and exclusivity are off limits.
+    last = PrStaleClose(t, of.writable);
+  } else {
+    if (of.pr_excl) {
+      t.excl = false;
+    }
+    --t.total_opens;
+    last = of.writable && --t.writable_opens == 0;
+  }
+  if (last) {
+    PrLastClose(p);
+  }
+}
+
+Result<Proc*> Kernel::PrLedgerTarget(const OpenFile& of, Pid pid) {
+  Proc* p = FindProc(pid);
+  if (p == nullptr || of.pr_ident != p->ident) {
+    // After pid wraparound the pid names a stranger: the descriptor
+    // dangles exactly as if the pid were free.
+    return Errno::kENOENT;
+  }
+  if (of.pr_gen != p->trace.gen) {
+    // Invalidated by a set-id exec: "no further operation on that file
+    // descriptor will succeed except close(2)".
+    return Errno::kEACCES;
+  }
+  return p;
+}
+
+int Kernel::PrLedgerPoll(const OpenFile& of, Pid pid) {
+  auto p = PrLedgerTarget(of, pid);
+  if (!p.ok()) {
+    return POLLNVAL;
+  }
+  if ((*p)->state == Proc::State::kZombie) {
+    return POLLHUP;
+  }
+  // "Ready" for a /proc file: stopped on an event of interest.
+  return PrIsStopped(*p) ? POLLPRI : 0;
+}
+
+Proc* Kernel::PrLedgerOpener(const OpenFile& of) {
+  Proc* p = FindProc(of.pr_opener);
+  return p != nullptr && p->ident == of.pr_opener_ident ? p : nullptr;
+}
+
 void Kernel::PrLastClose(Proc* target) {
   // Run-on-last-close: when the last writable /proc descriptor goes away,
   // clear all tracing flags and set the process running if it is stopped.
@@ -2307,38 +2428,6 @@ void Kernel::PrLastClose(Proc* target) {
         !target->pt_owned_stop) {
       ResumeLwp(l.get());
     }
-  }
-}
-
-void Kernel::PrStaleClose(Proc* target, bool counted_writable) {
-  // A descriptor from a dead generation closes: the set-id exec already
-  // moved its ledger entry to the stale side, so drain that side here.
-  TraceState& t = target->trace;
-  if (t.stale_total_opens > 0) {
-    --t.stale_total_opens;
-  }
-  if (counted_writable && t.stale_writable_opens > 0) {
-    --t.stale_writable_opens;
-  }
-  if (t.writable_opens > 0) {
-    // A live-generation writer exists; last-close responsibility moved to it
-    // the moment it opened, and a stale drain must not resume the target or
-    // clear state a live controller now owns.
-    return;
-  }
-  if (counted_writable && t.stale_writable_opens == 0) {
-    // Last invalidated writer is gone: the exec-time directed stop and
-    // run-on-last-close must fire exactly as if the writer closed normally.
-    PrLastClose(target);
-    return;
-  }
-  if (t.stale_writable_opens == 0 && t.stale_total_opens == 0 && t.run_on_last_close) {
-    // The invalidated set held no writer at all (or its writers already
-    // drained without tripping run-on-last-close) and this was the final
-    // stale descriptor of any kind. Without this arm, a target whose
-    // controllers were all read-only at exec time stays directed-stopped
-    // forever after the last stale close.
-    PrLastClose(target);
   }
 }
 

@@ -747,13 +747,13 @@ Result<int32_t> CtlDispatchPioc(CtlCtx& ctx, uint32_t code, void* arg) {
 }
 
 Result<int64_t> RunCtlStream(Kernel& k, Proc* p, Lwp* lwp, std::span<const uint8_t> buf,
-                             bool native_caller, Proc* caller) {
+                             Proc* caller) {
   CtlCtx ctx;
   ctx.k = &k;
   ctx.p = p;
   ctx.lwp = lwp;
   ctx.caller = caller;
-  ctx.native_caller = native_caller;
+  ctx.native_caller = caller != nullptr && caller->native;
   ctx.fd_writable = true;  // ctl files are write-only by construction
   ctx.source = CtlSource::kCtlMsg;
 

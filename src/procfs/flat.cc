@@ -2,6 +2,7 @@
 // front-end, and the security provisions. Operation semantics — access
 // class, zombie behaviour, privilege rules, handlers — live in the shared
 // control-plane table (procfs/ctl.h); Ioctl() only marshals into it.
+#include <cstdint>
 #include <cstdio>
 
 #include "svr4proc/procfs/procfs.h"
@@ -11,20 +12,16 @@
 namespace svr4 {
 namespace {
 
-// Per-OpenFile private state for a /proc descriptor.
-struct PrPriv {
-  bool excl = false;   // this descriptor holds the exclusive-write right
-  Pid opener = 0;      // who opened it, for the PROC_CLOSE trace record
-};
-
 std::string PidName(Pid pid) {
   char buf[8];
   std::snprintf(buf, sizeof(buf), "%05d", pid);
   return buf;
 }
 
-}  // namespace
-
+// The /proc open-permission rules: "permission to open requires that both
+// the uid and gid of the traced process match those of the controlling
+// process; setuid and setgid processes can be opened only by the
+// super-user".
 Result<void> ProcOpenPermission(const Creds& cr, const Proc* target) {
   if (cr.IsSuper()) {
     return Result<void>::Ok();
@@ -36,6 +33,26 @@ Result<void> ProcOpenPermission(const Creds& cr, const Proc* target) {
     return Errno::kEACCES;  // both the uid and gid must match
   }
   return Result<void>::Ok();
+}
+
+}  // namespace
+
+Result<int32_t> ParseProcId(const std::string& name) {
+  if (name.empty()) {
+    return Errno::kENOENT;
+  }
+  int32_t id = 0;
+  for (char c : name) {
+    if (c < '0' || c > '9') {
+      return Errno::kENOENT;
+    }
+    int digit = c - '0';
+    if (id > (INT32_MAX - digit) / 10) {
+      return Errno::kENOENT;  // names no pid or lwp id there can be
+    }
+    id = id * 10 + digit;
+  }
+  return id;
 }
 
 Result<int32_t> ProcOpenMappedObject(Kernel& k, Proc* caller, Proc* target, bool use_exe,
@@ -81,21 +98,11 @@ Result<VAttr> ProcDirVnode::GetAttr() {
 }
 
 Result<VnodePtr> ProcDirVnode::Lookup(const std::string& name) {
-  if (name.empty() || name.size() > 10) {
+  auto pid = ParseProcId(name);
+  if (!pid.ok() || kernel_->FindProc(*pid) == nullptr) {
     return Errno::kENOENT;
   }
-  Pid pid = 0;
-  for (char c : name) {
-    if (c < '0' || c > '9') {
-      return Errno::kENOENT;
-    }
-    pid = pid * 10 + (c - '0');
-  }
-  Proc* p = kernel_->FindProc(pid);
-  if (p == nullptr) {
-    return Errno::kENOENT;
-  }
-  return std::static_pointer_cast<Vnode>(std::make_shared<ProcVnode>(kernel_, pid));
+  return std::static_pointer_cast<Vnode>(std::make_shared<ProcVnode>(kernel_, *pid));
 }
 
 Result<std::vector<DirEnt>> ProcDirVnode::Readdir() {
@@ -127,26 +134,19 @@ Result<size_t> ProcDirVnode::ReaddirChunk(uint64_t* cookie, size_t max,
   return n;
 }
 
-// --- Process file -------------------------------------------------------------
+// --- Counted /proc files -------------------------------------------------------
 
-Result<Proc*> ProcVnode::Target(const OpenFile& of) const {
+Result<void> PrCountedVnode::Open(OpenFile& of, const Creds& cr, Proc* caller) {
   Proc* p = kernel_->FindProc(pid_);
   if (p == nullptr) {
     return Errno::kENOENT;
   }
-  if (of.pr_ident != p->ident) {
-    // Pid wraparound: the process this descriptor named is gone and the pid
-    // now belongs to a stranger. The descriptor dangles exactly as if the
-    // pid were free.
-    return Errno::kENOENT;
-  }
-  if (of.pr_gen != p->trace.gen) {
-    // Invalidated by a set-id exec: "no further operation on that file
-    // descriptor will succeed except close(2)".
-    return Errno::kEACCES;
-  }
-  return p;
+  SVR4_RETURN_IF_ERROR(Admit(of, p));
+  SVR4_RETURN_IF_ERROR(ProcOpenPermission(cr, p));
+  return kernel_->PrLedgerOpen(of, p, caller);
 }
+
+// --- Process file -------------------------------------------------------------
 
 Result<VAttr> ProcVnode::GetAttr() {
   Proc* p = kernel_->FindProc(pid_);
@@ -163,74 +163,8 @@ Result<VAttr> ProcVnode::GetAttr() {
   return a;
 }
 
-Result<void> ProcVnode::Open(OpenFile& of, const Creds& cr, Proc* caller) {
-  Proc* p = kernel_->FindProc(pid_);
-  if (p == nullptr) {
-    return Errno::kENOENT;
-  }
-  SVR4_RETURN_IF_ERROR(ProcOpenPermission(cr, p));
-  auto priv = std::make_shared<PrPriv>();
-  priv->opener = caller != nullptr ? caller->pid : 0;
-  if (of.writable) {
-    if (p->trace.excl) {
-      return Errno::kEBUSY;  // an exclusive controller exists
-    }
-    if (of.oflags & O_EXCL) {
-      // "A /proc file can be opened for exclusive read/write use ... a
-      // controlling process can avoid collisions with other controlling
-      // processes." Read-only opens are unaffected.
-      if (p->trace.writable_opens > 0) {
-        return Errno::kEBUSY;
-      }
-      p->trace.excl = true;
-      priv->excl = true;
-    }
-    ++p->trace.writable_opens;
-  }
-  ++p->trace.total_opens;
-  of.pr_gen = p->trace.gen;
-  of.pr_ident = p->ident;
-  of.priv = priv;
-  kernel_->ktrace().Emit(KtEvent::kProcOpen, p->pid, 0,
-                         static_cast<uint32_t>(priv->opener), of.writable ? 1 : 0);
-  return Result<void>::Ok();
-}
-
-void ProcVnode::Close(OpenFile& of) {
-  Proc* p = kernel_->FindProc(pid_);
-  if (p == nullptr) {
-    return;
-  }
-  if (of.pr_ident != p->ident) {
-    // A reused pid: this descriptor was never counted in the successor's
-    // ledger, so its close must not touch it.
-    return;
-  }
-  if (of.pr_gen != p->trace.gen) {
-    // Invalidated by a set-id exec: this descriptor's counts were moved to
-    // the stale ledger at invalidation time, so its close must never touch
-    // the new incarnation's counters or exclusivity. The shared drain rule
-    // decides when run-on-last-close fires.
-    kernel_->PrStaleClose(p, of.writable);
-    return;
-  }
-  auto* priv = static_cast<PrPriv*>(of.priv.get());
-  if (priv != nullptr && priv->excl) {
-    p->trace.excl = false;
-  }
-  kernel_->ktrace().Emit(KtEvent::kProcClose, p->pid, 0,
-                         priv != nullptr ? static_cast<uint32_t>(priv->opener) : 0,
-                         of.writable ? 1 : 0);
-  --p->trace.total_opens;
-  if (of.writable) {
-    if (--p->trace.writable_opens == 0) {
-      kernel_->PrLastClose(p);
-    }
-  }
-}
-
 Result<int64_t> ProcVnode::Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) {
-  auto p = Target(of);
+  auto p = kernel_->PrLedgerTarget(of, pid_);
   if (!p.ok()) {
     return p.error();
   }
@@ -241,7 +175,7 @@ Result<int64_t> ProcVnode::Read(OpenFile& of, uint64_t off, std::span<uint8_t> b
 }
 
 Result<int64_t> ProcVnode::Write(OpenFile& of, uint64_t off, std::span<const uint8_t> buf) {
-  auto p = Target(of);
+  auto p = kernel_->PrLedgerTarget(of, pid_);
   if (!p.ok()) {
     return p.error();
   }
@@ -251,28 +185,13 @@ Result<int64_t> ProcVnode::Write(OpenFile& of, uint64_t off, std::span<const uin
   return (*p)->as->PrWrite(static_cast<uint32_t>(off), buf);
 }
 
-int ProcVnode::Poll(OpenFile& of) {
-  Proc* p = kernel_->FindProc(pid_);
-  if (p == nullptr || of.pr_ident != p->ident || of.pr_gen != p->trace.gen) {
-    return POLLNVAL;
-  }
-  if (p->state == Proc::State::kZombie) {
-    return POLLHUP;
-  }
-  // "Ready" for a /proc file: stopped on an event of interest.
-  if (kernel_->PrIsStopped(p)) {
-    return POLLPRI;
-  }
-  return 0;
-}
-
 Result<int32_t> ProcVnode::Ioctl(OpenFile& of, Proc* caller, uint32_t op, void* arg) {
   if (caller == nullptr || !caller->native) {
     // Control operands are host-memory pointers; only native controllers
     // may issue them in this simulation.
     return Errno::kEINVAL;
   }
-  auto tp = Target(of);
+  auto tp = kernel_->PrLedgerTarget(of, pid_);
   if (!tp.ok()) {
     return tp.error();
   }

@@ -13,16 +13,22 @@
 namespace svr4 {
 namespace {
 
-// Per-descriptor state: who opened it (blocking ctl messages need to know
-// whether the opener is a native controller) and exclusivity accounting.
-struct Pr2Priv {
-  Proc* opener = nullptr;
-  bool counted_writable = false;
-};
-
 enum class Pr2Kind {
   kStatus, kPsinfo, kCred, kUsage, kSigact, kMap, kAs, kCtl, kCtlAudit, kTrace,
   kProf
+};
+
+// The files of a /proc2/<pid> directory, in Readdir order; the lwp
+// subdirectory follows them.
+struct Pr2File {
+  const char* name;
+  Pr2Kind kind;
+};
+constexpr Pr2File kPr2Files[] = {
+    {"as", Pr2Kind::kAs},         {"ctl", Pr2Kind::kCtl},     {"status", Pr2Kind::kStatus},
+    {"psinfo", Pr2Kind::kPsinfo}, {"map", Pr2Kind::kMap},     {"cred", Pr2Kind::kCred},
+    {"sigact", Pr2Kind::kSigact}, {"usage", Pr2Kind::kUsage}, {"ctlaudit", Pr2Kind::kCtlAudit},
+    {"trace", Pr2Kind::kTrace},   {"prof", Pr2Kind::kProf},
 };
 
 std::string PidName(Pid pid) {
@@ -53,11 +59,13 @@ Result<int64_t> ServeBytes(const std::vector<uint8_t>& bytes, uint64_t off,
   return static_cast<int64_t>(n);
 }
 
-class Pr2FileVnode : public Vnode {
- public:
-  Pr2FileVnode(Kernel* k, Pid pid, Pr2Kind kind) : kernel_(k), pid_(pid), kind_(kind) {}
+std::vector<uint8_t> TextBytes(const std::string& text) {
+  return std::vector<uint8_t>(text.begin(), text.end());
+}
 
-  VType type() const override { return VType::kProc; }
+class Pr2FileVnode : public PrCountedVnode {
+ public:
+  Pr2FileVnode(Kernel* k, Pid pid, Pr2Kind kind) : PrCountedVnode(k, pid), kind_(kind) {}
 
   Result<VAttr> GetAttr() override {
     Proc* p = kernel_->FindProc(pid_);
@@ -81,81 +89,6 @@ class Pr2FileVnode : public Vnode {
         break;
     }
     return a;
-  }
-
-  Result<void> Open(OpenFile& of, const Creds& cr, Proc* caller) override {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr) {
-      return Errno::kENOENT;
-    }
-    SVR4_RETURN_IF_ERROR(ProcOpenPermission(cr, p));
-    bool want_write = of.writable;
-    if (kind_ == Pr2Kind::kCtl && !want_write) {
-      return Errno::kEACCES;  // ctl is write-only
-    }
-    if (want_write && kind_ != Pr2Kind::kCtl && kind_ != Pr2Kind::kAs) {
-      return Errno::kEACCES;  // status files are read-only
-    }
-    auto priv = std::make_shared<Pr2Priv>();
-    priv->opener = caller;
-    if (want_write) {
-      if (p->trace.excl) {
-        return Errno::kEBUSY;
-      }
-      if (of.oflags & O_EXCL) {
-        if (p->trace.writable_opens > 0) {
-          return Errno::kEBUSY;
-        }
-        p->trace.excl = true;
-      }
-      ++p->trace.writable_opens;
-      priv->counted_writable = true;
-    }
-    ++p->trace.total_opens;
-    of.pr_gen = p->trace.gen;
-    of.pr_ident = p->ident;
-    of.priv = priv;
-    kernel_->ktrace().Emit(
-        KtEvent::kProcOpen, p->pid, 0,
-        caller != nullptr ? static_cast<uint32_t>(caller->pid) : 0,
-        want_write ? 1 : 0);
-    return Result<void>::Ok();
-  }
-
-  void Close(OpenFile& of) override {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr) {
-      return;
-    }
-    if (of.pr_ident != p->ident) {
-      // The pid was reused: the successor's ledger never counted this
-      // descriptor, so its close must leave it alone.
-      return;
-    }
-    auto* priv = static_cast<Pr2Priv*>(of.priv.get());
-    kernel_->ktrace().Emit(
-        KtEvent::kProcClose, p->pid, 0,
-        priv != nullptr && priv->opener != nullptr
-            ? static_cast<uint32_t>(priv->opener->pid)
-            : 0,
-        priv != nullptr && priv->counted_writable ? 1 : 0);
-    bool counted_writable = priv != nullptr && priv->counted_writable;
-    if (of.pr_gen != p->trace.gen) {
-      // Invalidated by a set-id exec: drain the stale ledger only (shared
-      // rule with the flat implementation); the live incarnation's counters
-      // and exclusivity are off limits.
-      kernel_->PrStaleClose(p, counted_writable);
-      return;
-    }
-    if ((of.oflags & O_EXCL) && counted_writable) {
-      p->trace.excl = false;
-    }
-    --p->trace.total_opens;
-    if (counted_writable) {
-      if (--p->trace.writable_opens == 0) {
-        kernel_->PrLastClose(p);
-      }
-    }
   }
 
   Result<int64_t> Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) override {
@@ -202,12 +135,9 @@ class Pr2FileVnode : public Vnode {
       }
       case Pr2Kind::kCtlAudit:
         return ServeStruct(BuildPrCtlAudit(p), off, buf);
-      case Pr2Kind::kProf: {
+      case Pr2Kind::kProf:
         // Folded-stack profiler dump; an unprofiled process reads empty.
-        std::string text = kernel_->ProfText(*p);
-        return ServeBytes(std::vector<uint8_t>(text.begin(), text.end()), off,
-                          buf);
-      }
+        return ServeBytes(TextBytes(kernel_->ProfText(*p)), off, buf);
       case Pr2Kind::kCtl:
         return Errno::kEACCES;
       case Pr2Kind::kTrace:
@@ -229,45 +159,27 @@ class Pr2FileVnode : public Vnode {
         }
         return p->as->PrWrite(static_cast<uint32_t>(off), buf);
       }
-      case Pr2Kind::kCtl: {
-        auto* priv = static_cast<Pr2Priv*>(of.priv.get());
-        bool native = priv != nullptr && priv->opener != nullptr && priv->opener->native;
-        return RunCtlStream(*kernel_, p, nullptr, buf, native,
-                            priv ? priv->opener : nullptr);
-      }
+      case Pr2Kind::kCtl:
+        return RunCtlStream(*kernel_, p, nullptr, buf, kernel_->PrLedgerOpener(of));
       default:
         return Errno::kEACCES;
     }
   }
 
-  int Poll(OpenFile& of) override {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr || of.pr_ident != p->ident || of.pr_gen != p->trace.gen) {
-      return POLLNVAL;
-    }
-    if (p->state == Proc::State::kZombie) {
-      return POLLHUP;
-    }
-    return kernel_->PrIsStopped(p) ? POLLPRI : 0;
-  }
-
-  int32_t PrCountedTarget() const override { return pid_; }
-
  private:
-  Result<Proc*> Target(const OpenFile& of) const {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr) {
-      return Errno::kENOENT;
-    }
-    if (of.pr_ident != p->ident) {
-      // Pid wraparound: the descriptor's process is gone, and the pid now
-      // names a stranger.
-      return Errno::kENOENT;
-    }
-    if (of.pr_gen != p->trace.gen) {
+  // ctl is write-only and the status files are read-only; as is either.
+  Result<void> Admit(const OpenFile& of, Proc* /*target*/) override {
+    if (kind_ != Pr2Kind::kAs && of.writable != (kind_ == Pr2Kind::kCtl)) {
       return Errno::kEACCES;
     }
-    if (p->state == Proc::State::kZombie && kind_ != Pr2Kind::kPsinfo &&
+    return Result<void>::Ok();
+  }
+
+  // The ledger's target; a zombie keeps only psinfo, cred, usage and
+  // ctlaudit.
+  Result<Proc*> Target(const OpenFile& of) const {
+    auto p = kernel_->PrLedgerTarget(of, pid_);
+    if (p.ok() && (*p)->state == Proc::State::kZombie && kind_ != Pr2Kind::kPsinfo &&
         kind_ != Pr2Kind::kCred && kind_ != Pr2Kind::kUsage &&
         kind_ != Pr2Kind::kCtlAudit) {
       return Errno::kENOENT;
@@ -275,17 +187,13 @@ class Pr2FileVnode : public Vnode {
     return p;
   }
 
-  Kernel* kernel_;
-  Pid pid_;
   Pr2Kind kind_;
 };
 
-class Pr2LwpFileVnode : public Vnode {
+class Pr2LwpFileVnode : public PrCountedVnode {
  public:
   Pr2LwpFileVnode(Kernel* k, Pid pid, int lwpid, bool ctl)
-      : kernel_(k), pid_(pid), lwpid_(lwpid), ctl_(ctl) {}
-
-  VType type() const override { return VType::kProc; }
+      : PrCountedVnode(k, pid), lwpid_(lwpid), ctl_(ctl) {}
 
   Result<VAttr> GetAttr() override {
     Proc* p = kernel_->FindProc(pid_);
@@ -300,39 +208,15 @@ class Pr2LwpFileVnode : public Vnode {
     return a;
   }
 
-  Result<void> Open(OpenFile& of, const Creds& cr, Proc* caller) override {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr || p->FindLwp(lwpid_) == nullptr) {
-      return Errno::kENOENT;
-    }
-    SVR4_RETURN_IF_ERROR(ProcOpenPermission(cr, p));
-    if (ctl_ && !of.writable) {
-      return Errno::kEACCES;
-    }
-    if (!ctl_ && of.writable) {
-      return Errno::kEACCES;
-    }
-    auto priv = std::make_shared<Pr2Priv>();
-    priv->opener = caller;
-    of.priv = priv;
-    of.pr_gen = p->trace.gen;
-    of.pr_ident = p->ident;
-    return Result<void>::Ok();
-  }
-
   Result<int64_t> Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) override {
     if (ctl_) {
       return Errno::kEACCES;
     }
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr || of.pr_ident != p->ident || of.pr_gen != p->trace.gen) {
-      return Errno::kENOENT;
+    auto l = TargetLwp(of);
+    if (!l.ok()) {
+      return l.error();
     }
-    Lwp* l = p->FindLwp(lwpid_);
-    if (l == nullptr) {
-      return Errno::kENOENT;
-    }
-    return ServeStruct(BuildPrLwpStatus(p, l), off, buf);
+    return ServeStruct(BuildPrLwpStatus((*l)->proc, *l), off, buf);
   }
 
   Result<int64_t> Write(OpenFile& of, uint64_t /*off*/,
@@ -340,22 +224,37 @@ class Pr2LwpFileVnode : public Vnode {
     if (!ctl_) {
       return Errno::kEACCES;
     }
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr || of.pr_ident != p->ident || of.pr_gen != p->trace.gen) {
-      return Errno::kENOENT;
+    auto l = TargetLwp(of);
+    if (!l.ok()) {
+      return l.error();
     }
-    Lwp* l = p->FindLwp(lwpid_);
-    if (l == nullptr) {
-      return Errno::kENOENT;
-    }
-    auto* priv = static_cast<Pr2Priv*>(of.priv.get());
-    bool native = priv != nullptr && priv->opener != nullptr && priv->opener->native;
-    return RunCtlStream(*kernel_, p, l, buf, native, priv ? priv->opener : nullptr);
+    return RunCtlStream(*kernel_, (*l)->proc, *l, buf, kernel_->PrLedgerOpener(of));
   }
 
  private:
-  Kernel* kernel_;
-  Pid pid_;
+  Result<void> Admit(const OpenFile& of, Proc* target) override {
+    if (target->FindLwp(lwpid_) == nullptr) {
+      return Errno::kENOENT;
+    }
+    if (of.writable != ctl_) {
+      return Errno::kEACCES;  // lwpctl is write-only, lwpstatus read-only
+    }
+    return Result<void>::Ok();
+  }
+
+  // The ledger's target, then the lwp this file names.
+  Result<Lwp*> TargetLwp(const OpenFile& of) const {
+    auto p = kernel_->PrLedgerTarget(of, pid_);
+    if (!p.ok()) {
+      return p.error();
+    }
+    Lwp* l = (*p)->FindLwp(lwpid_);
+    if (l == nullptr) {
+      return Errno::kENOENT;
+    }
+    return l;
+  }
+
   int lwpid_;
   bool ctl_;
 };
@@ -403,20 +302,11 @@ class Pr2LwpListVnode : public Vnode {
   }
   Result<VnodePtr> Lookup(const std::string& name) override {
     Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr) {
+    auto id = ParseProcId(name);
+    if (p == nullptr || !id.ok() || p->FindLwp(*id) == nullptr) {
       return Errno::kENOENT;
     }
-    int id = 0;
-    for (char c : name) {
-      if (c < '0' || c > '9') {
-        return Errno::kENOENT;
-      }
-      id = id * 10 + (c - '0');
-    }
-    if (p->FindLwp(id) == nullptr) {
-      return Errno::kENOENT;
-    }
-    return VnodePtr(std::make_shared<Pr2LwpDirVnode>(kernel_, pid_, id));
+    return VnodePtr(std::make_shared<Pr2LwpDirVnode>(kernel_, pid_, *id));
   }
   Result<std::vector<DirEnt>> Readdir() override {
     Proc* p = kernel_->FindProc(pid_);
@@ -460,43 +350,23 @@ class Pr2ProcDirVnode : public Vnode {
     if (kernel_->FindProc(pid_) == nullptr) {
       return Errno::kENOENT;
     }
-    Pr2Kind kind;
-    if (name == "status") {
-      kind = Pr2Kind::kStatus;
-    } else if (name == "psinfo") {
-      kind = Pr2Kind::kPsinfo;
-    } else if (name == "cred") {
-      kind = Pr2Kind::kCred;
-    } else if (name == "usage") {
-      kind = Pr2Kind::kUsage;
-    } else if (name == "sigact") {
-      kind = Pr2Kind::kSigact;
-    } else if (name == "map") {
-      kind = Pr2Kind::kMap;
-    } else if (name == "as") {
-      kind = Pr2Kind::kAs;
-    } else if (name == "ctl") {
-      kind = Pr2Kind::kCtl;
-    } else if (name == "ctlaudit") {
-      kind = Pr2Kind::kCtlAudit;
-    } else if (name == "trace") {
-      kind = Pr2Kind::kTrace;
-    } else if (name == "prof") {
-      kind = Pr2Kind::kProf;
-    } else if (name == "lwp") {
+    if (name == "lwp") {
       return VnodePtr(std::make_shared<Pr2LwpListVnode>(kernel_, pid_));
-    } else {
-      return Errno::kENOENT;
     }
-    return VnodePtr(std::make_shared<Pr2FileVnode>(kernel_, pid_, kind));
+    for (const Pr2File& f : kPr2Files) {
+      if (name == f.name) {
+        return VnodePtr(std::make_shared<Pr2FileVnode>(kernel_, pid_, f.kind));
+      }
+    }
+    return Errno::kENOENT;
   }
   Result<std::vector<DirEnt>> Readdir() override {
-    return std::vector<DirEnt>{
-        {"as", VType::kProc},     {"ctl", VType::kProc},   {"status", VType::kProc},
-        {"psinfo", VType::kProc}, {"map", VType::kProc},   {"cred", VType::kProc},
-        {"sigact", VType::kProc}, {"usage", VType::kProc}, {"ctlaudit", VType::kProc},
-        {"trace", VType::kProc},  {"prof", VType::kProc},  {"lwp", VType::kDir},
-    };
+    std::vector<DirEnt> out;
+    for (const Pr2File& f : kPr2Files) {
+      out.push_back(DirEnt{f.name, VType::kProc});
+    }
+    out.push_back(DirEnt{"lwp", VType::kDir});
+    return out;
   }
 
  private:
@@ -504,55 +374,57 @@ class Pr2ProcDirVnode : public Vnode {
   Pid pid_;
 };
 
-// /proc2/kernel/faults: read-only introspection of the armed fault plan and
-// its per-site hit counters. Zombie-safe by construction — no process is
-// involved, so it reads identically whatever the process table holds.
-class Pr2FaultsVnode : public Vnode {
- public:
-  explicit Pr2FaultsVnode(Kernel* k) : kernel_(k) {}
-
-  VType type() const override { return VType::kProc; }
-  Result<VAttr> GetAttr() override {
-    VAttr a;
-    a.type = VType::kProc;
-    a.mode = 0444;
-    a.size = Render().size();
-    return a;
-  }
-  Result<void> Open(OpenFile& of, const Creds& /*cr*/, Proc* /*caller*/) override {
-    if (of.writable) {
-      return Errno::kEACCES;
-    }
-    return Result<void>::Ok();
-  }
-  Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
-    std::string text = Render();
-    std::vector<uint8_t> bytes(text.begin(), text.end());
-    return ServeBytes(bytes, off, buf);
-  }
-
- private:
-  std::string Render() const {
-    FaultInjector* finj = kernel_->fault_injector();
-    return finj ? finj->Describe() : std::string("faults: off\n");
-  }
-
-  Kernel* kernel_;
+// The process-independent files of /proc2/kernel, in Readdir order. Each
+// reads as its rendering, made afresh for every read(2) and stat; psall,
+// whose reads are windowed, has no renderer.
+using Pr2Render = std::vector<uint8_t> (*)(Kernel& k);
+struct Pr2KernelFile {
+  const char* name;
+  Pr2Render render;
+};
+constexpr Pr2KernelFile kPr2KernelFiles[] = {
+    // The armed fault plan and its per-site hit counters.
+    {"faults",
+     [](Kernel& k) {
+       FaultInjector* finj = k.fault_injector();
+       return TextBytes(finj ? finj->Describe() : "faults: off\n");
+     }},
+    // A binary snapshot of the global event ring: KtSnapHeader, then the
+    // records oldest first. A disabled or never-armed ring reads empty.
+    {"trace", [](Kernel& k) { return k.ktrace().Snapshot(); }},
+    // The metrics registry as text, one line per counter or histogram, with
+    // the fault injector's per-site counters folded in from their home.
+    {"metrics",
+     [](Kernel& k) {
+       return TextBytes(k.ktrace().MetricsText(k.fault_injector()) +
+                        k.ExecEngineMetricsText());
+     }},
+    {"psall", nullptr},
+    // Per-CPU scheduler and IPI accounting: run-queue depth, quanta,
+    // instructions, steals, context switches, shootdowns (DESIGN.md §13).
+    {"cpus", [](Kernel& k) { return TextBytes(k.CpuStatsText()); }},
+    // procd's span and occupancy registry in the metrics style. The kernel
+    // has no procd dependency: a running ProcdServer registers a renderer
+    // with SetProcdStatsProvider, and without one the file reads "procd off".
+    {"procd",
+     [](Kernel& k) {
+       const auto& provider = k.procd_stats_provider();
+       return TextBytes(provider ? provider() : "procd off\n");
+     }},
 };
 
-// /proc2/kernel/trace: binary snapshot of the global event ring
-// (KtSnapHeader then oldest-first KtRec records). A disabled or never-armed
-// ring reads as an empty file, not an error.
-class Pr2KtraceVnode : public Vnode {
+// A read-only /proc2/kernel file. No process is involved, so it reads alike
+// whatever the process table holds.
+class Pr2KernelFileVnode : public Vnode {
  public:
-  explicit Pr2KtraceVnode(Kernel* k) : kernel_(k) {}
+  Pr2KernelFileVnode(Kernel* k, Pr2Render render) : kernel_(k), render_(render) {}
 
   VType type() const override { return VType::kProc; }
   Result<VAttr> GetAttr() override {
     VAttr a;
     a.type = VType::kProc;
     a.mode = 0444;
-    a.size = kernel_->ktrace().Snapshot().size();
+    a.size = render_(*kernel_).size();
     return a;
   }
   Result<void> Open(OpenFile& of, const Creds& /*cr*/, Proc* /*caller*/) override {
@@ -562,70 +434,30 @@ class Pr2KtraceVnode : public Vnode {
     return Result<void>::Ok();
   }
   Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
-    return ServeBytes(kernel_->ktrace().Snapshot(), off, buf);
+    return ServeBytes(render_(*kernel_), off, buf);
   }
+
+ protected:
+  Kernel* kernel_;
 
  private:
-  Kernel* kernel_;
-};
-
-// /proc2/kernel/metrics: the metrics registry rendered as text, one line
-// per counter or histogram, with the fault injector's per-site counters
-// folded in from their single home.
-class Pr2KmetricsVnode : public Vnode {
- public:
-  explicit Pr2KmetricsVnode(Kernel* k) : kernel_(k) {}
-
-  VType type() const override { return VType::kProc; }
-  Result<VAttr> GetAttr() override {
-    VAttr a;
-    a.type = VType::kProc;
-    a.mode = 0444;
-    a.size = Render().size();
-    return a;
-  }
-  Result<void> Open(OpenFile& of, const Creds& /*cr*/, Proc* /*caller*/) override {
-    if (of.writable) {
-      return Errno::kEACCES;
-    }
-    return Result<void>::Ok();
-  }
-  Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
-    std::string text = Render();
-    std::vector<uint8_t> bytes(text.begin(), text.end());
-    return ServeBytes(bytes, off, buf);
-  }
-
- private:
-  std::string Render() const {
-    return kernel_->ktrace().MetricsText(kernel_->fault_injector()) +
-           kernel_->ExecEngineMetricsText();
-  }
-
-  Kernel* kernel_;
+  Pr2Render render_;
 };
 
 // /proc2/kernel/psall: the bulk population snapshot as packed PrPsinfo
 // records, ascending pid order, zombies included — the read(2) face of
 // PIOCPSALL. One open+read covers the whole process table; the per-pid
 // alternative costs four name resolutions per process.
-class Pr2PsallVnode : public Vnode {
+class Pr2PsallVnode : public Pr2KernelFileVnode {
  public:
-  explicit Pr2PsallVnode(Kernel* k) : kernel_(k) {}
+  explicit Pr2PsallVnode(Kernel* k) : Pr2KernelFileVnode(k, nullptr) {}
 
-  VType type() const override { return VType::kProc; }
   Result<VAttr> GetAttr() override {
     VAttr a;
     a.type = VType::kProc;
     a.mode = 0444;
     a.size = kernel_->ProcCount() * sizeof(PrPsinfo);
     return a;
-  }
-  Result<void> Open(OpenFile& of, const Creds& /*cr*/, Proc* /*caller*/) override {
-    if (of.writable) {
-      return Errno::kEACCES;
-    }
-    return Result<void>::Ok();
   }
   Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
     // Rebuilt per read: each read(2) is a fresh snapshot, like the other
@@ -662,77 +494,6 @@ class Pr2PsallVnode : public Vnode {
     uint64_t woff = off - std::min(off, first_row * kRow);
     return ServeBytes(window, woff, buf);
   }
-
- private:
-  Kernel* kernel_;
-};
-
-// /proc2/kernel/cpus: per-CPU scheduler and IPI accounting — run-queue
-// depth, quanta, instructions, steals, context switches, shootdowns. The
-// observability face of the SMP model (DESIGN.md has the protocol).
-class Pr2CpusVnode : public Vnode {
- public:
-  explicit Pr2CpusVnode(Kernel* k) : kernel_(k) {}
-
-  VType type() const override { return VType::kProc; }
-  Result<VAttr> GetAttr() override {
-    VAttr a;
-    a.type = VType::kProc;
-    a.mode = 0444;
-    a.size = kernel_->CpuStatsText().size();
-    return a;
-  }
-  Result<void> Open(OpenFile& of, const Creds& /*cr*/, Proc* /*caller*/) override {
-    if (of.writable) {
-      return Errno::kEACCES;
-    }
-    return Result<void>::Ok();
-  }
-  Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
-    std::string text = kernel_->CpuStatsText();
-    std::vector<uint8_t> bytes(text.begin(), text.end());
-    return ServeBytes(bytes, off, buf);
-  }
-
- private:
-  Kernel* kernel_;
-};
-
-// /proc2/kernel/procd: the network daemon's span/occupancy registry,
-// rendered in the /proc2/kernel/metrics style. The kernel has no procd
-// dependency: a running ProcdServer registers a renderer via
-// SetProcdStatsProvider; without one the file reads "procd off".
-class Pr2ProcdVnode : public Vnode {
- public:
-  explicit Pr2ProcdVnode(Kernel* k) : kernel_(k) {}
-
-  VType type() const override { return VType::kProc; }
-  Result<VAttr> GetAttr() override {
-    VAttr a;
-    a.type = VType::kProc;
-    a.mode = 0444;
-    a.size = Render().size();
-    return a;
-  }
-  Result<void> Open(OpenFile& of, const Creds& /*cr*/, Proc* /*caller*/) override {
-    if (of.writable) {
-      return Errno::kEACCES;
-    }
-    return Result<void>::Ok();
-  }
-  Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
-    std::string text = Render();
-    std::vector<uint8_t> bytes(text.begin(), text.end());
-    return ServeBytes(bytes, off, buf);
-  }
-
- private:
-  std::string Render() const {
-    const auto& provider = kernel_->procd_stats_provider();
-    return provider ? provider() : std::string("procd off\n");
-  }
-
-  Kernel* kernel_;
 };
 
 // /proc2/kernel: kernel-wide (process-independent) introspection files.
@@ -749,33 +510,21 @@ class Pr2KernelDirVnode : public Vnode {
     return a;
   }
   Result<VnodePtr> Lookup(const std::string& name) override {
-    if (name == "faults") {
-      return VnodePtr(std::make_shared<Pr2FaultsVnode>(kernel_));
-    }
-    if (name == "trace") {
-      return VnodePtr(std::make_shared<Pr2KtraceVnode>(kernel_));
-    }
-    if (name == "metrics") {
-      return VnodePtr(std::make_shared<Pr2KmetricsVnode>(kernel_));
-    }
-    if (name == "psall") {
-      return VnodePtr(std::make_shared<Pr2PsallVnode>(kernel_));
-    }
-    if (name == "cpus") {
-      return VnodePtr(std::make_shared<Pr2CpusVnode>(kernel_));
-    }
-    if (name == "procd") {
-      return VnodePtr(std::make_shared<Pr2ProcdVnode>(kernel_));
+    for (const Pr2KernelFile& f : kPr2KernelFiles) {
+      if (name == f.name) {
+        return f.render != nullptr
+                   ? VnodePtr(std::make_shared<Pr2KernelFileVnode>(kernel_, f.render))
+                   : VnodePtr(std::make_shared<Pr2PsallVnode>(kernel_));
+      }
     }
     return Errno::kENOENT;
   }
   Result<std::vector<DirEnt>> Readdir() override {
-    return std::vector<DirEnt>{{"faults", VType::kProc},
-                               {"trace", VType::kProc},
-                               {"metrics", VType::kProc},
-                               {"psall", VType::kProc},
-                               {"cpus", VType::kProc},
-                               {"procd", VType::kProc}};
+    std::vector<DirEnt> out;
+    for (const Pr2KernelFile& f : kPr2KernelFiles) {
+      out.push_back(DirEnt{f.name, VType::kProc});
+    }
+    return out;
   }
 
  private:
@@ -797,20 +546,11 @@ Result<VnodePtr> Pr2RootVnode::Lookup(const std::string& name) {
   if (name == "kernel") {
     return VnodePtr(std::make_shared<Pr2KernelDirVnode>(kernel_));
   }
-  if (name.empty() || name.size() > 10) {
+  auto pid = ParseProcId(name);
+  if (!pid.ok() || kernel_->FindProc(*pid) == nullptr) {
     return Errno::kENOENT;
   }
-  Pid pid = 0;
-  for (char c : name) {
-    if (c < '0' || c > '9') {
-      return Errno::kENOENT;
-    }
-    pid = pid * 10 + (c - '0');
-  }
-  if (kernel_->FindProc(pid) == nullptr) {
-    return Errno::kENOENT;
-  }
-  return VnodePtr(std::make_shared<Pr2ProcDirVnode>(kernel_, pid));
+  return VnodePtr(std::make_shared<Pr2ProcDirVnode>(kernel_, *pid));
 }
 
 Result<std::vector<DirEnt>> Pr2RootVnode::Readdir() {

@@ -310,6 +310,101 @@ TEST(KtraceProc, HeldFdServesReapedZombiesPidFilter) {
 }
 
 // ---------------------------------------------------------------------------
+// PROC_OPEN and PROC_CLOSE against the /proc open ledger: every descriptor
+// that emitted PROC_OPEN emits one PROC_CLOSE when it closes, live or stale,
+// so while the target exists the records' balance for its pid is the
+// ledger's live plus stale opens.
+// ---------------------------------------------------------------------------
+
+int OpenRecordBalance(Kernel& k, Pid pid) {
+  std::vector<uint8_t> raw = k.ktrace().Snapshot(pid);
+  EXPECT_EQ(k.ktrace().dropped(), 0u) << "the ring lost records";
+  if (raw.empty()) {
+    return 0;
+  }
+  KtSnapHeader hdr;
+  std::memcpy(&hdr, raw.data(), sizeof(hdr));
+  int balance = 0;
+  for (uint32_t i = 0; i < hdr.kt_nrec; ++i) {
+    KtRec r;
+    std::memcpy(&r, raw.data() + sizeof(hdr) + i * sizeof(KtRec), sizeof(r));
+    if (r.kt_event == static_cast<uint32_t>(KtEvent::kProcOpen)) {
+      ++balance;
+    } else if (r.kt_event == static_cast<uint32_t>(KtEvent::kProcClose)) {
+      --balance;
+    }
+  }
+  return balance;
+}
+
+void ExpectBalanced(Kernel& k, Pid pid, const std::string& step) {
+  SCOPED_TRACE(step);
+  Proc* p = k.FindProc(pid);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(OpenRecordBalance(k, pid), p->trace.total_opens + p->trace.stale_total_opens);
+  EXPECT_TRUE(k.CheckInvariants().empty());
+}
+
+TEST(ProcLedgerTrace, OpenMinusCloseRecordsEqualTheLedger) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  k.SetTracing(true, false);
+  ASSERT_TRUE(sim.InstallProgram("/bin/suid", "spin: jmp spin\n", 04755, 0, 0).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", R"(
+      ldi r0, SYS_exec
+      ldi r1, path
+      ldi r2, 0
+      sys
+      .data
+path: .asciz "/bin/suid"
+  )").ok());
+  auto pid = k.Spawn("/bin/prog", {"prog"}, Creds::User(100, 10));
+  ASSERT_TRUE(pid.ok());
+  Proc* me = sim.controller();
+  auto open = [&](const char* fmt, int oflags) {
+    char path[64];
+    std::snprintf(path, sizeof(path), fmt, *pid);
+    auto fd = k.Open(me, path, oflags);
+    EXPECT_TRUE(fd.ok()) << path;
+    ExpectBalanced(k, *pid, std::string("open ") + path);
+    return fd.ok() ? *fd : -1;
+  };
+  auto close = [&](int fd, const char* what) {
+    EXPECT_TRUE(k.Close(me, fd).ok()) << what;
+    ExpectBalanced(k, *pid, std::string("close ") + what);
+  };
+
+  int flat_ro = open("/proc/%05d", O_RDONLY);
+  int flat_rw = open("/proc/%05d", O_RDWR);
+  int status = open("/proc2/%d/status", O_RDONLY);
+  int ctl = open("/proc2/%d/ctl", O_WRONLY);
+  int lwpstatus = open("/proc2/%d/lwp/1/lwpstatus", O_RDONLY);
+  int lwpctl = open("/proc2/%d/lwp/1/lwpctl", O_WRONLY);
+  close(flat_rw, "live flat");
+  close(lwpstatus, "live lwpstatus");
+
+  ASSERT_TRUE(k.RunUntil([&] { return k.FindProc(*pid)->setid; }));
+  ExpectBalanced(k, *pid, "set-id exec");
+  EXPECT_EQ(k.FindProc(*pid)->trace.stale_total_opens, 4);
+
+  int fresh = open("/proc/%05d", O_RDWR);
+  close(flat_ro, "stale flat");
+  close(status, "stale status");
+  close(lwpctl, "stale lwpctl");
+  close(ctl, "stale ctl");
+  close(fresh, "live flat after the exec");
+
+  // Closes after a reap are silent: the ledger went with the process.
+  int held = open("/proc2/%d/lwp/1/lwpstatus", O_RDONLY);
+  ASSERT_TRUE(k.Kill(me, *pid, SIGKILL).ok());
+  ASSERT_TRUE(k.RunUntil([&] { return k.FindProc(*pid) == nullptr; }));
+  int before = OpenRecordBalance(k, *pid);
+  EXPECT_TRUE(k.Close(me, held).ok());
+  EXPECT_EQ(OpenRecordBalance(k, *pid), before);
+  EXPECT_TRUE(k.CheckInvariants().empty());
+}
+
+// ---------------------------------------------------------------------------
 // PIOCKSTAT and the metrics text.
 // ---------------------------------------------------------------------------
 

@@ -404,6 +404,25 @@ TEST(ProcdTrust, SizedQueriesMatchLocalBytes) {
   EXPECT_GT(queries, 20);
 }
 
+// A peer's path names a pid or an lwp id too large to exist, including one
+// that 32-bit arithmetic would wrap onto the live target: nothing resolves.
+TEST(ProcdTrust, OutOfRangeNamesAreEnoent) {
+  TrustRig rig;
+  std::string wrapped = std::to_string((uint64_t{1} << 32) + static_cast<uint64_t>(rig.pid()));
+  std::string dir = "/proc2/" + std::to_string(rig.pid());
+  for (const std::string& path :
+       {std::string("/proc/9999999999"), "/proc/" + wrapped, std::string("/proc2/9999999999"),
+        "/proc2/" + wrapped, dir + "/lwp/99999999999", dir + "/lwp/4294967297/lwpstatus"}) {
+    auto a = rig.rio().Stat(path);
+    ASSERT_FALSE(a.ok()) << path << " resolved";
+    EXPECT_EQ(a.error(), Errno::kENOENT) << path;
+    auto fd = rig.rio().Open(path, O_RDONLY);
+    ASSERT_FALSE(fd.ok()) << path << " opened";
+    EXPECT_EQ(fd.error(), Errno::kENOENT) << path;
+  }
+  EXPECT_TRUE(rig.rio().Stat(dir + "/lwp/00001/lwpstatus").ok());
+}
+
 // ---------------------------------------------------------------------------
 // Blocking operations: the ctl core runs the checks, the audit record and
 // the directive for a remote peer exactly as for a local controller, and
@@ -649,10 +668,7 @@ TEST_P(ProcdBlocking, RemoteMatchesLocal) {
       << FormatCtlAudit(local.audit) << "--- remote ---\n" << FormatCtlAudit(remote.audit);
   // Only an operation that passed its checks has a wait to park; it parks
   // even when the wait is over at once, and never pumps inside the daemon.
-  // lwp files are not counted in the /proc open ledger, so a set-id exec
-  // leaves an lwpctl descriptor valid (on both sides alike).
-  bool waits = (c.target == Target::kLive || c.target == Target::kIdleKernel ||
-                (c.target == Target::kSetIdExec && c.op == BlockOp::kLwpCtlStop)) &&
+  bool waits = (c.target == Target::kLive || c.target == Target::kIdleKernel) &&
                c.op != BlockOp::kPiocStopOnCtlFd;
   EXPECT_EQ(remote.parks, waits ? 1u : 0u);
 }
@@ -770,6 +786,11 @@ path: .asciz "/bin/suid"
   RemoteProcIo rio(srv.Connect(Creds::Root()));
   int flat = -1, status = -1;
   ASSERT_NO_FATAL_FAILURE(SubscribeBothViews(rio, *pid, &flat, &status));
+  char path[48];
+  std::snprintf(path, sizeof(path), "/proc2/%d/lwp/1/lwpstatus", *pid);
+  auto lwp = rio.Open(path, O_RDONLY);
+  ASSERT_TRUE(lwp.ok());
+  ASSERT_TRUE(rio.Subscribe(*lwp, POLLPRI).ok());
   EXPECT_EQ(DrainEvents(rio), EventList{});
 
   sim.kernel().RunUntil([&]() {
@@ -777,8 +798,9 @@ path: .asciz "/bin/suid"
     return p == nullptr || p->setid;
   });
   ASSERT_NE(sim.kernel().FindProc(*pid), nullptr);
-  EXPECT_EQ(DrainEvents(rio), (EventList{{flat, POLLNVAL}, {status, POLLNVAL}}))
-      << "the set-id exec invalidated both descriptors";
+  EXPECT_EQ(DrainEvents(rio),
+            (EventList{{flat, POLLNVAL}, {status, POLLNVAL}, {*lwp, POLLNVAL}}))
+      << "the set-id exec invalidated every descriptor, lwp files too";
 }
 
 TEST(ProcdEvents, ConsoleSubscriptionFollowsInputAndRead) {

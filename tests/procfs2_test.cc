@@ -41,6 +41,12 @@ std::string Pr2Path(Pid pid, const std::string& file) {
   return buf;
 }
 
+std::string FlatPathOf(Pid pid) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "/proc/%05d", pid);
+  return buf;
+}
+
 // Builds a control-message stream.
 class CtlMsg {
  public:
@@ -537,6 +543,245 @@ TEST(Proc2Ctl, RunOnLastCloseWorksThroughCtl) {
   EXPECT_EQ(p->MainLwp()->state, LwpState::kRunning)
       << "closing the last writable ctl descriptor releases the process";
   EXPECT_TRUE(p->trace.sigtrace.Empty());
+}
+
+// ---------------------------------------------------------------------------
+// The /proc open ledger: flat files, /proc2 files and lwp files open, count,
+// validate, poll and close by one set of rules.
+// ---------------------------------------------------------------------------
+
+// Execs a set-id program straight away.
+constexpr char kExecSuid[] = R"(
+      ldi r0, SYS_exec
+      ldi r1, path
+      ldi r2, 0
+      sys
+      ldi r0, SYS_exit
+      ldi r1, 1
+      sys
+      .data
+path: .asciz "/bin/suid"
+)";
+
+// A user-100 process that execs a root set-id program; the controller is
+// the super-user, so it may open the target before and after the exec.
+Pid StartSetIdExec(Sim& sim) {
+  EXPECT_TRUE(sim.InstallProgram("/bin/suid", "spin: jmp spin\n", 04755, 0, 0).ok());
+  EXPECT_TRUE(sim.InstallProgram("/bin/prog", kExecSuid).ok());
+  auto pid = sim.kernel().Spawn("/bin/prog", {"prog"}, Creds::User(100, 10));
+  EXPECT_TRUE(pid.ok());
+  return pid.ok() ? *pid : -1;
+}
+
+void RunUntilSetId(Sim& sim, Pid pid) {
+  ASSERT_TRUE(sim.kernel().RunUntil([&] {
+    Proc* p = sim.kernel().FindProc(pid);
+    return p == nullptr || p->setid;
+  }));
+  ASSERT_NE(sim.kernel().FindProc(pid), nullptr);
+}
+
+// Opens /proc2/<target>/<file> for writing, forks a child that inherits the
+// descriptor and pauses, and exits.
+std::string OpenForkExit(Pid target, const std::string& file) {
+  return R"(
+      ldi r0, SYS_open
+      ldi r1, path
+      ldi r2, O_WRONLY
+      ldi r3, 0
+      sys
+      ldi r0, SYS_fork
+      sys
+      cmpi r0, 0
+      jz child
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+child:
+      ldi r0, SYS_pause
+      sys
+      jmp child
+      .data
+path: .asciz ")" + Pr2Path(target, file) + "\"\n";
+}
+
+// The opener of a ctl or lwpctl descriptor exits and is reaped while a
+// forked child still holds the descriptor: the child's write runs as an
+// anonymous, non-native caller and its close balances the ledger.
+class ProcLedgerOpenerReaped : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ProcLedgerOpenerReaped, ChildWritesAndClosesTheInheritedDescriptor) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  auto t = StartProgram(sim, kCounter);
+  ASSERT_TRUE(sim.InstallProgram("/bin/opener", OpenForkExit(t.pid, GetParam())).ok());
+  auto opener = k.Spawn("/bin/opener", {"opener"}, Creds::Root(), sim.controller());
+  ASSERT_TRUE(opener.ok());
+  Proc* child = nullptr;
+  ASSERT_TRUE(k.RunUntil([&] {
+    for (Pid q : k.AllPids()) {
+      Proc* c = k.FindProc(q);
+      if (q != *opener && c->name == "opener" && c->MainLwp() != nullptr &&
+          c->MainLwp()->state == LwpState::kSleeping) {
+        child = c;
+      }
+    }
+    return child != nullptr && k.FindProc(*opener)->state == Proc::State::kZombie;
+  }));
+  ASSERT_TRUE(k.Wait(sim.controller(), *opener).ok());
+  ASSERT_EQ(k.FindProc(*opener), nullptr) << "the opener must be reaped";
+  int fd = -1;
+  for (size_t i = 0; i < child->fds.size(); ++i) {
+    if (child->fds[i] && child->fds[i]->vp->type() == VType::kProc) {
+      fd = static_cast<int>(i);
+    }
+  }
+  ASSERT_GE(fd, 0);
+
+  CtlMsg msg;
+  msg.Cmd(PCDSTOP);
+  auto w = k.Write(child, fd, msg.bytes().data(), msg.bytes().size());
+  ASSERT_TRUE(w.ok()) << ErrnoName(w.error());
+  EXPECT_EQ(*w, 4);
+  Proc* p = k.FindProc(t.pid);
+  ASSERT_NE(p, nullptr);
+  ASSERT_GT(p->trace.audit_total, 0u);
+  const CtlAuditRec& rec = (*p->trace.audit)[(p->trace.audit_total - 1) % kCtlAuditCap];
+  EXPECT_STREQ(rec.pr_op, "PCDSTOP");
+  EXPECT_EQ(rec.pr_caller, 0) << "a reaped opener is nobody";
+  EXPECT_EQ(rec.pr_errno, 0);
+  EXPECT_TRUE(k.CheckInvariants().empty());
+
+  ASSERT_TRUE(k.Close(child, fd).ok());
+  EXPECT_EQ(p->trace.total_opens, 0);
+  EXPECT_EQ(p->trace.writable_opens, 0);
+  EXPECT_TRUE(k.CheckInvariants().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(CtlFiles, ProcLedgerOpenerReaped,
+                         ::testing::Values("ctl", "lwp/1/lwpctl"),
+                         [](const auto& info) {
+                           return std::string(info.index == 0 ? "ctl" : "lwpctl");
+                         });
+
+TEST(ProcLedger, LwpStatusOpenCounts) {
+  Sim sim;
+  auto t = StartProgram(sim, kCounter);
+  Proc* p = sim.kernel().FindProc(t.pid);
+  int fd = OpenPr2(sim, t.pid, "lwp/1/lwpstatus", O_RDONLY);
+  EXPECT_EQ(p->trace.total_opens, 1);
+  EXPECT_EQ(p->trace.writable_opens, 0);
+  EXPECT_TRUE(sim.kernel().CheckInvariants().empty());
+  ASSERT_TRUE(sim.kernel().Close(sim.controller(), fd).ok());
+  EXPECT_EQ(p->trace.total_opens, 0);
+}
+
+TEST(ProcLedger, CtlExclusiveHolderRefusesLwpCtl) {
+  Sim sim;
+  auto t = StartProgram(sim, kCounter);
+  Kernel& k = sim.kernel();
+  int ctl = OpenPr2(sim, t.pid, "ctl", O_WRONLY | O_EXCL);
+  auto lwpctl = k.Open(sim.controller(), Pr2Path(t.pid, "lwp/1/lwpctl"), O_WRONLY);
+  ASSERT_FALSE(lwpctl.ok());
+  EXPECT_EQ(lwpctl.error(), Errno::kEBUSY);
+  // Read-only lwp files are unaffected by exclusivity.
+  EXPECT_TRUE(k.Open(sim.controller(), Pr2Path(t.pid, "lwp/1/lwpstatus"), O_RDONLY).ok());
+  ASSERT_TRUE(k.Close(sim.controller(), ctl).ok());
+
+  // A writable lwpctl honours O_EXCL both ways.
+  int lwp = OpenPr2(sim, t.pid, "lwp/1/lwpctl", O_WRONLY | O_EXCL);
+  auto flat = k.Open(sim.controller(), FlatPathOf(t.pid), O_RDWR);
+  ASSERT_FALSE(flat.ok());
+  EXPECT_EQ(flat.error(), Errno::kEBUSY);
+  ASSERT_TRUE(k.Close(sim.controller(), lwp).ok());
+  int writer = OpenPr2(sim, t.pid, "ctl", O_WRONLY);
+  auto excl = k.Open(sim.controller(), Pr2Path(t.pid, "lwp/1/lwpctl"), O_WRONLY | O_EXCL);
+  ASSERT_FALSE(excl.ok());
+  EXPECT_EQ(excl.error(), Errno::kEBUSY);
+  ASSERT_TRUE(k.Close(sim.controller(), writer).ok());
+  EXPECT_TRUE(k.CheckInvariants().empty());
+}
+
+TEST(ProcLedger, RunOnLastCloseWaitsForTheLastLwpCtl) {
+  Sim sim;
+  auto t = StartProgram(sim, kCounter);
+  Kernel& k = sim.kernel();
+  int ctl = OpenPr2(sim, t.pid, "ctl", O_WRONLY);
+  int lwpctl = OpenPr2(sim, t.pid, "lwp/1/lwpctl", O_WRONLY);
+  uint32_t rlc = PR_RLC;
+  ASSERT_TRUE(WriteCtl(sim, ctl, CtlMsg().Cmd(PCSTOP).Cmd(PCSET, rlc)).ok());
+  Proc* p = k.FindProc(t.pid);
+  ASSERT_EQ(p->MainLwp()->state, LwpState::kStopped);
+
+  ASSERT_TRUE(k.Close(sim.controller(), ctl).ok());
+  EXPECT_EQ(p->MainLwp()->state, LwpState::kStopped)
+      << "a writable lwpctl is still open: the last close has not come";
+  EXPECT_TRUE(p->trace.run_on_last_close);
+  ASSERT_TRUE(k.Close(sim.controller(), lwpctl).ok());
+  EXPECT_EQ(p->MainLwp()->state, LwpState::kRunning);
+  EXPECT_FALSE(p->trace.run_on_last_close);
+  EXPECT_TRUE(k.CheckInvariants().empty());
+}
+
+TEST(ProcLedger, LwpFilePollAfterReapIsNval) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/quick", R"(
+      ldi r0, SYS_exit
+      ldi r1, 5
+      sys
+  )").ok());
+  Kernel& k = sim.kernel();
+  auto pid = k.Spawn("/bin/quick", {"quick"}, Creds::Root(), sim.controller());
+  ASSERT_TRUE(pid.ok());
+  int fd = OpenPr2(sim, *pid, "lwp/1/lwpstatus", O_RDONLY);
+  PollFd pf;
+  pf.fd = fd;
+  pf.events = POLLIN | POLLPRI;
+  ASSERT_TRUE(k.RunToExit(*pid).ok());
+  auto n = k.PollFds(sim.controller(), std::span<PollFd>(&pf, 1), 0);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(pf.revents, POLLHUP) << "a zombie hangs up";
+  ASSERT_TRUE(k.Wait(sim.controller(), *pid).ok());
+  n = k.PollFds(sim.controller(), std::span<PollFd>(&pf, 1), 0);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 1);
+  EXPECT_EQ(pf.revents, POLLNVAL);
+  ASSERT_TRUE(k.Close(sim.controller(), fd).ok());
+  EXPECT_TRUE(k.CheckInvariants().empty());
+}
+
+TEST(ProcLedger, LwpFilesAreInvalidatedBySetIdExec) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  Pid pid = StartSetIdExec(sim);
+  // The lwp files are the controller's only descriptors on the target.
+  int lwpctl = OpenPr2(sim, pid, "lwp/1/lwpctl", O_WRONLY);
+  int lwpstatus = OpenPr2(sim, pid, "lwp/1/lwpstatus", O_RDONLY);
+  ASSERT_NO_FATAL_FAILURE(RunUntilSetId(sim, pid));
+
+  auto w = WriteCtl(sim, lwpctl, CtlMsg().Cmd(PCDSTOP));
+  ASSERT_FALSE(w.ok()) << "an lwpctl descriptor kept control across a set-id exec";
+  EXPECT_EQ(w.error(), Errno::kEACCES);
+  PrLwpStatus ls;
+  auto r = k.Read(sim.controller(), lwpstatus, &ls, sizeof(ls));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), Errno::kEACCES);
+  PollFd pf;
+  pf.fd = lwpctl;
+  pf.events = POLLPRI;
+  ASSERT_TRUE(k.PollFds(sim.controller(), std::span<PollFd>(&pf, 1), 0).ok());
+  EXPECT_EQ(pf.revents, POLLNVAL);
+
+  // The exec directed the target to stop; the last stale writer's close
+  // runs it again.
+  Proc* p = k.FindProc(pid);
+  EXPECT_EQ(p->trace.stale_total_opens, 2);
+  EXPECT_EQ(p->trace.stale_writable_opens, 1);
+  ASSERT_TRUE(k.Close(sim.controller(), lwpstatus).ok());
+  ASSERT_TRUE(k.Close(sim.controller(), lwpctl).ok());
+  EXPECT_EQ(p->trace.stale_total_opens, 0);
+  EXPECT_FALSE(p->trace.run_on_last_close);
+  EXPECT_TRUE(k.CheckInvariants().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -138,6 +138,30 @@ TEST(ProcDir, LookupOfNonProcessFails) {
   EXPECT_FALSE(sim.kernel().Stat(sim.controller(), "/proc/banana").ok());
 }
 
+// Names under /proc and /proc2 are untrusted input (procd peers send
+// paths). A decimal too large for a pid or an lwp id names nothing, even
+// one that 32-bit arithmetic would wrap onto a live process; leading zeros
+// still resolve.
+TEST(ProcName, OutOfRangeNamesAreEnoent) {
+  Sim sim;
+  auto t = StartProgram(sim, kSpin);
+  std::string wrapped = std::to_string((uint64_t{1} << 32) + static_cast<uint64_t>(t.pid));
+  char padded[16];
+  std::snprintf(padded, sizeof(padded), "%010d", t.pid);
+  std::string dir = std::string("/proc2/") + padded;
+  for (const std::string& path :
+       {std::string("/proc/9999999999"), "/proc/" + wrapped, std::string("/proc2/9999999999"),
+        "/proc2/" + wrapped, dir + "/lwp/99999999999", dir + "/lwp/4294967297"}) {
+    auto a = sim.kernel().Stat(sim.controller(), path);
+    ASSERT_FALSE(a.ok()) << path << " resolved";
+    EXPECT_EQ(a.error(), Errno::kENOENT) << path;
+  }
+  for (const std::string& path : {std::string("/proc/") + padded, dir + "/status",
+                                  dir + "/lwp/0001/lwpstatus"}) {
+    EXPECT_TRUE(sim.kernel().Stat(sim.controller(), path).ok()) << path;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Address-space I/O.
 // ---------------------------------------------------------------------------
