@@ -73,7 +73,7 @@ void BM_ExecThroughput(benchmark::State& state) {
   const bool blocks = state.range(2) != 0;
   auto s = MakeSystem(tlb_on);
   Kernel& k = s.sim->kernel();
-  k.SetExecEngine(blocks ? ExecEngine::kBlocks : ExecEngine::kInterp);
+  k.SetExecEngine(blocks ? ExecEngine::kAuto : ExecEngine::kInterp);
   k.SetTracing(/*ring=*/trace_mode >= 1, /*metrics=*/trace_mode >= 2);
   const uint64_t before = k.counters().instructions;
   for (auto _ : state) {
@@ -160,7 +160,7 @@ void BM_ExecFootprint(benchmark::State& state) {
   (void)*sim.InstallProgram("/bin/ring", BlockRing(blocks));
   const Pid pid = *sim.Start("/bin/ring");
   Kernel& k = sim.kernel();
-  k.SetExecEngine(ExecEngine::kBlocks);
+  k.SetExecEngine(ExecEngine::kAuto);
   while (k.counters().instructions < 16 * 3 * static_cast<uint64_t>(blocks)) {
     k.Step();
   }
@@ -191,10 +191,10 @@ void BM_ExecFootprint(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecFootprint)->Arg(1024);
 
-// range(0): 0 = profiler disarmed (the codegen-neutrality claim: the kProf
-// template stamp is compiled in, the per-process gate cold), 1 = armed at
-// 1 sample per 2^8 instructions. CI's obs-overhead job asserts the
-// disarmed row tracks the BM_ExecThroughput/1/0/0 baseline.
+// range(0): 0 = profiler disarmed (the zero-cost claim: the user step's
+// sampling branch is compiled in but never taken), 1 = armed at 1 sample
+// per 2^8 instructions. CI's obs-overhead job asserts the disarmed row
+// tracks the BM_ExecThroughput/1/0/0 baseline.
 void BM_ExecProfiler(benchmark::State& state) {
   const bool armed = state.range(0) != 0;
   auto s = MakeSystem(/*tlb_on=*/true);

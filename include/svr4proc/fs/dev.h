@@ -24,9 +24,7 @@ class ConsoleVnode : public Vnode {
 
   // Host-side access for tests/examples.
   const std::string& output() const { return output_; }
-  void ClearOutput() { output_.clear(); }
   void PushInput(std::string_view s) { input_.insert(input_.end(), s.begin(), s.end()); }
-  bool HasInput() const { return !input_.empty(); }
 
  private:
   std::string output_;

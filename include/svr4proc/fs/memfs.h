@@ -27,7 +27,6 @@ class MemFile : public Vnode {
 
   std::vector<uint8_t>& data() { return data_; }
   const std::vector<uint8_t>& data() const { return data_; }
-  void Truncate() { data_.clear(); }
 
  private:
   VAttr attr_;

@@ -28,10 +28,11 @@
 // so the size changes only the counters, never what executes.
 //
 // The engine never runs when per-instruction observation is required: the
-// kernel falls back to the interpreter whenever fault injection or chaos
-// scheduling is armed, the trace bit is set, watchpoints are active, or the
-// software TLB is disabled. Event tracing is emitted from cold paths both
-// engines share, so arming it leaves the block engine running.
+// kernel's user step falls back to the interpreter, one instruction at a
+// time, whenever the trace bit is set, watchpoints are active, or the
+// software TLB is disabled. Fault injection, chaos scheduling and event
+// tracing hook the kernel's one quantum loop on cold paths, so arming them
+// leaves the block engine running.
 #ifndef SVR4PROC_ISA_BLOCKS_H_
 #define SVR4PROC_ISA_BLOCKS_H_
 

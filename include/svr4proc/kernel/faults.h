@@ -74,7 +74,6 @@ class FaultPlan {
     return *this;
   }
   const FaultRule& rule(FaultSite s) const { return rules_[static_cast<int>(s)]; }
-  bool AnyArmed() const;
 
  private:
   std::array<FaultRule, kFaultSiteCount> rules_{};

@@ -16,6 +16,7 @@
 #define SVR4PROC_KERNEL_KERNEL_H_
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -74,19 +75,17 @@ struct KernelCounters {
   uint64_t instructions = 0;  // virtual-ISA instructions retired
   uint64_t timer_events = 0;  // alarms fired + timed sleeps woken
   uint64_t reaps = 0;         // zombies reaped into init off the reap list
-  uint64_t quanta_interp = 0;  // quanta run by the interpreter (incl. hooked)
+  uint64_t quanta_interp = 0;  // quanta run under the kInterp pin
   uint64_t quanta_blocks = 0;  // quanta run by the block engine
 };
 
-// Which execution engine runs un-hooked quanta. Hooked quanta (fault
-// injection or chaos armed) always take the instrumented interpreter
-// regardless of this setting, so the perturbation hooks never miss an
-// instruction. Tracing is not a hook here: its events come from cold paths
-// both engines share, so an armed ring or registry keeps the block engine.
+// Which execution engine runs user code. The engine is all this selects:
+// fault injection, chaos, tracing and the profiler hook the one quantum
+// loop on cold paths, so arming them never changes the engine.
 enum class ExecEngine {
-  kAuto,    // block engine whenever hooks are off (the default)
-  kInterp,  // force the decode-dispatch interpreter
-  kBlocks,  // force the predecoded-block engine (still interp when hooked)
+  kAuto,    // the predecoded-block engine, stepping the interpreter where
+            // no block applies (the default; SVR4PROC_EXEC_ENGINE=blocks)
+  kInterp,  // pin the decode-dispatch interpreter
 };
 
 // ptrace(2) requests (the SVR4 set; no attach — controlling unrelated
@@ -274,8 +273,8 @@ class Kernel {
   // Arms (period_log2 >= 0, samples every 2^period_log2 retired
   // instructions) or disarms (period_log2 < 0) the deterministic pc sampler
   // on one process. Arming resets the accumulated buckets; disarming keeps
-  // them readable. prof_armed() counting lets ExecuteLwp route unprofiled
-  // quanta through the profiler-free loop stamps.
+  // them readable. While prof_armed() is zero the user step never looks at
+  // a process's profiler state.
   Result<void> SetProfiling(Proc* p, int period_log2);
   int prof_armed() const { return prof_armed_; }
   // /proc2/<pid>/prof rendering: folded-stack text, one
@@ -300,9 +299,10 @@ class Kernel {
   void SetProcdPollHook(std::function<void(Pid)> fn) { procd_poll_hook_ = std::move(fn); }
 
   // --- Execution engine (isa/blocks.h) --------------------------------------
-  // Engine selection for un-hooked quanta. The constructor honors the
-  // SVR4PROC_EXEC_ENGINE environment variable ("interp" or "blocks") so
-  // tests, benches, and CI sweeps can pin an engine without code changes.
+  // Engine selection for every quantum. The constructor honors the
+  // SVR4PROC_EXEC_ENGINE environment variable ("interp", or "blocks" for
+  // kAuto) so tests, benches, and CI sweeps can pin an engine without code
+  // changes.
   void SetExecEngine(ExecEngine e) { exec_engine_ = e; }
   ExecEngine exec_engine() const { return exec_engine_; }
   // Block-cache counters and allocated slots aggregated over all live
@@ -389,23 +389,23 @@ class Kernel {
   // execution on worker threads, folds results and does kernel work
   // serially (kernel.cc has the phase breakdown).
   bool StepFreeRun();
-  // Pure user execution for one lwp on a worker thread: no kernel state is
-  // touched; returns instructions retired and the terminating event.
-  uint32_t RunUserChunk(Lwp* lwp, uint32_t budget, int cpu, StepResult* last);
+  // The user step, for a deterministic quantum and a free-running worker
+  // alike: runs lwp's user code until a trap or `budget` instructions, from
+  // the block cache unless kInterp is pinned, else one CpuStep at a time.
+  // Touches no kernel state except the armed profiler's buckets; returns
+  // instructions retired and the terminating event. A worker passes its
+  // CPU's IPI counter and yields as soon as an IPI is pending.
+  uint32_t RunUserChunk(Lwp* lwp, uint32_t budget, StepResult* last,
+                        const std::atomic<uint64_t>* ipi = nullptr);
+  // Charges a user run to the clock and lwp, then takes the trap that ended
+  // it. A null lwp (a free-running pick reaped before its fold) still
+  // charges the clock.
+  void FoldUserRun(Lwp* lwp, uint32_t executed, const StepResult& last);
+  // Per-CPU quantum, switch and engine counts for one quantum or chunk.
+  void CountQuantum(CpuState& c, Pid pid, int lwpid);
+  // The quantum loop: event checks, user steps, folds and traps until the
+  // budget runs out or the lwp stops running.
   void ExecuteLwp(Lwp* lwp, int budget);
-  // The interpreter loop, stamped once without perturbation hooks (the hot
-  // path stays byte-identical to an unhooked kernel) and once with the
-  // fault-injection and chaos-preemption checks compiled in. kProf is an
-  // orthogonal stamp axis: only PIOCPROF-armed processes run the sampling
-  // instantiations, so a disarmed profiler leaves the hot loops untouched.
-  template <bool kHooks, bool kProf>
-  void ExecuteLwpImpl(Lwp* lwp, int budget);
-  // The block-engine quantum loop: identical event/budget structure to
-  // ExecuteLwpImpl<false>, but straight-line runs execute from the
-  // predecoded block cache. Falls back to single CpuStep calls whenever a
-  // block cannot be used (trace bit, watchpoints, TLB off, uncacheable pc).
-  template <bool kProf>
-  void ExecuteLwpBlocks(Lwp* lwp, int budget);
   // Drops a dying process's profiler state, keeping prof_armed_ honest.
   void ReleaseProf(Proc* p);
 
@@ -616,8 +616,8 @@ class Kernel {
   // kernel). Per-CPU SCHED_SWITCH attribution lives in CpuState.
   KTrace kt_{&ticks_, &cur_cpu_};
 
-  // Count of live processes with the sampling profiler armed; ExecuteLwp's
-  // routing gate and Step()'s free-run gate read it.
+  // Count of live processes with the sampling profiler armed; the user
+  // step's sampling gate and Step()'s free-run gate read it.
   int prof_armed_ = 0;
 
   // Stats renderer registered by a running ProcdServer (see

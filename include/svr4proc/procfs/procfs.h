@@ -74,6 +74,10 @@ class ProcVnode : public PrCountedVnode {
 // untrusted paths (procd peers send them); anything else is ENOENT.
 Result<int32_t> ParseProcId(const std::string& name);
 
+// The /proc and /proc2 directory name of a pid: decimal, zero-padded to at
+// least five digits ("00042"), never truncated. ParseProcId reads it back.
+std::string PidName(Pid pid);
+
 // Translates a prrun_t into kernel RunArgs. Shared with /proc2's PCRUN.
 RunArgs ToRunArgs(const PrRun& r);
 

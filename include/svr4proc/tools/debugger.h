@@ -62,7 +62,6 @@ class Debugger {
   Result<void> SetBreakpoint(const std::string& symbol);
   Result<void> SetConditionalBreakpoint(uint32_t addr, Condition cond);
   Result<void> ClearBreakpoint(uint32_t addr);
-  bool HasBreakpoint(uint32_t addr) const { return breakpoints_.count(addr) != 0; }
 
   // --- watchpoints ---
   Result<void> WatchVariable(const std::string& symbol, uint32_t size, int wflags);
@@ -101,7 +100,6 @@ class Debugger {
     Condition cond;  // empty: unconditional
   };
 
-  Result<void> PlantAll();
   Result<void> LiftAll();
   // Steps over the breakpoint at the current pc (lift, single-step, replant).
   Result<void> StepOverBreakpoint(uint32_t addr);

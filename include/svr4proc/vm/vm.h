@@ -293,7 +293,6 @@ class AddressSpace : public MemoryIf {
   // Watchpoints.
   Result<void> AddWatch(const Watch& w);
   Result<void> ClearWatch(uint32_t vaddr);  // removes watchpoints starting at vaddr
-  void ClearAllWatches();
   const std::vector<Watch>& Watches() const { return watches_; }
   // The watchpoint (if any) that an access [addr,addr+len) with the given
   // kind would trigger.

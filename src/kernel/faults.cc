@@ -46,15 +46,6 @@ const char* FaultSiteName(FaultSite s) {
   return "?";
 }
 
-bool FaultPlan::AnyArmed() const {
-  for (const FaultRule& r : rules_) {
-    if (r.num != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
   for (int i = 0; i < kFaultSiteCount; ++i) {
     // Decorrelate sites that share a seed by folding the site index in.

@@ -70,13 +70,11 @@ Kernel::Kernel() {
   Proc* pageout = AllocProc("pageout", Creds::Root(), sched);
   pageout->system_proc = true;
 
-  // Engine pin for tests/benches/CI sweeps; unset or unrecognized = auto.
-  if (const char* e = std::getenv("SVR4PROC_EXEC_ENGINE")) {
-    if (std::strcmp(e, "interp") == 0) {
-      exec_engine_ = ExecEngine::kInterp;
-    } else if (std::strcmp(e, "blocks") == 0) {
-      exec_engine_ = ExecEngine::kBlocks;
-    }
+  // Engine pin for tests/benches/CI sweeps: "interp" pins the interpreter;
+  // "blocks", unset or anything else is the default block engine.
+  const char* engine = std::getenv("SVR4PROC_EXEC_ENGINE");
+  if (engine != nullptr && std::strcmp(engine, "interp") == 0) {
+    exec_engine_ = ExecEngine::kInterp;
   }
 
   // SMP wiring: the trace ring stamps kIpi records and cur_cpu_ names the
@@ -990,19 +988,11 @@ void Kernel::RunQuantumOn(int cpu, Lwp* lwp, int budget_override) {
     c.last_pid = p->pid;
     c.last_lwpid = lwp->lwpid;
   }
-  // Switch counting for /proc2/kernel/cpus is tracked separately from the
-  // trace attribution so arming the ring mid-run cannot change what records
-  // a previously-disarmed kernel would have emitted.
-  if (p->pid != c.sw_pid || lwp->lwpid != c.sw_lwpid) {
-    ++c.stats.switches;
-    c.sw_pid = p->pid;
-    c.sw_lwpid = lwp->lwpid;
-  }
+  CountQuantum(c, p->pid, lwp->lwpid);
   c.cur_as = p->as.get();
   if (p->as) {
     p->as->BindCpu(cpu);
   }
-  ++c.stats.quanta;
   uint64_t before = counters_.instructions;
   // nice(2) weights the quantum: the default (20) gets kQuantum; a fully
   // niced process (39) gets a sliver; a high-priority one (0) gets double.
@@ -1233,7 +1223,8 @@ bool Kernel::StepFreeRun() {
           l->proc->state != Proc::State::kActive) {
         return;  // a serial quantum stopped, killed or reaped it meanwhile
       }
-      pk.executed = RunUserChunk(l, pk.budget, pk.cpu, &pk.last);
+      l->proc->as->BindCpu(pk.cpu);  // this worker's translations go to its own bank
+      pk.executed = RunUserChunk(l, pk.budget, &pk.last, &smp_.cpu(pk.cpu).ipi_pending);
     });
   }
 
@@ -1241,33 +1232,14 @@ bool Kernel::StepFreeRun() {
     Pick& pk = picks[i];
     Lwp* l = resolve(pk);  // an earlier pick's trap may have reaped it
     if (pk.parallel) {
+      // The accounting a deterministic quantum gives the same run.
       CpuState& c = smp_.cpu(pk.cpu);
-      ++c.stats.quanta;
-      // Same engine attribution ExecuteLwp gives a quantum.
-      if (exec_engine_ != ExecEngine::kInterp) {
-        ++counters_.quanta_blocks;
-      } else {
-        ++counters_.quanta_interp;
-      }
+      CountQuantum(c, pk.pid, pk.lwpid);
       c.stats.instructions += pk.executed;
-      if (pk.pid != c.sw_pid || pk.lwpid != c.sw_lwpid) {
-        ++c.stats.switches;
-        c.sw_pid = pk.pid;
-        c.sw_lwpid = pk.lwpid;
-      }
-      ticks_ += pk.executed;
-      counters_.instructions += pk.executed;
-      if (l != nullptr) {
-        l->proc->utime += pk.executed;
-        cur_cpu_ = pk.cpu;
-        if (pk.last.kind == StepResult::kSyscall) {
-          SyscallTrap(l);
-        } else if (pk.last.kind == StepResult::kFault) {
-          HandleFault(l, pk.last.fault, pk.last.fault_addr);
-        }
-        cur_cpu_ = 0;
-        l = resolve(pk);
-      }
+      cur_cpu_ = pk.cpu;
+      FoldUserRun(l, pk.executed, pk.last);
+      cur_cpu_ = 0;
+      l = resolve(pk);
     }
     if (l == nullptr) {
       continue;
@@ -1282,45 +1254,100 @@ bool Kernel::StepFreeRun() {
   return true;
 }
 
-uint32_t Kernel::RunUserChunk(Lwp* lwp, uint32_t budget, int cpu,
-                              StepResult* last) {
+namespace {
+
+// Charge profiler samples for the retired-instruction interval
+// (before, after]: one sample per 2^period_log2 boundary crossed, all
+// attributed to pc. Pure side-state writes — nothing the simulation
+// observes can depend on this.
+inline void ProfCharge(ProfState* ps, uint32_t pc, uint64_t before,
+                       uint64_t after) {
+  uint64_t n = (after >> ps->period_log2) - (before >> ps->period_log2);
+  if (n != 0) {
+    ps->samples += n;
+    ps->pc_hits[pc] += n;
+  }
+}
+
+}  // namespace
+
+uint32_t Kernel::RunUserChunk(Lwp* lwp, uint32_t budget, StepResult* last,
+                              const std::atomic<uint64_t>* ipi) {
   Proc* p = lwp->proc;
   AddressSpace& as = *p->as;
-  as.BindCpu(cpu);  // this worker's translations go to its own bank
-  last->kind = StepResult::kOk;
-  CpuState& c = smp_.cpu(cpu);
   const bool blocks_ok = exec_engine_ != ExecEngine::kInterp;
+  // Step() never free-runs while a profiler is armed, so only the
+  // deterministic quantum can take the sampling branch.
+  ProfState* prof =
+      prof_armed_ != 0 && p->prof != nullptr && p->prof->on ? p->prof.get() : nullptr;
+  last->kind = StepResult::kOk;
   uint32_t executed = 0;
   while (executed < budget) {
-    if (c.ipi_pending.load(std::memory_order_relaxed) != 0) {
+    if (ipi != nullptr && ipi->load(std::memory_order_relaxed) != 0) {
       break;  // a peer shot this CPU down mid-chunk; yield to the fold
     }
+    const uint32_t pc = lwp->regs.pc;
+    const Block* blk = nullptr;
     if (blocks_ok && (lwp->regs.psr & kPsrT) == 0 && as.CodeCacheActive()) {
-      if (const Block* blk = as.blocks().Get(lwp->regs.pc, as)) {
-        BlockRun run = ExecuteBlock(*blk, lwp->regs, lwp->fpregs, as,
-                                    budget - executed);
-        executed += run.executed;
-        if (run.last.kind != StepResult::kOk) {
-          *last = run.last;
-          break;
-        }
-        continue;
+      blk = as.blocks().Get(pc, as);
+    }
+    uint32_t n = 1;
+    StepResult r;
+    if (blk != nullptr) {
+      BlockRun run = ExecuteBlock(*blk, lwp->regs, lwp->fpregs, as, budget - executed);
+      n = run.executed;
+      r = run.last;
+    } else {
+      // Single step: the interpreter pin, or the block engine's fallback
+      // (trace bit set, watchpoints active, TLB off, or a pc that is not
+      // block-cacheable). The interpreter's result is authoritative.
+      if (blocks_ok) {
+        ++as.blocks().stats().fallback_steps;
       }
+      r = CpuStep(lwp->regs, lwp->fpregs, as);
     }
-    if (blocks_ok) {
-      // Blocks engine falling back to a single interpreter step (block
-      // miss, trace bit, cache inactive): same charge ExecuteLwpBlocks
-      // makes. Race-free: this worker holds the address space exclusively.
-      ++as.blocks().stats().fallback_steps;
+    if (prof != nullptr) {
+      // A block run charges its entry pc, a single step its own pc.
+      ProfCharge(prof, pc, p->utime + executed, p->utime + executed + n);
     }
-    StepResult r = CpuStep(lwp->regs, lwp->fpregs, as);
-    ++executed;
+    executed += n;
     if (r.kind != StepResult::kOk) {
       *last = r;
       break;
     }
   }
   return executed;
+}
+
+void Kernel::FoldUserRun(Lwp* lwp, uint32_t executed, const StepResult& last) {
+  ticks_ += executed;
+  counters_.instructions += executed;
+  if (lwp == nullptr) {
+    return;  // a free-running pick reaped before its fold
+  }
+  lwp->proc->utime += executed;
+  if (last.kind == StepResult::kSyscall) {
+    SyscallTrap(lwp);
+  } else if (last.kind == StepResult::kFault) {
+    HandleFault(lwp, last.fault, last.fault_addr);
+  }
+}
+
+void Kernel::CountQuantum(CpuState& c, Pid pid, int lwpid) {
+  // Switch counting for /proc2/kernel/cpus is tracked separately from the
+  // trace attribution so arming the ring mid-run cannot change what records
+  // a previously-disarmed kernel would have emitted.
+  if (pid != c.sw_pid || lwpid != c.sw_lwpid) {
+    ++c.stats.switches;
+    c.sw_pid = pid;
+    c.sw_lwpid = lwpid;
+  }
+  ++c.stats.quanta;
+  if (exec_engine_ == ExecEngine::kInterp) {
+    ++counters_.quanta_interp;
+  } else {
+    ++counters_.quanta_blocks;
+  }
 }
 
 bool Kernel::RunUntil(const std::function<bool()>& pred, uint64_t max_steps) {
@@ -1362,92 +1389,38 @@ Result<int> Kernel::RunToExit(Pid pid, uint64_t max_steps) {
 }
 
 void Kernel::ExecuteLwp(Lwp* lwp, int budget) {
-  // The perturbation hooks (fault injection, chaos preemption) are compiled
-  // into a separate stamp of the loop so the common unhooked case keeps the
-  // exact instruction path of a kernel without them. Tracing needs no stamp:
-  // every event is emitted from the cold syscall/stop/fault/scheduler
-  // functions both engines share, behind single-branch armed checks, never
-  // per instruction, so an armed ring or registry keeps the block engine.
-  // The sampling profiler is a second, orthogonal stamp axis: quanta of a
-  // PIOCPROF-armed process run an instrumented instantiation; everything
-  // else keeps the profiler-free loop, so a disarmed profiler costs one
-  // predicted branch per quantum.
-  const bool prof =
-      prof_armed_ != 0 && lwp->proc->prof != nullptr && lwp->proc->prof->on;
-  if (finj_ != nullptr || chaos_) {
-    ++counters_.quanta_interp;
-    if (prof) {
-      ExecuteLwpImpl<true, true>(lwp, budget);
-    } else {
-      ExecuteLwpImpl<true, false>(lwp, budget);
-    }
-    return;
-  }
-  // Un-hooked: the block engine is the default; kInterp pins the classic
-  // interpreter (differential testing, benchmarking the baseline).
-  if (exec_engine_ == ExecEngine::kInterp) {
-    ++counters_.quanta_interp;
-    if (prof) {
-      ExecuteLwpImpl<false, true>(lwp, budget);
-    } else {
-      ExecuteLwpImpl<false, false>(lwp, budget);
-    }
-  } else {
-    ++counters_.quanta_blocks;
-    if (prof) {
-      ExecuteLwpBlocks<true>(lwp, budget);
-    } else {
-      ExecuteLwpBlocks<false>(lwp, budget);
-    }
-  }
-}
-
-namespace {
-
-// Charge profiler samples for the retired-instruction interval
-// (before, after]: one sample per 2^period_log2 boundary crossed, all
-// attributed to pc. Pure side-state writes — nothing the simulation
-// observes can depend on this.
-inline void ProfCharge(ProfState* ps, uint32_t pc, uint64_t before,
-                       uint64_t after) {
-  uint64_t n = (after >> ps->period_log2) - (before >> ps->period_log2);
-  if (n != 0) {
-    ps->samples += n;
-    ps->pc_hits[pc] += n;
-  }
-}
-
-}  // namespace
-
-template <bool kHooks, bool kProf>
-void Kernel::ExecuteLwpImpl(Lwp* lwp, int budget) {
+  // The one quantum loop, for both engines and with any observer or
+  // perturbation hook armed. Each pass checks events, runs user code until a
+  // trap or the end of the budget, folds the accounting and takes the trap.
+  // A syscall continuation, a signal pass and each instruction cost one
+  // budget unit. The hooks stay off the instruction path: TLB_FLUSH fires at
+  // quantum start, and chaos preemption is drawn only at the syscall entry
+  // and exit stop points. Tracing emits from the cold syscall, stop, fault
+  // and scheduler functions, and the profiler charges inside the user step.
   Proc* p = lwp->proc;
-  if constexpr (kHooks) {
-    if (finj_ && p->as && finj_->Fire(FaultSite::kTlbFlush)) {
-      // Forced whole-TLB invalidation: every cached translation must be
-      // re-derivable from the mapping structure (misses, never wrong data).
-      p->as->FlushTlb();
-    }
+  if (finj_ && p->as && finj_->Fire(FaultSite::kTlbFlush)) {
+    // Forced whole-TLB invalidation: every cached translation must be
+    // re-derivable from the mapping structure (misses, never wrong data).
+    p->as->FlushTlb();
   }
   // Pending-work checks (direct-stop requests and signal delivery) only need
   // to re-run after events that can change that state: within this single-
   // threaded simulation, nothing outside this LWP's own syscalls, faults and
   // signal dispatch can post new work mid-quantum. Checking once and again
-  // after each such event keeps the straight-line instruction path free of
-  // per-instruction SigSet arithmetic.
+  // after each such event keeps the user step free of per-instruction
+  // SigSet arithmetic.
   bool check_events = true;
-  while (budget-- > 0 && lwp->state == LwpState::kRunning &&
+  while (budget > 0 && lwp->state == LwpState::kRunning &&
          p->state == Proc::State::kActive) {
     if (lwp->in_syscall) {
+      --budget;
       ++ticks_;
       ++p->stime;
       ContinueSyscall(lwp);
       check_events = true;
-      if constexpr (kHooks) {
-        // Chaos: the syscall-exit stop point is also a preemption point.
-        if (chaos_ && !lwp->in_syscall && (ChaosNext() & 3) == 0) {
-          break;
-        }
+      // Chaos: the syscall-exit stop point is also a preemption point.
+      if (chaos_ && !lwp->in_syscall && (ChaosNext() & 3) == 0) {
+        break;
       }
       continue;
     }
@@ -1460,135 +1433,25 @@ void Kernel::ExecuteLwpImpl(Lwp* lwp, int budget) {
       // "Just before a process returns to user level, it checks for the
       // presence of a signal to be acted upon."
       if (NeedIssig(lwp)) {
+        --budget;
         if (Issig(lwp)) {
           Psig(lwp);
-        }
-        if (lwp->state != LwpState::kRunning || p->state != Proc::State::kActive) {
-          break;
         }
         continue;
       }
       check_events = false;
     }
-    [[maybe_unused]] uint32_t step_pc = 0;
-    if constexpr (kProf) {
-      step_pc = lwp->regs.pc;
-    }
-    StepResult r = CpuStep(lwp->regs, lwp->fpregs, *p->as);
-    ++ticks_;
-    ++p->utime;
-    ++counters_.instructions;
-    if constexpr (kProf) {
-      ProfCharge(p->prof.get(), step_pc, p->utime - 1, p->utime);
-    }
-    if (r.kind == StepResult::kSyscall) {
-      SyscallTrap(lwp);
+    StepResult last;
+    uint32_t executed = RunUserChunk(lwp, static_cast<uint32_t>(budget), &last);
+    budget -= static_cast<int>(executed);
+    FoldUserRun(lwp, executed, last);
+    if (last.kind != StepResult::kOk) {
       check_events = true;
-      if constexpr (kHooks) {
-        // Chaos: force preemption at the syscall-entry stop point so other
-        // runnable lwps interleave with the entry/exit window.
-        if (chaos_ && (ChaosNext() & 3) == 0) {
-          break;
-        }
-      }
-    } else if (r.kind == StepResult::kFault) {
-      HandleFault(lwp, r.fault, r.fault_addr);
-      check_events = true;
-    }
-  }
-}
-
-template <bool kProf>
-void Kernel::ExecuteLwpBlocks(Lwp* lwp, int budget) {
-  // This loop is the un-hooked interpreter quantum (ExecuteLwpImpl<false>)
-  // with the single CpuStep replaced by a block-cache run. Everything
-  // observable — ticks, utime/stime, instruction counts, the order of
-  // event checks relative to executed instructions, fault/syscall pcs —
-  // must stay byte-identical between the two; change them in lockstep.
-  // kProf samples at block-entry-pc granularity: a run of N instructions
-  // charges every period boundary it crosses to the block's entry pc.
-  Proc* p = lwp->proc;
-  bool check_events = true;
-  while (budget-- > 0 && lwp->state == LwpState::kRunning &&
-         p->state == Proc::State::kActive) {
-    if (lwp->in_syscall) {
-      ++ticks_;
-      ++p->stime;
-      ContinueSyscall(lwp);
-      check_events = true;
-      continue;
-    }
-    if (check_events) {
-      if (lwp->lwp_dstop) {
-        lwp->lwp_dstop = false;
-        StopLwp(lwp, PR_REQUESTED, 0, /*istop=*/true);
+      // Chaos: force preemption at the syscall-entry stop point so other
+      // runnable lwps interleave with the entry/exit window.
+      if (chaos_ && last.kind == StepResult::kSyscall && (ChaosNext() & 3) == 0) {
         break;
       }
-      if (NeedIssig(lwp)) {
-        if (Issig(lwp)) {
-          Psig(lwp);
-        }
-        if (lwp->state != LwpState::kRunning || p->state != Proc::State::kActive) {
-          break;
-        }
-        continue;
-      }
-      check_events = false;
-    }
-    AddressSpace& as = *p->as;
-    const Block* blk = nullptr;
-    if ((lwp->regs.psr & kPsrT) == 0 && as.CodeCacheActive()) {
-      blk = as.blocks().Get(lwp->regs.pc, as);
-    }
-    if (blk == nullptr) {
-      // Single-step fallback: trace bit set, watchpoints active, TLB off,
-      // or the pc is not block-cacheable (unmapped, shared text, ...). The
-      // interpreter produces the authoritative result for this instruction.
-      ++as.blocks().stats().fallback_steps;
-      [[maybe_unused]] uint32_t step_pc = 0;
-      if constexpr (kProf) {
-        step_pc = lwp->regs.pc;
-      }
-      StepResult r = CpuStep(lwp->regs, lwp->fpregs, as);
-      ++ticks_;
-      ++p->utime;
-      ++counters_.instructions;
-      if constexpr (kProf) {
-        ProfCharge(p->prof.get(), step_pc, p->utime - 1, p->utime);
-      }
-      if (r.kind == StepResult::kSyscall) {
-        SyscallTrap(lwp);
-        check_events = true;
-      } else if (r.kind == StepResult::kFault) {
-        HandleFault(lwp, r.fault, r.fault_addr);
-        check_events = true;
-      }
-      continue;
-    }
-    // The loop condition already charged one budget unit for this
-    // iteration, so the block may retire 1 + budget instructions; charge
-    // the surplus afterwards. Exactly the accounting the per-instruction
-    // loop would produce for the same run.
-    [[maybe_unused]] uint32_t block_pc = 0;
-    if constexpr (kProf) {
-      block_pc = lwp->regs.pc;
-    }
-    BlockRun run =
-        ExecuteBlock(*blk, lwp->regs, lwp->fpregs, as,
-                     static_cast<uint32_t>(budget) + 1);
-    budget -= static_cast<int>(run.executed) - 1;
-    ticks_ += run.executed;
-    p->utime += run.executed;
-    counters_.instructions += run.executed;
-    if constexpr (kProf) {
-      ProfCharge(p->prof.get(), block_pc, p->utime - run.executed, p->utime);
-    }
-    if (run.last.kind == StepResult::kSyscall) {
-      SyscallTrap(lwp);
-      check_events = true;
-    } else if (run.last.kind == StepResult::kFault) {
-      HandleFault(lwp, run.last.fault, run.last.fault_addr);
-      check_events = true;
     }
   }
 }
@@ -1612,10 +1475,7 @@ std::string Kernel::ExecEngineMetricsText() const {
     }
   }
   std::ostringstream os;
-  os << "exec_engine "
-     << (exec_engine_ == ExecEngine::kInterp
-             ? "interp"
-             : exec_engine_ == ExecEngine::kBlocks ? "blocks" : "auto")
+  os << "exec_engine " << (exec_engine_ == ExecEngine::kInterp ? "interp" : "blocks")
      << "\n";
   os << "exec_quanta_interp " << counters_.quanta_interp << "\n";
   os << "exec_quanta_blocks " << counters_.quanta_blocks << "\n";

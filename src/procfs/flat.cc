@@ -12,12 +12,6 @@
 namespace svr4 {
 namespace {
 
-std::string PidName(Pid pid) {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "%05d", pid);
-  return buf;
-}
-
 // The /proc open-permission rules: "permission to open requires that both
 // the uid and gid of the traced process match those of the controlling
 // process; setuid and setgid processes can be opened only by the
@@ -53,6 +47,12 @@ Result<int32_t> ParseProcId(const std::string& name) {
     id = id * 10 + digit;
   }
   return id;
+}
+
+std::string PidName(Pid pid) {
+  char buf[12];  // "-2147483648" and its NUL: every Pid fits
+  std::snprintf(buf, sizeof(buf), "%05d", pid);
+  return buf;
 }
 
 Result<int32_t> ProcOpenMappedObject(Kernel& k, Proc* caller, Proc* target, bool use_exe,

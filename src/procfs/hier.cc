@@ -3,7 +3,6 @@
 // subdirectories. Control-message semantics live in the shared control-plane
 // table (procfs/ctl.h); ctl/lwpctl writes only hand the stream to it.
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "svr4proc/procfs/ctl.h"
@@ -30,12 +29,6 @@ constexpr Pr2File kPr2Files[] = {
     {"sigact", Pr2Kind::kSigact}, {"usage", Pr2Kind::kUsage}, {"ctlaudit", Pr2Kind::kCtlAudit},
     {"trace", Pr2Kind::kTrace},   {"prof", Pr2Kind::kProf},
 };
-
-std::string PidName(Pid pid) {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "%05d", pid);
-  return buf;
-}
 
 // Serves a read of a POD snapshot at the given offset.
 template <typename T>

@@ -121,14 +121,6 @@ Result<void> Debugger::ClearBreakpoint(uint32_t addr) {
   return Result<void>::Ok();
 }
 
-Result<void> Debugger::PlantAll() {
-  for (auto& [addr, bp] : breakpoints_) {
-    uint8_t bpt = kBreakpointByte;
-    SVR4_RETURN_IF_ERROR(handle_->WriteMem(addr, &bpt, 1));
-  }
-  return Result<void>::Ok();
-}
-
 Result<void> Debugger::LiftAll() {
   for (auto& [addr, bp] : breakpoints_) {
     SVR4_RETURN_IF_ERROR(handle_->WriteMem(addr, &bp.saved_byte, 1));

@@ -721,12 +721,6 @@ Result<void> AddressSpace::ClearWatch(uint32_t vaddr) {
   return before != watches_.size() ? Result<void>::Ok() : Result<void>(Errno::kESRCH);
 }
 
-void AddressSpace::ClearAllWatches() {
-  watches_.clear();
-  watch_active_ = false;
-  TlbFlush();
-}
-
 std::vector<MappingInfo> AddressSpace::Maps() const {
   std::vector<MappingInfo> out;
   out.reserve(maps_.size());

@@ -151,7 +151,7 @@ RunTotals RunUnder(ExecEngine engine, const std::string& src) {
 
 TEST(BlockEngine, DifferentialLockstepWithInterpreter) {
   RunTotals interp = RunUnder(ExecEngine::kInterp, kMixed);
-  RunTotals blocks = RunUnder(ExecEngine::kBlocks, kMixed);
+  RunTotals blocks = RunUnder(ExecEngine::kAuto, kMixed);
   EXPECT_EQ(interp.status, blocks.status);
   EXPECT_EQ(interp.ticks, blocks.ticks)
       << "engines diverged in virtual time: budget accounting differs";
@@ -248,7 +248,7 @@ TEST(BlockEngine, DifferentialBreakpointsWhileTheCacheGrows) {
   // into the text bumps the code generation) leave stale blocks in them.
   // Neither may change what executes.
   RingStops interp = RunRingWithBreakpoints(ExecEngine::kInterp);
-  RingStops blocks = RunRingWithBreakpoints(ExecEngine::kBlocks);
+  RingStops blocks = RunRingWithBreakpoints(ExecEngine::kAuto);
   ASSERT_EQ(blocks.stop_pcs.size(), 5u);
   EXPECT_EQ(interp.stop_pcs, blocks.stop_pcs);
   EXPECT_EQ(interp.ticks, blocks.ticks);
@@ -272,7 +272,7 @@ loop: addi r5, 1
       ldi r0, SYS_exit
       sys
   )";
-  RunTotals blocks = RunUnder(ExecEngine::kBlocks, kToN);
+  RunTotals blocks = RunUnder(ExecEngine::kAuto, kToN);
   ASSERT_TRUE(WIfExited(blocks.status));
   EXPECT_EQ(WExitCode(blocks.status), 300 & 0xFF);
   RunTotals interp = RunUnder(ExecEngine::kInterp, kToN);
@@ -305,7 +305,7 @@ tgt:  ldi r6, 0           ; becomes ldi r6, 42 before it executes
       ldi r0, SYS_exit
       sys
   )";
-  RunTotals blocks = RunUnder(ExecEngine::kBlocks, kSelfMod);
+  RunTotals blocks = RunUnder(ExecEngine::kAuto, kSelfMod);
   ASSERT_TRUE(WIfExited(blocks.status));
   EXPECT_EQ(WExitCode(blocks.status), 42)
       << "a stale predecoded block executed the pre-patch immediate";
@@ -316,7 +316,7 @@ tgt:  ldi r6, 0           ; becomes ldi r6, 42 before it executes
 
 TEST(BlockInvalidate, BreakpointPlantedMidBlockFires) {
   Sim sim;
-  sim.kernel().SetExecEngine(ExecEngine::kBlocks);
+  sim.kernel().SetExecEngine(ExecEngine::kAuto);
   auto t = StartProgram(sim, kCounter);
   auto h = Grab(sim, t.pid);
   uint32_t loop = *t.image.SymbolValue("loop");
@@ -363,7 +363,7 @@ TEST(BlockInvalidate, BreakpointPlantedMidBlockFires) {
 
 TEST(BlockInvalidate, WatchpointArmedMidRunFires) {
   Sim sim;
-  sim.kernel().SetExecEngine(ExecEngine::kBlocks);
+  sim.kernel().SetExecEngine(ExecEngine::kAuto);
   auto t = StartProgram(sim, kCounter);
   auto h = Grab(sim, t.pid);
   uint32_t var = *t.image.SymbolValue("var");
@@ -391,7 +391,7 @@ TEST(BlockInvalidate, WatchpointArmedMidRunFires) {
 
 TEST(BlockInvalidate, TraceBitStepsExactlyOneInstruction) {
   Sim sim;
-  sim.kernel().SetExecEngine(ExecEngine::kBlocks);
+  sim.kernel().SetExecEngine(ExecEngine::kAuto);
   auto t = StartProgram(sim, kCounter);
   auto h = Grab(sim, t.pid);
 
@@ -417,7 +417,7 @@ TEST(BlockInvalidate, TraceBitStepsExactlyOneInstruction) {
 
 TEST(BlockInvalidate, ExecReplacesAddressSpaceAndBlocks) {
   Sim sim;
-  sim.kernel().SetExecEngine(ExecEngine::kBlocks);
+  sim.kernel().SetExecEngine(ExecEngine::kAuto);
   auto img = sim.InstallProgram("/bin/second", R"(
       ldi r5, 0
 loop: addi r5, 1
@@ -464,27 +464,27 @@ TEST(BlockEngineKnob, EnvironmentOverrideSelectsEngine) {
   ASSERT_EQ(setenv("SVR4PROC_EXEC_ENGINE", "blocks", 1), 0);
   {
     Kernel k;
-    EXPECT_EQ(k.exec_engine(), ExecEngine::kBlocks);
+    EXPECT_EQ(k.exec_engine(), ExecEngine::kAuto);
   }
   ASSERT_EQ(setenv("SVR4PROC_EXEC_ENGINE", "bogus", 1), 0);
   {
     Kernel k;
-    EXPECT_EQ(k.exec_engine(), ExecEngine::kAuto) << "unknown values mean auto";
+    EXPECT_EQ(k.exec_engine(), ExecEngine::kAuto) << "unknown values mean the default";
   }
   ASSERT_EQ(unsetenv("SVR4PROC_EXEC_ENGINE"), 0);
   {
     Kernel k;
     EXPECT_EQ(k.exec_engine(), ExecEngine::kAuto);
-    k.SetExecEngine(ExecEngine::kBlocks);
-    EXPECT_EQ(k.exec_engine(), ExecEngine::kBlocks);
+    k.SetExecEngine(ExecEngine::kInterp);
+    EXPECT_EQ(k.exec_engine(), ExecEngine::kInterp);
   }
 }
 
 TEST(BlockStatsExposure, VmStatsAndKernelMetricsCarryBlockCounters) {
   Sim sim;
-  // Pinned (not left on auto) so this test means the same thing when the
+  // Pinned to the block engine so this test means the same thing when the
   // whole suite runs under SVR4PROC_EXEC_ENGINE=interp in CI.
-  sim.kernel().SetExecEngine(ExecEngine::kBlocks);
+  sim.kernel().SetExecEngine(ExecEngine::kAuto);
   auto t = StartProgram(sim, kCounter);
   auto h = Grab(sim, t.pid);
   for (int i = 0; i < 500; ++i) {
@@ -528,7 +528,7 @@ TEST(BlockCacheSize, SleepersStaySmallWhileARingGrows) {
   // ring's grows, to at most kBlockCacheMaxSlots.
   Sim sim;
   Kernel& k = sim.kernel();
-  k.SetExecEngine(ExecEngine::kBlocks);
+  k.SetExecEngine(ExecEngine::kAuto);
   ASSERT_TRUE(sim.InstallProgram("/bin/sleeper", R"(
 top:  ldi r0, SYS_pause
       sys
@@ -579,7 +579,7 @@ top:  ldi r0, SYS_pause
 
 TEST(BlockStatsExposure, FallbacksCountedWhenTlbDisabled) {
   Sim sim;
-  sim.kernel().SetExecEngine(ExecEngine::kBlocks);
+  sim.kernel().SetExecEngine(ExecEngine::kAuto);
   auto t = StartProgram(sim, kCounter);
   Proc* p = sim.kernel().FindProc(t.pid);
   ASSERT_NE(p, nullptr);

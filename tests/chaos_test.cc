@@ -424,30 +424,40 @@ TEST(ChaosSweep, TrussWorkload) {
 }
 
 TEST(ChaosSweep, DebuggerWorkload) {
-  for (uint64_t seed = 101; seed <= 135; ++seed) {
-    Sim sim;
-    ASSERT_TRUE(sim.InstallProgram("/bin/prog", kBoundedLoop).ok());
-    auto pid = sim.Start("/bin/prog");
-    ASSERT_TRUE(pid.ok());
-    sim.kernel().SetFaultPlan(LowRatePlan(seed));
-    sim.kernel().SetChaosScheduler(seed);
-    Debugger dbg(sim.kernel(), sim.controller());
-    if (dbg.Attach(*pid).ok()) {
-      if (dbg.SetBreakpoint("loop").ok()) {
-        for (int i = 0; i < 3; ++i) {
-          auto stop = dbg.Continue();
-          if (!stop.ok() || stop->kind == Debugger::StopInfo::kExited) {
-            break;
+  // The seeds run on the topology the environment selects (ncpus 0), then
+  // on a deterministic 2-CPU one, where shootdowns and cross-CPU wakeups
+  // send IPIs and the IPI_DELAY fault site leaves them pending across
+  // quanta. Only a free-running worker yields to a pending IPI; a
+  // deterministic quantum that did would retire nothing, forever.
+  for (int ncpus : {0, 2}) {
+    for (uint64_t seed = 101; seed <= 135; ++seed) {
+      Sim sim;
+      if (ncpus > 0) {
+        sim.kernel().SetNumCpus(ncpus);
+      }
+      ASSERT_TRUE(sim.InstallProgram("/bin/prog", kBoundedLoop).ok());
+      auto pid = sim.Start("/bin/prog");
+      ASSERT_TRUE(pid.ok());
+      sim.kernel().SetFaultPlan(LowRatePlan(seed));
+      sim.kernel().SetChaosScheduler(seed);
+      Debugger dbg(sim.kernel(), sim.controller());
+      if (dbg.Attach(*pid).ok()) {
+        if (dbg.SetBreakpoint("loop").ok()) {
+          for (int i = 0; i < 3; ++i) {
+            auto stop = dbg.Continue();
+            if (!stop.ok() || stop->kind == Debugger::StopInfo::kExited) {
+              break;
+            }
           }
         }
+        (void)dbg.Detach();
       }
-      (void)dbg.Detach();
+      // Drain whatever is left; a failed detach may leave the target wedged,
+      // so the drive is bounded rather than run-to-exit.
+      sim.kernel().RunUntil(
+          [&]() { return sim.kernel().FindProc(*pid) == nullptr; }, 100'000);
+      ExpectInvariantsClean(sim.kernel(), seed);
     }
-    // Drain whatever is left; a failed detach may leave the target wedged,
-    // so the drive is bounded rather than run-to-exit.
-    sim.kernel().RunUntil(
-        [&]() { return sim.kernel().FindProc(*pid) == nullptr; }, 100'000);
-    ExpectInvariantsClean(sim.kernel(), seed);
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the kernel event-trace ring and metrics registry (ktrace.h):
 // ring wraparound and snapshot ABI, /proc2 exposure (kernel-wide and
-// per-pid, including a descriptor held across a reap), PIOCKSTAT, the
+// per-pid, including a descriptor held across a reap and a read through
+// ProcHandle::Trace), PIOCKSTAT, the
 // chaos-determinism guarantee (tracing never perturbs a seeded run), engine
 // neutrality (armed tracing keeps the block engine), and the PrUsage audit
 // (every field incremented, minor/major fault split, zombie and multi-LWP
@@ -14,6 +15,7 @@
 
 #include "svr4proc/kernel/faults.h"
 #include "svr4proc/kernel/ktrace.h"
+#include "svr4proc/procfs/procfs.h"
 #include "svr4proc/tools/proclib.h"
 #include "svr4proc/tools/sim.h"
 
@@ -218,6 +220,41 @@ TEST(KtraceProc, KernelTraceFileRoundTrip) {
   EXPECT_TRUE(saw_fork);
   EXPECT_TRUE(saw_exit);
   EXPECT_TRUE(saw_entry);
+}
+
+// ProcHandle::Trace reads its target's /proc2 trace file: the snapshot
+// ReadTraceFile parses from /proc2/<pid>/trace. Each read opens and closes
+// the file through the /proc open ledger, so the later read also carries
+// the first read's PROC_CLOSE and its own PROC_OPEN; everything before
+// them is the same.
+TEST(KtraceProc, HandleTraceEqualsPerPidTraceFile) {
+  Sim sim;
+  sim.kernel().SetTracing(/*ring=*/true, /*metrics=*/false);
+  auto t = StartProgram(sim, R"(
+loop: ldi r0, SYS_getpid
+      sys
+      jmp loop
+  )");
+  ProcHandle h = Grab(sim, t.pid);
+  for (int i = 0; i < 40; ++i) {
+    sim.kernel().Step();
+  }
+  auto via_handle = h.Trace();
+  auto via_file = ReadTraceFile(sim.kernel(), sim.controller(),
+                                "/proc2/" + PidName(t.pid) + "/trace");
+  ASSERT_TRUE(via_handle.ok());
+  ASSERT_TRUE(via_file.ok());
+  ASSERT_EQ(via_file->hdr.kt_dropped, 0u) << "the ring wrapped; the prefix moved";
+  const size_t n = via_handle->recs.size();
+  ASSERT_GT(n, 0u);
+  ASSERT_EQ(via_file->recs.size(), n + 2);
+  EXPECT_EQ(via_file->hdr.kt_total, via_handle->hdr.kt_total + 2);
+  EXPECT_EQ(std::memcmp(via_handle->recs.data(), via_file->recs.data(), n * sizeof(KtRec)), 0);
+  EXPECT_EQ(via_file->recs[n].kt_event, static_cast<uint32_t>(KtEvent::kProcClose));
+  EXPECT_EQ(via_file->recs[n + 1].kt_event, static_cast<uint32_t>(KtEvent::kProcOpen));
+  for (const KtRec& r : via_file->recs) {
+    EXPECT_EQ(r.kt_pid, t.pid);
+  }
 }
 
 TEST(KtraceProc, DisabledRingReadsEmptyNotEnoent) {

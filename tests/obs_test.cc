@@ -3,10 +3,12 @@
 // scheduler wait accounting. Also the format contracts: every line of
 // /proc2/kernel/metrics and /proc2/kernel/procd parses as `key value`, and
 // the arming contracts: profiler+spans armed vs disarmed leaves a 20-seed
-// chaos sweep snapshot-identical, and remote reads match local reads byte
-// for byte.
+// chaos sweep snapshot-identical, the same sweep replays identically under
+// the interpreter and the block engine, and remote reads match local reads
+// byte for byte.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -192,7 +194,7 @@ TEST(ObsProfiler, SampleTotalsMatchAcrossEngines) {
     return FoldedTotal(folded.ok() ? *folded : std::string());
   };
   uint64_t interp = run(ExecEngine::kInterp);
-  uint64_t blocks = run(ExecEngine::kBlocks);
+  uint64_t blocks = run(ExecEngine::kAuto);
   EXPECT_NE(interp, 0u);
   EXPECT_EQ(interp, blocks);
 }
@@ -367,9 +369,15 @@ TEST(ObsProcdSpans, FileReadsProcdOffWithoutAServer) {
 // snapshot-identical over a 20-seed chaos sweep.
 // ---------------------------------------------------------------------------
 
-// ticks, instructions, console output: the whole observable outcome.
-std::tuple<uint64_t, uint64_t, std::string> ObsChaosRun(uint64_t seed, bool armed) {
+// ticks, instructions, console output: the whole observable outcome. Then
+// the quanta each engine ran (quanta_interp, quanta_blocks). With no engine
+// given, the run keeps the one SVR4PROC_EXEC_ENGINE selects.
+std::tuple<uint64_t, uint64_t, std::string, uint64_t, uint64_t> ObsChaosRun(
+    uint64_t seed, bool armed, std::optional<ExecEngine> engine = std::nullopt) {
   Sim sim;
+  if (engine) {
+    sim.kernel().SetExecEngine(*engine);
+  }
   EXPECT_TRUE(sim.InstallProgram("/bin/prog", kBurst).ok());
   auto pid = sim.Start("/bin/prog");
   EXPECT_TRUE(pid.ok());
@@ -394,8 +402,9 @@ std::tuple<uint64_t, uint64_t, std::string> ObsChaosRun(uint64_t seed, bool arme
   sim.kernel().RunUntil(
       [&]() { return sim.kernel().FindProc(*pid) == nullptr; }, 400'000);
   EXPECT_TRUE(sim.kernel().CheckInvariants().empty());
-  return {sim.kernel().Ticks(), sim.kernel().counters().instructions,
-          sim.ConsoleOutput()};
+  const KernelCounters& kc = sim.kernel().counters();
+  return {sim.kernel().Ticks(), kc.instructions, sim.ConsoleOutput(), kc.quanta_interp,
+          kc.quanta_blocks};
 }
 
 TEST(ObsNeutral, TwentySeedChaosSweepIdenticalArmedVsDisarmed) {
@@ -408,6 +417,27 @@ TEST(ObsNeutral, TwentySeedChaosSweepIdenticalArmedVsDisarmed) {
         << "seed " << seed << ": instruction count diverged";
     EXPECT_EQ(std::get<2>(plain), std::get<2>(armed))
         << "seed " << seed << ": console output diverged";
+  }
+}
+
+// Fault injection and chaos hook the one quantum loop, not a separate
+// interpreter loop, so the same sweep runs the block engine and must replay
+// seed for seed what the interpreter does, armed or not.
+TEST(EngineChaos, TwentySeedChaosSweepIdenticalUnderInterpAndBlocks) {
+  for (uint64_t seed = 701; seed <= 720; ++seed) {
+    for (bool armed : {false, true}) {
+      auto interp = ObsChaosRun(seed, armed, ExecEngine::kInterp);
+      auto blocks = ObsChaosRun(seed, armed, ExecEngine::kAuto);
+      const std::string where =
+          "seed " + std::to_string(seed) + (armed ? " armed" : " disarmed") + ": ";
+      EXPECT_EQ(std::get<0>(interp), std::get<0>(blocks)) << where << "ticks diverged";
+      EXPECT_EQ(std::get<1>(interp), std::get<1>(blocks))
+          << where << "instruction count diverged";
+      EXPECT_EQ(std::get<2>(interp), std::get<2>(blocks)) << where << "console output diverged";
+      EXPECT_EQ(std::get<4>(interp), 0u) << where << "the interpreter pin ran block quanta";
+      EXPECT_GT(std::get<4>(blocks), 0u) << where << "chaos quanta never ran the block engine";
+      EXPECT_EQ(std::get<3>(blocks), 0u) << where << "chaos quanta fell back to the interpreter";
+    }
   }
 }
 

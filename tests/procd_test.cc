@@ -136,6 +136,36 @@ TEST(ProcdRpc, RemoteHandleStopAndRun) {
   EXPECT_EQ(p->MainLwp()->state, LwpState::kRunning);
 }
 
+// PIOCSFAULT then PIOCGFAULT through a local handle and a remote one: each
+// reads back the traced-fault set either of them wrote.
+TEST(ProcdRpc, FaultTraceSetRoundTripsLocalAndRemote) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto pid = sim.Start("/bin/prog");
+  ASSERT_TRUE(pid.ok());
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  auto local = ProcHandle::Grab(sim.kernel(), sim.controller(), *pid);
+  auto remote = ProcHandle::Grab(rio, *pid);
+  ASSERT_TRUE(local.ok());
+  ASSERT_TRUE(remote.ok());
+
+  const FltSet set_locally{FLTBPT, FLTWATCH};
+  ASSERT_TRUE(local->SetFltTrace(set_locally).ok());
+  for (ProcHandle* h : {&*local, &*remote}) {
+    auto got = h->GetFltTrace();
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, set_locally);
+  }
+  const FltSet set_remotely{FLTTRACE, FLTIZDIV};
+  ASSERT_TRUE(remote->SetFltTrace(set_remotely).ok());
+  for (ProcHandle* h : {&*local, &*remote}) {
+    auto got = h->GetFltTrace();
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, set_remotely);
+  }
+}
+
 TEST(ProcdRpc, CtlStreamParksMidBatchAndRunsTail) {
   Sim sim;
   ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
@@ -737,6 +767,32 @@ TEST(ProcdEvents, StopRaisesPriAndRunDropsIt) {
   EXPECT_EQ(DrainEvents(rio), EventList{}) << "one event per level change";
   ASSERT_TRUE(h->Run().ok());
   EXPECT_EQ(DrainEvents(rio), (EventList{{flat, 0}, {status, 0}}));
+}
+
+TEST(ProcdEvents, UnsubscribeStopsPushes) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto pid = sim.Start("/bin/prog");
+  ASSERT_TRUE(pid.ok());
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  int flat = -1, status = -1;
+  ASSERT_NO_FATAL_FAILURE(SubscribeBothViews(rio, *pid, &flat, &status));
+  auto h = ProcHandle::Grab(sim.kernel(), sim.controller(), *pid);
+  ASSERT_TRUE(h.ok());
+
+  ASSERT_TRUE(rio.Unsubscribe(flat).ok());
+  ASSERT_TRUE(h->Stop().ok());
+  EXPECT_EQ(DrainEvents(rio), (EventList{{status, POLLPRI}}))
+      << "only the descriptor still subscribed is pushed";
+  ASSERT_TRUE(rio.Unsubscribe(status).ok());
+  ASSERT_TRUE(h->Run().ok());
+  ASSERT_TRUE(h->Stop().ok());
+  EXPECT_EQ(DrainEvents(rio), EventList{}) << "no subscription left, no push";
+
+  // A descriptor with no subscription, or none at all, still gets a reply.
+  EXPECT_TRUE(rio.Unsubscribe(status).ok());
+  EXPECT_TRUE(rio.Unsubscribe(9999).ok());
 }
 
 TEST(ProcdEvents, ExitRaisesHupAndReapRaisesNval) {

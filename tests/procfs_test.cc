@@ -3,8 +3,10 @@
 // and the security provisions.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 
+#include "svr4proc/procfs/procfs.h"
 #include "svr4proc/tools/proclib.h"
 #include "svr4proc/tools/sim.h"
 
@@ -160,6 +162,19 @@ TEST(ProcName, OutOfRangeNamesAreEnoent) {
                                   dir + "/lwp/0001/lwpstatus"}) {
     EXPECT_TRUE(sim.kernel().Stat(sim.controller(), path).ok()) << path;
   }
+}
+
+// Readdir lists a pid under PidName and lookup parses it with ParseProcId;
+// every pid a raised SetMaxPid can hand out must survive the round trip.
+TEST(ProcName, PidNameRoundTripsThroughParseProcId) {
+  for (Pid pid : {0, 5, 99999, (1 << 21) - 1, INT32_MAX}) {
+    const std::string name = PidName(pid);
+    auto back = ParseProcId(name);
+    ASSERT_TRUE(back.ok()) << name;
+    EXPECT_EQ(*back, pid) << name;
+  }
+  EXPECT_EQ(PidName(5), "00005");
+  EXPECT_EQ(PidName(INT32_MAX), "2147483647");
 }
 
 // ---------------------------------------------------------------------------
