@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,7 +37,9 @@ inline std::string JsonEscape(const std::string& s) {
 }
 
 // Prints the human table exactly as ConsoleReporter would, capturing each
-// run's headline time and user counters on the way through.
+// run's headline time and user counters on the way through. With
+// --benchmark_repetitions the aggregate rows (_mean, _median, _stddev, _cv)
+// are captured too; a _cv row is a ratio, so its values carry unit "ratio".
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -45,18 +48,25 @@ class CaptureReporter : public benchmark::ConsoleReporter {
         continue;  // skipped runs (self-check failures) carry no number
       }
       const std::string name = run.benchmark_name();
-      captured_.push_back(JsonMetric{
-          name, run.GetAdjustedRealTime(),
-          benchmark::GetTimeUnitString(run.time_unit)});
+      const bool ratio = run.run_type == Run::RT_Aggregate &&
+                         run.aggregate_unit == benchmark::kPercentage;
+      captured_.push_back(ratio ? JsonMetric{name, run.real_accumulated_time, "ratio"}
+                                : JsonMetric{name, run.GetAdjustedRealTime(),
+                                             benchmark::GetTimeUnitString(run.time_unit)});
       for (const auto& [cname, counter] : run.counters) {
+        const double value = counter;
+        if (!std::isfinite(value)) {
+          continue;  // the _cv of a counter that is always 0; JSON has no NaN
+        }
         const char* unit = "count";
-        if (cname == "items_per_second") {
+        if (ratio) {
+          unit = "ratio";
+        } else if (cname == "items_per_second") {
           unit = "items/s";
         } else if (cname == "bytes_per_second") {
           unit = "bytes/s";
         }
-        captured_.push_back(
-            JsonMetric{name + ":" + cname, static_cast<double>(counter), unit});
+        captured_.push_back(JsonMetric{name + ":" + cname, value, unit});
       }
     }
     benchmark::ConsoleReporter::ReportRuns(runs);

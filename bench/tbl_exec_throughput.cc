@@ -3,9 +3,13 @@
 // VM layer. The software TLB turns those per-access mapping lookups into a
 // direct-mapped cache probe; this benchmark measures instructions/sec with
 // the TLB on vs. off (runtime knob), and /proc bulk-read bandwidth the same
-// way, so perf regressions on either path are visible in one place.
+// way, so perf regressions on either path are visible in one place. The
+// throughput and footprint rows also report what each execution layer cost
+// per million instructions: quanta, block entries, interpreter fallback
+// steps and TLB misses.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -58,6 +62,39 @@ ExecSystem MakeSystem(bool tlb_on) {
   return s;
 }
 
+// What one measured run cost each execution layer: quanta (the quantum
+// loop), block entries (bb_hits + bb_misses, one cache probe per block the
+// executor enters), interpreter fallback steps and TLB misses.
+struct LayerCounts {
+  uint64_t instructions = 0;
+  uint64_t quanta = 0;
+  uint64_t bb_entries = 0;
+  uint64_t fallbacks = 0;
+  uint64_t tlb_misses = 0;
+};
+
+LayerCounts TakeLayerCounts(const Kernel& k, const AddressSpace& as) {
+  LayerCounts c;
+  c.instructions = k.counters().instructions;
+  c.quanta = k.counters().quanta_interp + k.counters().quanta_blocks;
+  if (const BlockCache* bc = as.blocks_if()) {
+    c.bb_entries = bc->stats().hits + bc->stats().misses;
+    c.fallbacks = bc->stats().fallback_steps;
+  }
+  c.tlb_misses = as.counters().tlb_misses;
+  return c;
+}
+
+// Reports each layer's count between two snapshots per million retired
+// instructions, beside the row's items_per_second.
+void ReportLayers(benchmark::State& state, const LayerCounts& a, const LayerCounts& b) {
+  const double per = 1e6 / static_cast<double>(std::max<uint64_t>(b.instructions - a.instructions, 1));
+  state.counters["quanta_per_Minsn"] = static_cast<double>(b.quanta - a.quanta) * per;
+  state.counters["bb_entries_per_Minsn"] = static_cast<double>(b.bb_entries - a.bb_entries) * per;
+  state.counters["fallbacks_per_Minsn"] = static_cast<double>(b.fallbacks - a.fallbacks) * per;
+  state.counters["tlb_misses_per_Minsn"] = static_cast<double>(b.tlb_misses - a.tlb_misses) * per;
+}
+
 // range(0): 1 = TLB on, 0 = TLB off.
 // range(1): tracing — 0 = disarmed (compiled in, gates cold: the
 // zero-cost-when-off claim), 1 = event ring armed, 2 = ring + metrics
@@ -75,14 +112,16 @@ void BM_ExecThroughput(benchmark::State& state) {
   Kernel& k = s.sim->kernel();
   k.SetExecEngine(blocks ? ExecEngine::kAuto : ExecEngine::kInterp);
   k.SetTracing(/*ring=*/trace_mode >= 1, /*metrics=*/trace_mode >= 2);
-  const uint64_t before = k.counters().instructions;
+  const AddressSpace& as = *k.FindProc(s.pid)->as;
+  const LayerCounts before = TakeLayerCounts(k, as);
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       k.Step();
     }
   }
-  const uint64_t executed = k.counters().instructions - before;
-  state.SetItemsProcessed(static_cast<int64_t>(executed));
+  const LayerCounts after = TakeLayerCounts(k, as);
+  state.SetItemsProcessed(static_cast<int64_t>(after.instructions - before.instructions));
+  ReportLayers(state, before, after);
   std::string label = tlb_on ? "tlb=on" : "tlb=off";
   label += trace_mode == 0 ? " trace=off" : trace_mode == 1 ? " trace=ring"
                                                             : " trace=ring+hist";
@@ -170,13 +209,16 @@ void BM_ExecFootprint(benchmark::State& state) {
     return;
   }
   const BlockStats warm = bc->stats();
-  const uint64_t before = k.counters().instructions;
+  const AddressSpace& as = *k.FindProc(pid)->as;
+  const LayerCounts before = TakeLayerCounts(k, as);
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       k.Step();
     }
   }
-  state.SetItemsProcessed(static_cast<int64_t>(k.counters().instructions - before));
+  const LayerCounts after = TakeLayerCounts(k, as);
+  state.SetItemsProcessed(static_cast<int64_t>(after.instructions - before.instructions));
+  ReportLayers(state, before, after);
   const BlockStats& bs = bc->stats();
   const uint64_t hits = bs.hits - warm.hits;
   const uint64_t misses = bs.misses - warm.misses;

@@ -9,15 +9,22 @@
 // switch otherwise). Architectural behaviour is byte-identical to CpuStep:
 // the same faults at the same pc with the same register and flag effects.
 //
+// The executor chains: a block that ends without a trap continues straight
+// into the block cached at the new pc, so one call runs a whole user run.
+// It returns to its caller only on a trap, at the end of the budget, when
+// the next block is not cached or is stale (the caller's Get then builds
+// it), or when the caller's yield flag is raised.
+//
 // Validity is generation-based: a block records the owning AddressSpace's
 // code generation (AddressSpace::CodeGen()) at build time and is dropped the
 // moment the generations disagree. The generation advances on every mapping
 // or protection change, COW break, watchpoint change, TLB flush, and on any
 // store into an executable mapping — so a planted breakpoint, a /proc text
 // write, or self-modifying code can never execute out of a stale block. The
-// executor additionally re-checks the generation after every store it
-// performs, so code that patches an instruction *later in its own block*
-// observes the new bytes exactly as the interpreter would.
+// executor checks the generation at every chain step and re-checks it after
+// every store it performs, so code that patches an instruction *later in its
+// own block* or in the next block observes the new bytes exactly as the
+// interpreter would.
 //
 // Each address space sizes its own cache by the code it runs: a direct-
 // mapped table of kBlockCacheMinSlots slots on the first lookup, doubled
@@ -36,6 +43,7 @@
 #ifndef SVR4PROC_ISA_BLOCKS_H_
 #define SVR4PROC_ISA_BLOCKS_H_
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -102,7 +110,7 @@ enum BKind : uint8_t {
 };
 
 // One predecoded instruction: operands extracted, lengths resolved, no
-// byte-level work left at execution time. 16 bytes, array-of-structs.
+// byte-level work left at execution time. 12 bytes, array-of-structs.
 struct PInstr {
   uint8_t kind = B_ILL;  // BKind dispatch index
   uint8_t rd = 0;        // destination register / fp register
@@ -157,13 +165,28 @@ inline constexpr uint32_t kMaxBlockInstrs = 64;
 // with the code the address space runs (see the file comment).
 class BlockCache {
  public:
-  // Returns a valid block starting at pc, building one if necessary.
-  // Returns nullptr when pc cannot be block-cached right now (first
-  // instruction unfetchable, or its page is not a cacheable private
+  // Returns a valid block starting at pc: Lookup's hit, else Fill, which
+  // builds one. Returns nullptr when pc cannot be block-cached right now
+  // (first instruction unfetchable, or its page is not a cacheable private
   // executable mapping) — the caller must interpret that instruction.
-  // Growing the table moves blocks, so the returned pointer is valid only
-  // until the next Get on this cache.
+  // Growing the table moves blocks, so a returned pointer is valid only
+  // until the next Fill on this cache.
   const Block* Get(uint32_t pc, AddressSpace& as);
+
+  // The hit path, and the executor's chain step: the block cached at pc if
+  // it was built at code generation gen, counted as a hit; nullptr
+  // otherwise, counting nothing. Never moves a block.
+  const Block* Lookup(uint32_t pc, uint32_t gen) {
+    if (slots_.empty()) {
+      return nullptr;
+    }
+    Slot& s = SlotFor(pc);
+    if (!s.valid || s.blk.start != pc || s.blk.gen != gen) {
+      return nullptr;
+    }
+    ++stats_.hits;
+    return &s.blk;
+  }
 
   // Slots allocated: 0 before the first Get, then a power of two between
   // kBlockCacheMinSlots and kBlockCacheMaxSlots.
@@ -197,19 +220,20 @@ class BlockCache {
   BlockStats stats_;
 };
 
-// Result of running (a prefix of) a block.
-struct BlockRun {
-  uint32_t executed = 0;  // instructions retired
-  StepResult last;        // kOk: ran to the block end or the instruction
-                          // budget; kSyscall/kFault: the terminating event,
-                          // with regs.pc positioned exactly as CpuStep would
-};
-
-// Executes up to max_instrs instructions of the block (max_instrs >= 1).
+// Runs up to max_instrs instructions (max_instrs >= 1) from block b on and
+// returns how many retired. On a trap (syscall or fault) it stores the
+// event in *last, with regs.pc exactly where CpuStep would leave it;
+// otherwise *last is untouched and regs.pc is the next instruction to run.
+// With a chain cache, a block that ends without a trap continues into
+// chain->Lookup(regs.pc, as.CodeGen()); the run stops when that misses, at
+// the end of the budget, after a store that changed the code generation,
+// or at a block boundary where *yield (when given) is nonzero. Without a
+// chain, one block runs. Nothing here fills the cache, so no block moves.
 // The caller guarantees b is valid for as's current code generation and
 // that the trace bit is clear and watchpoints are inactive.
-BlockRun ExecuteBlock(const Block& b, Regs& regs, FpRegs& fp, AddressSpace& as,
-                      uint32_t max_instrs);
+uint32_t ExecuteBlock(const Block& b, Regs& regs, FpRegs& fp, AddressSpace& as,
+                      uint32_t max_instrs, StepResult* last, BlockCache* chain,
+                      const std::atomic<uint64_t>* yield);
 
 }  // namespace svr4
 

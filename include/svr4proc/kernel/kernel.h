@@ -146,7 +146,8 @@ class Kernel {
   size_t ProcCount() const { return nprocs_; }
   // Smallest allocated pid >= from (live or zombie); -1 when none. The
   // streaming /proc readdir cursors and the bulk-snapshot op iterate the
-  // population with this, one bitmap probe per step.
+  // population with this: one bitmap word, then at most one summary word
+  // per 4096 pids to skip to the next nonempty bitmap word.
   Pid NextAllocatedPid(Pid from) const;
   // Pid-space bound: allocation wraps within [0, max). Shrinking below pids
   // already in use is allowed (they stay valid until reaped); meant to be
@@ -392,9 +393,13 @@ class Kernel {
   // The user step, for a deterministic quantum and a free-running worker
   // alike: runs lwp's user code until a trap or `budget` instructions, from
   // the block cache unless kInterp is pinned, else one CpuStep at a time.
-  // Touches no kernel state except the armed profiler's buckets; returns
-  // instructions retired and the terminating event. A worker passes its
-  // CPU's IPI counter and yields as soon as an IPI is pending.
+  // ExecuteBlock chains from block to block through the cache and returns
+  // here only on a trap, at the end of the budget, at a block it must
+  // build (Get fills it), or for a pending IPI; with the profiler armed it
+  // runs one block per call, so each block charges its entry pc. Touches no
+  // kernel state except the armed profiler's buckets; returns instructions
+  // retired and the terminating event. A worker passes its CPU's IPI
+  // counter and yields at the next block boundary once an IPI is pending.
   uint32_t RunUserChunk(Lwp* lwp, uint32_t budget, StepResult* last,
                         const std::atomic<uint64_t>* ipi = nullptr);
   // Charges a user run to the clock and lwp, then takes the trap that ended
@@ -564,6 +569,10 @@ class Kernel {
   // are reused only after the space has been traversed once — held stale
   // /proc descriptors get the longest possible grace period.
   std::vector<uint64_t> pid_bitmap_;
+  // One bit per pid_bitmap_ word, set iff that word is nonzero: AllocPid
+  // sets it, FreeProc clears it when the word empties, SetMaxPid grows it
+  // with the bitmap, and CheckInvariants compares it with the bitmap.
+  std::vector<uint64_t> pid_summary_;
   Pid max_pid_ = kDefaultMaxPid;
   Pid next_pid_ = 0;  // allocation cursor, not a high-water mark
 

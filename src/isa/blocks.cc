@@ -316,12 +316,8 @@ bool BlockCache::BuildInto(Slot& s, uint32_t start, AddressSpace& as) {
 }
 
 const Block* BlockCache::Get(uint32_t pc, AddressSpace& as) {
-  if (!slots_.empty()) {
-    Slot& s = SlotFor(pc);
-    if (s.valid && s.blk.start == pc && s.blk.gen == as.CodeGen()) {
-      ++stats_.hits;
-      return &s.blk;
-    }
+  if (const Block* b = Lookup(pc, as.CodeGen())) {
+    return b;
   }
   return Fill(pc, as);
 }
@@ -371,33 +367,37 @@ void BlockCache::Grow() {
 //  * non-terminators advance ip and fall through to the next dispatch;
 //  * faults set regs.pc to the faulting instruction (counting it as
 //    executed, exactly like one CpuStep that returned kFault);
-//  * sys/branches/ret set regs.pc to the successor and end the block;
+//  * sys sets regs.pc to the successor and ends the run;
+//  * branches/ret set regs.pc to the successor and end the block;
 //  * running off the end (page-bounded or length-capped block) leaves
-//    regs.pc at the next undecoded instruction and returns kOk.
-// regs.pc is only materialized at exits; mid-block it is implied by ip.
-BlockRun ExecuteBlock(const Block& b, Regs& regs, FpRegs& fp, AddressSpace& as,
-                      uint32_t max_instrs) {
-  const PInstr* ip = b.code.data();
-  const PInstr* const end = ip + b.code.size();
-  const uint32_t build_gen = b.gen;
+//    regs.pc at the next undecoded instruction and ends the block.
+// A block that ends goes to the chain step, which enters the next cached
+// block or ends the run. regs.pc is only materialized at block ends;
+// mid-block it is implied by ip.
+uint32_t ExecuteBlock(const Block& b, Regs& regs, FpRegs& fp, AddressSpace& as,
+                      uint32_t max_instrs, StepResult* last, BlockCache* chain,
+                      const std::atomic<uint64_t>* yield) {
+  const Block* blk = &b;
+  const PInstr* ip = blk->code.data();
+  const PInstr* end = ip + blk->code.size();
+  uint32_t build_gen = blk->gen;
   uint32_t executed = 0;
-  StepResult last;  // kOk
 
 #define SVR4_B_RETIRE_OK(next_pc)      \
   do {                                 \
     ++executed;                        \
     regs.pc = (next_pc);               \
-    goto done;                         \
+    goto chain_step;                   \
   } while (0)
 #define SVR4_B_FAULT(fltno, fltaddr)             \
   do {                                           \
     ++executed;                                  \
     regs.pc = ip->pc;                            \
-    last = MakeFault((fltno), (fltaddr));        \
+    *last = MakeFault((fltno), (fltaddr));       \
     goto done;                                   \
   } while (0)
 // Fall through to the next instruction. If the block is exhausted or the
-// budget is spent, exit with pc at the successor.
+// budget is spent, end the block with pc at the successor.
 #define SVR4_B_NEXT()                            \
   do {                                           \
     ++executed;                                  \
@@ -405,12 +405,12 @@ BlockRun ExecuteBlock(const Block& b, Regs& regs, FpRegs& fp, AddressSpace& as,
     ++ip;                                        \
     if (ip == end || executed >= max_instrs) {   \
       regs.pc = nxt;                             \
-      goto done;                                 \
+      goto chain_step;                           \
     }                                            \
     SVR4_B_DISPATCH();                           \
   } while (0)
 // A store may have rewritten code anywhere, including later instructions of
-// this very block: leave at the successor so the caller re-validates.
+// this very block: end the run at the successor so the caller re-validates.
 #define SVR4_B_NEXT_AFTER_STORE()                \
   do {                                           \
     if (as.CodeGen() != build_gen) {             \
@@ -446,7 +446,7 @@ dispatch:
   SVR4_B_CASE(SYS) {
     ++executed;
     regs.pc = ip->pc + ip->len;
-    last.kind = StepResult::kSyscall;
+    *last = StepResult{.kind = StepResult::kSyscall};
     goto done;
   }
 
@@ -750,7 +750,7 @@ dispatch:
   SVR4_B_CASE(JMPR) { SVR4_B_RETIRE_OK(regs.r[ip->rs]); }
 
   SVR4_B_CASE(FLDI) {
-    fp.f[ip->rd] = b.fimm[ip->imm];
+    fp.f[ip->rd] = blk->fimm[ip->imm];
     SVR4_B_NEXT();
   }
 
@@ -805,6 +805,20 @@ dispatch:
   }
 #endif
 
+// The chain step: a block ended without a trap. Enter the block cached at
+// the new pc unless the budget is spent, the caller asked to yield, or the
+// cache holds no block there built at the current code generation.
+chain_step:
+  if (chain != nullptr && executed < max_instrs &&
+      (yield == nullptr || yield->load(std::memory_order_relaxed) == 0)) {
+    blk = chain->Lookup(regs.pc, as.CodeGen());
+    if (blk != nullptr) {
+      ip = blk->code.data();
+      end = ip + blk->code.size();
+      build_gen = blk->gen;
+      SVR4_B_DISPATCH();
+    }
+  }
 done:
 #undef SVR4_B_DISPATCH
 #undef SVR4_B_CASE
@@ -812,7 +826,7 @@ done:
 #undef SVR4_B_FAULT
 #undef SVR4_B_NEXT
 #undef SVR4_B_NEXT_AFTER_STORE
-  return BlockRun{executed, last};
+  return executed;
 }
 
 }  // namespace svr4

@@ -242,14 +242,34 @@ std::vector<std::string> Kernel::CheckInvariants() {
                             static_cast<long long>(list_len),
                             static_cast<long long>(nprocs_)));
     }
+    // The summary holds one bit per bitmap word, set iff the word is
+    // nonzero; recompute it in the popcount pass.
     size_t popcount = 0;
-    for (uint64_t w : pid_bitmap_) {
-      popcount += static_cast<size_t>(std::popcount(w));
+    std::vector<uint64_t> summary((pid_bitmap_.size() + 63) / 64, 0);
+    for (size_t w = 0; w < pid_bitmap_.size(); ++w) {
+      popcount += static_cast<size_t>(std::popcount(pid_bitmap_[w]));
+      if (pid_bitmap_[w] != 0) {
+        summary[w / 64] |= 1ull << (w % 64);
+      }
     }
     if (popcount != nprocs_) {
       v.push_back(Violation(0, "pid bitmap popcount != nprocs_",
                             static_cast<long long>(popcount),
                             static_cast<long long>(nprocs_)));
+    }
+    if (summary.size() != pid_summary_.size()) {
+      v.push_back(Violation(0, "pid summary words != bitmap words / 64",
+                            static_cast<long long>(pid_summary_.size()),
+                            static_cast<long long>(summary.size())));
+    } else {
+      for (size_t i = 0; i < summary.size(); ++i) {
+        if (summary[i] != pid_summary_[i]) {
+          // The pid named is the first of the 4096 this summary word covers.
+          v.push_back(Violation(static_cast<Pid>(i * 4096), "pid summary disagrees with bitmap",
+                                static_cast<long long>(pid_summary_[i]),
+                                static_cast<long long>(summary[i])));
+        }
+      }
     }
     // Each per-CPU run queue is a closed circle whose members all claim
     // membership, are homed on that CPU, and appear on no other queue.

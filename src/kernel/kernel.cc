@@ -51,6 +51,7 @@ const void* Kernel::PollChan() { return kPollChan; }
 Kernel::Kernel() {
   pid_hash_.assign(1024, nullptr);
   pid_bitmap_.assign((static_cast<size_t>(max_pid_) + 63) / 64, 0);
+  pid_summary_.assign((pid_bitmap_.size() + 63) / 64, 0);
   console_ = std::make_shared<ConsoleVnode>();
 
   VAttr dir_attr;
@@ -140,7 +141,9 @@ Pid Kernel::AllocPid() {
   if (pid < 0) {
     return -1;  // every pid is held by a live or zombie process
   }
-  pid_bitmap_[static_cast<size_t>(pid) / 64] |= 1ull << (pid % 64);
+  const size_t w = static_cast<size_t>(pid) / 64;
+  pid_bitmap_[w] |= 1ull << (pid % 64);
+  pid_summary_[w / 64] |= 1ull << (w % 64);
   next_pid_ = pid + 1;
   return pid;
 }
@@ -149,21 +152,27 @@ Pid Kernel::NextAllocatedPid(Pid from) const {
   if (from < 0) {
     from = 0;
   }
-  size_t nbits = pid_bitmap_.size() * 64;
-  if (static_cast<size_t>(from) >= nbits) {
+  size_t w = static_cast<size_t>(from) / 64;
+  if (w >= pid_bitmap_.size()) {
     return -1;
   }
-  size_t w = static_cast<size_t>(from) / 64;
   uint64_t word = pid_bitmap_[w] & (~0ull << (from % 64));
-  for (;;) {
-    if (word != 0) {
-      return static_cast<Pid>(w * 64 + std::countr_zero(word));
+  if (word == 0) {
+    // The next nonempty word, found in the summary: a tail of empty words
+    // costs one summary bit each instead of one bitmap word each.
+    const size_t after = w + 1;
+    size_t s = after / 64;
+    uint64_t bits = s < pid_summary_.size() ? pid_summary_[s] & (~0ull << (after % 64)) : 0;
+    while (bits == 0) {
+      if (++s >= pid_summary_.size()) {
+        return -1;
+      }
+      bits = pid_summary_[s];
     }
-    if (++w >= pid_bitmap_.size()) {
-      return -1;
-    }
+    w = s * 64 + static_cast<size_t>(std::countr_zero(bits));
     word = pid_bitmap_[w];
   }
+  return static_cast<Pid>(w * 64 + static_cast<size_t>(std::countr_zero(word)));
 }
 
 void Kernel::SetMaxPid(Pid max) {
@@ -177,6 +186,7 @@ void Kernel::SetMaxPid(Pid max) {
   size_t words = (static_cast<size_t>(max) + 63) / 64;
   if (words > pid_bitmap_.size()) {
     pid_bitmap_.resize(words, 0);
+    pid_summary_.resize((words + 63) / 64, 0);
   }
   if (next_pid_ >= max_pid_) {
     next_pid_ = 0;
@@ -274,9 +284,12 @@ void Kernel::FreeProc(Proc* p) {
     all_tail_ = p->pt_all_prev;
   }
   --nprocs_;
-  size_t bit = static_cast<size_t>(p->pid);
-  if (bit < pid_bitmap_.size() * 64) {
-    pid_bitmap_[bit / 64] &= ~(1ull << (bit % 64));
+  const size_t w = static_cast<size_t>(p->pid) / 64;
+  if (w < pid_bitmap_.size()) {
+    pid_bitmap_[w] &= ~(1ull << (p->pid % 64));
+    if (pid_bitmap_[w] == 0) {
+      pid_summary_[w / 64] &= ~(1ull << (w % 64));  // the word emptied
+    }
   }
   audit_watermark_.erase(p->ident);
   ProcPollLevelMoved(p->pid);
@@ -1276,10 +1289,18 @@ uint32_t Kernel::RunUserChunk(Lwp* lwp, uint32_t budget, StepResult* last,
   Proc* p = lwp->proc;
   AddressSpace& as = *p->as;
   const bool blocks_ok = exec_engine_ != ExecEngine::kInterp;
+  // User code can neither set the trace bit nor arm a watchpoint nor turn
+  // the TLB off, so the engine chosen here holds for the whole run.
+  BlockCache* bc = blocks_ok && (lwp->regs.psr & kPsrT) == 0 && as.CodeCacheActive()
+                       ? &as.blocks()
+                       : nullptr;
   // Step() never free-runs while a profiler is armed, so only the
-  // deterministic quantum can take the sampling branch.
+  // deterministic quantum can take the sampling branch. It runs one block
+  // per ExecuteBlock call so that each block charges its own entry pc;
+  // otherwise the executor chains through the cache itself.
   ProfState* prof =
       prof_armed_ != 0 && p->prof != nullptr && p->prof->on ? p->prof.get() : nullptr;
+  BlockCache* chain = prof == nullptr ? bc : nullptr;
   last->kind = StepResult::kOk;
   uint32_t executed = 0;
   while (executed < budget) {
@@ -1287,16 +1308,10 @@ uint32_t Kernel::RunUserChunk(Lwp* lwp, uint32_t budget, StepResult* last,
       break;  // a peer shot this CPU down mid-chunk; yield to the fold
     }
     const uint32_t pc = lwp->regs.pc;
-    const Block* blk = nullptr;
-    if (blocks_ok && (lwp->regs.psr & kPsrT) == 0 && as.CodeCacheActive()) {
-      blk = as.blocks().Get(pc, as);
-    }
+    const Block* blk = bc != nullptr ? bc->Get(pc, as) : nullptr;
     uint32_t n = 1;
-    StepResult r;
     if (blk != nullptr) {
-      BlockRun run = ExecuteBlock(*blk, lwp->regs, lwp->fpregs, as, budget - executed);
-      n = run.executed;
-      r = run.last;
+      n = ExecuteBlock(*blk, lwp->regs, lwp->fpregs, as, budget - executed, last, chain, ipi);
     } else {
       // Single step: the interpreter pin, or the block engine's fallback
       // (trace bit set, watchpoints active, TLB off, or a pc that is not
@@ -1304,15 +1319,17 @@ uint32_t Kernel::RunUserChunk(Lwp* lwp, uint32_t budget, StepResult* last,
       if (blocks_ok) {
         ++as.blocks().stats().fallback_steps;
       }
-      r = CpuStep(lwp->regs, lwp->fpregs, as);
+      StepResult r = CpuStep(lwp->regs, lwp->fpregs, as);
+      if (r.kind != StepResult::kOk) {
+        *last = r;
+      }
     }
     if (prof != nullptr) {
-      // A block run charges its entry pc, a single step its own pc.
+      // A block charges its entry pc, a single step its own pc.
       ProfCharge(prof, pc, p->utime + executed, p->utime + executed + n);
     }
     executed += n;
-    if (r.kind != StepResult::kOk) {
-      *last = r;
+    if (last->kind != StepResult::kOk) {
       break;
     }
   }

@@ -1,11 +1,14 @@
 // The predecoded basic-block execution engine: decoder consistency with the
 // interpreter's tables, differential engine equivalence (also while the
 // block cache grows), the generation-based invalidation edges (self-modifying
-// code, breakpoint plants, watchpoints, the trace bit, exec), and the cache's
-// size per address space. Architectural behaviour must be byte-identical to
-// the interpreter in every one of these.
+// code, breakpoint plants, watchpoints, the trace bit, exec), the edges of
+// the executor's block-to-block chain, and the cache's size per address
+// space. Architectural behaviour must be byte-identical to the interpreter
+// in every one of these.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <span>
@@ -14,6 +17,7 @@
 
 #include "svr4proc/isa/blocks.h"
 #include "svr4proc/isa/disasm.h"
+#include "svr4proc/kernel/smp.h"
 #include "svr4proc/tools/proclib.h"
 #include "svr4proc/tools/sim.h"
 
@@ -449,6 +453,243 @@ path: .asciz "/bin/second"
   ASSERT_TRUE(st.ok());
   ASSERT_TRUE(WIfExited(*st));
   EXPECT_EQ(WExitCode(*st), 7);
+}
+
+// ---------------------------------------------------------------------------
+// Chain edges: the executor runs from one cached block straight into the
+// next, and must leave the chain wherever the block-per-call loop it
+// replaced would have looked at the cache, the budget or the IPI counter.
+// ---------------------------------------------------------------------------
+
+// Eight three-instruction blocks: they take distinct slots of the smallest
+// table, so every lap after the first runs from the cache without a miss.
+constexpr int kChainRing = 8;
+constexpr uint64_t kChainLap = 3 * kChainRing;
+constexpr uint32_t kRingBlockBytes = 13;  // addi (6), xor (2), jmp (5)
+
+TEST(BlockChain, StoreRewritesTheNextBlockOfTheChain) {
+  // Each lap, block `top` patches the immediate of the ldi that opens the
+  // next block with the lap number, and that block adds it to a checksum.
+  // From the second lap on the next block is cached with last lap's
+  // immediate, so the chain must find it stale and rebuild it.
+  constexpr char kPatchNext[] = R"(
+      ldi r0, SYS_mprotect
+      ldi r1, top
+      ldi r2, 0xFFFFF000
+      and r1, r2
+      ldi r2, 4096
+      ldi r3, 7           ; READ|WRITE|EXEC
+      sys
+      ldi r8, 0           ; checksum
+      ldi r9, 0           ; lap
+top:  addi r9, 1
+      ldi r4, tgt+2       ; low byte of the ldi immediate below
+      stb r9, [r4]
+      jmp tgt
+tgt:  ldi r6, 0           ; becomes ldi r6, <lap> before it executes
+      add r8, r6
+      cmpi r9, 200
+      jlt top
+      mov r1, r8
+      ldi r0, SYS_exit
+      sys
+  )";
+  RunTotals blocks = RunUnder(ExecEngine::kAuto, kPatchNext);
+  ASSERT_TRUE(WIfExited(blocks.status));
+  EXPECT_EQ(WExitCode(blocks.status), (200 * 201 / 2) & 0xFF)
+      << "the chain entered a block built before the store rewrote it";
+  RunTotals interp = RunUnder(ExecEngine::kInterp, kPatchNext);
+  EXPECT_EQ(interp.status, blocks.status);
+  EXPECT_EQ(interp.ticks, blocks.ticks);
+  EXPECT_EQ(interp.instructions, blocks.instructions);
+}
+
+struct ChainStop {
+  uint32_t planted = 0;
+  PrStatus status{};
+  uint64_t ticks = 0;
+};
+
+// Runs the ring until every block is cached, stops it between two quanta,
+// plants a breakpoint through PrWrite at the start of the block after the
+// one holding the stopped pc (the block the chain enters next), and runs it
+// into the breakpoint.
+ChainStop RunIntoBreakpointAhead(ExecEngine engine) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  k.SetExecEngine(engine);
+  auto t = StartProgram(sim, BlockRing(kChainRing));
+  auto h = Grab(sim, t.pid);
+  const Proc* p = k.FindProc(t.pid);
+  EXPECT_TRUE(k.RunUntil([&] { return p->utime >= 4 * kChainLap + 11; }, 100000));
+  EXPECT_TRUE(h.Stop().ok());
+  FltSet faults;
+  faults.Add(FLTBPT);
+  EXPECT_TRUE(h.SetFltTrace(faults).ok());
+  auto st = h.Status();
+  EXPECT_TRUE(st.ok());
+  ChainStop out;
+  const uint32_t pc = st.ok() ? st->pr_reg.pc : 0;
+  for (int i = 0; i < kChainRing; ++i) {
+    const uint32_t start = *t.image.SymbolValue("b" + std::to_string(i));
+    const uint32_t next =
+        *t.image.SymbolValue("b" + std::to_string((i + 1) % kChainRing));
+    if (pc >= start && pc < start + kRingBlockBytes) {
+      out.planted = next;
+    }
+  }
+  EXPECT_NE(out.planted, 0u) << "stopped outside the ring at " << pc;
+  const uint8_t bpt = kBreakpointByte;
+  EXPECT_TRUE(h.WriteMem(out.planted, &bpt, 1).ok());
+  EXPECT_TRUE(h.Run().ok());
+  const Lwp* lwp = p->lwps[0].get();
+  EXPECT_TRUE(k.RunUntil([&] { return lwp->state == LwpState::kStopped; }, 10000))
+      << "the breakpoint ahead of the chain never fired";
+  st = h.Status();
+  EXPECT_TRUE(st.ok());
+  out.status = st.ok() ? *st : PrStatus{};
+  out.ticks = k.Ticks();
+  return out;
+}
+
+TEST(BlockChain, BreakpointPlantedBetweenQuantaInTheNextBlockFires) {
+  ChainStop blocks = RunIntoBreakpointAhead(ExecEngine::kAuto);
+  EXPECT_EQ(blocks.status.pr_why, PR_FAULTED);
+  EXPECT_EQ(blocks.status.pr_what, FLTBPT);
+  EXPECT_EQ(blocks.status.pr_reg.pc, blocks.planted);
+  ChainStop interp = RunIntoBreakpointAhead(ExecEngine::kInterp);
+  EXPECT_EQ(interp.planted, blocks.planted);
+  EXPECT_TRUE(interp.status.pr_reg == blocks.status.pr_reg);
+  EXPECT_EQ(interp.status.pr_utime, blocks.status.pr_utime);
+  EXPECT_EQ(interp.ticks, blocks.ticks);
+}
+
+struct QuantumTrail {
+  std::vector<Regs> regs;
+  std::vector<uint64_t> utime;
+  std::vector<uint64_t> ticks;
+  bool deterministic = true;
+};
+
+// The ring's state after each of 60 Steps at the given nice value.
+QuantumTrail RunRingAtNice(ExecEngine engine, int nice) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  k.SetExecEngine(engine);
+  auto t = StartProgram(sim, BlockRing(kChainRing));
+  Proc* p = k.FindProc(t.pid);
+  p->nice = nice;
+  QuantumTrail out;
+  out.deterministic = k.smp_mode() == SmpMode::kDeterministic;
+  for (int i = 0; i < 60; ++i) {
+    k.Step();
+    out.regs.push_back(p->lwps[0]->regs);
+    out.utime.push_back(p->utime);
+    out.ticks.push_back(k.Ticks());
+  }
+  return out;
+}
+
+TEST(BlockChain, BudgetRunsOutMidChainAtEveryNice) {
+  // Quanta of 128, 64 and 4 instructions: none is a multiple of the ring's
+  // three-instruction blocks, so quanta end inside chained blocks and the
+  // next ones start mid-block. (Free-running chunks are sized differently;
+  // the engines must agree there too.)
+  for (int nice : {0, 20, 39}) {
+    QuantumTrail blocks = RunRingAtNice(ExecEngine::kAuto, nice);
+    QuantumTrail interp = RunRingAtNice(ExecEngine::kInterp, nice);
+    EXPECT_EQ(interp.utime, blocks.utime) << "nice " << nice;
+    EXPECT_EQ(interp.ticks, blocks.ticks) << "nice " << nice;
+    EXPECT_TRUE(interp.regs == blocks.regs) << "nice " << nice;
+    if (blocks.deterministic) {
+      EXPECT_TRUE(std::any_of(blocks.utime.begin(), blocks.utime.end(),
+                              [](uint64_t u) { return u % 3 != 0; }))
+          << "nice " << nice << ": no quantum ended mid-block";
+    }
+  }
+}
+
+TEST(BlockChain, RingCountsOneHitPerBlockEntered) {
+  // At nice 25 a quantum is 48 instructions and a free-running chunk 12288,
+  // both whole laps, so every block is entered at its start: the first lap
+  // misses once per block and every later entry is one hit, whether the
+  // executor or Get found the block.
+  constexpr uint64_t kLaps = 1024;
+  Sim sim;
+  Kernel& k = sim.kernel();
+  k.SetExecEngine(ExecEngine::kAuto);
+  auto t = StartProgram(sim, BlockRing(kChainRing));
+  Proc* p = k.FindProc(t.pid);
+  p->nice = 25;
+  ASSERT_TRUE(k.RunUntil([&] { return p->utime >= kLaps * kChainLap; }, 100000));
+  ASSERT_EQ(p->utime, kLaps * kChainLap);
+  const BlockCache* bc = p->as->blocks_if();
+  ASSERT_NE(bc, nullptr);
+  EXPECT_EQ(bc->stats().misses, uint64_t{kChainRing});
+  EXPECT_EQ(bc->stats().hits, (kLaps - 1) * kChainRing);
+  EXPECT_EQ(bc->stats().built, uint64_t{kChainRing});
+  EXPECT_EQ(bc->stats().invalidations, 0u);
+  EXPECT_EQ(bc->stats().fallback_steps, 0u);
+  EXPECT_EQ(bc->slot_count(), kBlockCacheMinSlots);
+
+  Sim ref;
+  ref.kernel().SetExecEngine(ExecEngine::kInterp);
+  auto rt = StartProgram(ref, BlockRing(kChainRing));
+  Proc* rp = ref.kernel().FindProc(rt.pid);
+  rp->nice = 25;
+  ASSERT_TRUE(ref.kernel().RunUntil([&] { return rp->utime >= kLaps * kChainLap; }, 100000));
+  EXPECT_EQ(rp->utime, p->utime);
+  EXPECT_TRUE(rp->lwps[0]->regs == p->lwps[0]->regs);
+  EXPECT_EQ(ref.kernel().Ticks(), k.Ticks());
+}
+
+TEST(BlockChain, RaisedIpiStopsTheChainAtTheNextBlockBoundary) {
+  // A free-running worker hands the executor its CPU's IPI counter. Once a
+  // shootdown raises it, the chain ends at the next block boundary; once
+  // acknowledged, the chain runs to the end of its budget. Both runs must
+  // leave the registers where the interpreter does after as many steps.
+  Sim sim;
+  Kernel& k = sim.kernel();
+  k.SetExecEngine(ExecEngine::kAuto);
+  auto t = StartProgram(sim, BlockRing(kChainRing));
+  Proc* p = k.FindProc(t.pid);
+  p->nice = 25;  // whole-block quanta: the cache holds just the ring's blocks
+  ASSERT_TRUE(k.RunUntil([&] { return p->utime >= 4 * kChainLap; }, 100000));
+  AddressSpace& as = *p->as;
+  BlockCache& bc = as.blocks();
+  SmpState smp;
+  smp.Resize(2);
+  smp.cpu(1).cur_as = &as;
+  smp.Shootdown(&as, t.pid);
+  const std::atomic<uint64_t>& ipi = smp.cpu(1).ipi_pending;
+  ASSERT_EQ(ipi.load(), 1u);
+
+  Regs regs = p->lwps[0]->regs;
+  FpRegs fp = p->lwps[0]->fpregs;
+  Regs ref = regs;
+  FpRegs ref_fp = fp;
+  auto interp = [&](uint32_t n) {
+    for (uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(CpuStep(ref, ref_fp, as).kind, StepResult::kOk);
+    }
+  };
+  StepResult last;
+  const Block* first = bc.Get(regs.pc, as);
+  ASSERT_NE(first, nullptr);
+  const uint32_t first_len = static_cast<uint32_t>(first->code.size());
+  uint32_t n = ExecuteBlock(*first, regs, fp, as, 1000, &last, &bc, &ipi);
+  EXPECT_EQ(last.kind, StepResult::kOk);
+  EXPECT_EQ(n, first_len) << "a raised IPI must end the chain after the entry block";
+  interp(n);
+  EXPECT_TRUE(ref == regs);
+
+  EXPECT_EQ(smp.AckIpis(1), 1u);
+  const Block* next = bc.Get(regs.pc, as);
+  ASSERT_NE(next, nullptr);
+  n = ExecuteBlock(*next, regs, fp, as, 1000, &last, &bc, &ipi);
+  EXPECT_EQ(n, 1000u) << "with no IPI pending the chain runs the whole budget";
+  interp(n);
+  EXPECT_TRUE(ref == regs);
 }
 
 // ---------------------------------------------------------------------------

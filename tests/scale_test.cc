@@ -92,6 +92,97 @@ TEST(ScalePidTable, PidWraparoundReusesFreedPids) {
   EXPECT_TRUE(k.CheckInvariants().empty());
 }
 
+// NextAllocatedPid skips runs of empty bitmap words through a summary with
+// one bit per word. Over seeded churn that wraps a small pid space, grows
+// the space past the default bitmap and wraps a sparse one spanning three
+// summary words, every answer must equal a linear scan of the pids the test
+// knows are allocated, and CheckInvariants must find the summary in step.
+TEST(ScalePidTable, NextAllocatedPidMatchesLinearScan) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  std::vector<Pid> system;  // the processes the simulation starts with
+  for (Pid pid = 0; pid < 64; ++pid) {
+    if (k.FindProc(pid) != nullptr) {
+      system.push_back(pid);
+    }
+  }
+  ASSERT_EQ(system.size(), k.ProcCount());
+  std::vector<Proc*> live;
+  uint64_t rng = 0x5eed;
+  auto draw = [&](uint64_t n) {
+    uint64_t z = (rng += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return (z ^ (z >> 31)) % n;
+  };
+  auto check = [&](Pid space) {
+    k.Step();  // reap the processes destroyed since the last check
+    std::vector<Pid> model = system;
+    for (const Proc* p : live) {
+      model.push_back(p->pid);
+    }
+    std::sort(model.begin(), model.end());
+    ASSERT_EQ(model.size(), k.ProcCount());
+    auto linear = [&](Pid from) -> Pid {
+      for (Pid pid : model) {
+        if (pid >= from) {
+          return pid;
+        }
+      }
+      return -1;
+    };
+    std::vector<Pid> probes = {-1, 0, space - 1, space, kDefaultMaxPid - 1, kDefaultMaxPid,
+                               k.max_pid() + 64};
+    for (Pid pid : model) {
+      probes.push_back(pid);
+      probes.push_back(pid + 1);
+    }
+    for (int i = 0; i < 256; ++i) {
+      probes.push_back(static_cast<Pid>(draw(static_cast<uint64_t>(space) + 4096)));
+    }
+    for (Pid from : probes) {
+      ASSERT_EQ(k.NextAllocatedPid(from), linear(from)) << "from " << from;
+    }
+    const auto violations = k.CheckInvariants();
+    EXPECT_TRUE(violations.empty()) << violations.front();
+  };
+  // Each op creates a native process (while fewer than `target` live, else
+  // on a coin flip) or destroys a random live one; a full space destroys.
+  // Returns how many times the allocation cursor wrapped.
+  Pid last = 0;
+  auto churn = [&](int ops, size_t target, Pid space) {
+    int wraps = 0;
+    for (int i = 1; i <= ops; ++i) {
+      if (live.size() < target || draw(2) == 0) {
+        if (Proc* p = k.CreateNativeProc(Creds::Root(), "churn")) {
+          wraps += p->pid < last ? 1 : 0;
+          last = p->pid;
+          live.push_back(p);
+          continue;
+        }
+      }
+      if (!live.empty()) {
+        const size_t j = draw(live.size());
+        k.DestroyNativeProc(live[j]);
+        live[j] = live.back();
+        live.pop_back();
+      }
+      if (i % 500 == 0) {
+        check(space);
+      }
+    }
+    check(space);
+    return wraps;
+  };
+
+  k.SetMaxPid(700);  // eleven bitmap words
+  EXPECT_GE(churn(3000, 150, 700), 2);
+  k.SetMaxPid(kDefaultMaxPid + 5000);  // the bitmap and the summary grow
+  churn(2000, 150, kDefaultMaxPid + 5000);
+  k.SetMaxPid(9000);  // sparse, over three summary words
+  EXPECT_GE(churn(40000, 200, 9000), 2);
+}
+
 TEST(ScalePidTable, StaleDescriptorAcrossPidReuseIsInert) {
   Sim sim;
   Kernel& k = sim.kernel();
