@@ -1,8 +1,9 @@
 // T-PROCD: the /proc2 network daemon under load. Measures control
 // operations per second and whole-population psall snapshot reads per
-// second with 1k and 10k simulated concurrent peers, each peer a native
-// controller process holding real /proc descriptors. A pump round visits
-// only the peers with work (the ready and parked lists), so the idle
+// second with 1k and 10k simulated concurrent peers (snapshots also at
+// 2k), each peer a native controller process holding real /proc
+// descriptors. A pump round visits only the peers with work (the ready
+// and parked lists), so the idle
 // population should cost an op almost nothing: the 10k rows stay close to
 // the 1k rows, and what gap remains is per-peer state falling out of cache
 // (each op touches a different peer), not a scan.
@@ -94,6 +95,8 @@ BENCHMARK(BM_ProcdCtlOps)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMicrosecond
 
 // Whole-population snapshots: one windowed PIOCPSALL scan per iteration,
 // issued by a rotating peer. items_per_second is snapshot reads/sec.
+// Windows per snapshot: one at 1k peers, two at 2k (like the ~2026 rows
+// of the perfbench `remote` workload), ten at 10k.
 void BM_ProcdPsallSnapshot(benchmark::State& state) {
   System& sys = GetSystem(static_cast<int>(state.range(0)));
   uint64_t snaps = 0;
@@ -116,6 +119,7 @@ void BM_ProcdPsallSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcdPsallSnapshot)
     ->Arg(1'000)
+    ->Arg(2'000)
     ->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
 

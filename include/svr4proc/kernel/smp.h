@@ -131,15 +131,20 @@ class SmpState {
   // kernel construction.
   void SetKtrace(KTrace* kt) { kt_ = kt; }
   void SetCpuSource(const int* src) { cur_cpu_src_ = src; }
+  // Names the CPU whose chunk the calling free-running worker thread runs
+  // (-1 once it is done). A shootdown the chunk's own stores cause is sent
+  // by that CPU: the kernel's CPU source reads 0 while workers run.
+  static void SetWorkerCpu(int cpu);
 
   // Resets to n CPUs with deterministically reseeded steal streams. Queue
   // migration is the kernel's job (it owns the lwps); callers must drain
   // and re-insert around this.
   void Resize(int n);
 
-  // Charges a TLB/code shootdown IPI to every CPU other than the currently
-  // executing one whose last-dispatched address space is `as`. No-op on a
-  // uniprocessor. `pid` stamps the trace record.
+  // Charges a TLB/code shootdown IPI to every CPU other than the sending
+  // one (the worker's CPU inside a free-running chunk, else the CPU the
+  // kernel is executing for) whose last-dispatched address space is `as`.
+  // No-op on a uniprocessor. `pid` stamps the trace record.
   void Shootdown(const void* as, int32_t pid);
 
   // Charges a reschedule IPI to `target_cpu` (stop directive against an lwp
@@ -168,6 +173,8 @@ class SmpState {
   uint64_t TotalIpisPending() const;
 
  private:
+  int SendingCpu() const;
+
   std::vector<CpuState> cpus_;
   SmpMode mode_ = SmpMode::kDeterministic;
   KTrace* kt_ = nullptr;

@@ -62,8 +62,11 @@ class RemoteProcIo : public ProcIo {
 
  private:
   // Sends one request and pumps the server until its tagged reply arrives.
-  // Pushed kEvent frames encountered on the way are queued.
-  Result<PdFrame> Call(PdOp op, std::vector<uint8_t> body);
+  // Pushed kEvent frames encountered on the way are queued. The reply's
+  // body views the connection's server -> client buffer, uncopied: decode
+  // it before the next Call, Poke or NextEvent, or before pumping the
+  // server, any of which may overwrite it.
+  Result<PdFrame> Call(PdOp op, std::span<const uint8_t> body);
   void DrainPushed();
 
   std::shared_ptr<ProcdConn> conn_;

@@ -53,6 +53,7 @@
 
 #include "svr4proc/kernel/kernel.h"
 #include "svr4proc/kernel/ktrace.h"
+#include "svr4proc/procfs/types.h"
 
 namespace svr4 {
 
@@ -102,22 +103,31 @@ struct PdFrameHdr {
 };
 inline constexpr uint16_t kPdErrFlag = 1;
 
+// A received frame. `body` views the channel's buffer, not a copy of it: it
+// stays valid until the next NextFrame or Append on the channel it came
+// from. A reader that needs bytes past that point copies them (a parked ctl
+// stream copies its unwritten tail into the peer's wait state).
 struct PdFrame {
   PdFrameHdr hdr;
-  std::vector<uint8_t> body;
+  std::span<const uint8_t> body;
 };
 
-// One direction of a connection: an in-memory byte stream.
+// One direction of a connection: an in-memory byte stream. Frames are read
+// in place; the consumed prefix is dropped at the start of the next
+// NextFrame or Append, never at the end of the NextFrame that consumed it,
+// so the frame just returned stays where its body points. Once warm, the
+// buffer's capacity carries every later frame without allocating.
 class PdChannel {
  public:
   void Append(const void* p, size_t n) {
+    Compact();
     const uint8_t* b = static_cast<const uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
-  // Extracts the next complete frame; false when none is buffered.
+  // Points `out` at the next complete frame; false when none is buffered.
   bool NextFrame(PdFrame* out) {
+    Compact();
     if (buf_.size() - rd_ < sizeof(PdFrameHdr)) {
-      Compact();
       return false;
     }
     PdFrameHdr h;
@@ -126,10 +136,8 @@ class PdChannel {
       return false;
     }
     out->hdr = h;
-    out->body.assign(buf_.begin() + static_cast<long>(rd_ + sizeof(h)),
-                     buf_.begin() + static_cast<long>(rd_ + sizeof(h) + h.body_len));
+    out->body = std::span<const uint8_t>(buf_.data() + rd_ + sizeof(h), h.body_len);
     rd_ += sizeof(h) + h.body_len;
-    Compact();
     return true;
   }
   bool HasFrame() const { return buf_.size() - rd_ >= sizeof(PdFrameHdr); }
@@ -153,13 +161,14 @@ class PdWriter {
   template <typename T>
   PdWriter& Put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
-    return *this;
+    return PutBytes(&v, sizeof(T));
   }
   PdWriter& PutBytes(const void* p, size_t n) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    bytes_.insert(bytes_.end(), b, b + n);
+    if (n != 0) {
+      size_t at = bytes_.size();
+      bytes_.resize(at + n);
+      std::memcpy(bytes_.data() + at, p, n);
+    }
     return *this;
   }
   PdWriter& PutString(const std::string& s) {
@@ -172,45 +181,49 @@ class PdWriter {
   std::vector<uint8_t> bytes_;
 };
 
+// Reads a frame body in place (see PdFrame for how long the bytes live).
 class PdReader {
  public:
-  explicit PdReader(const std::vector<uint8_t>& b) : b_(&b) {}
+  explicit PdReader(std::span<const uint8_t> b) : b_(b) {}
   template <typename T>
   bool Get(T* v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (b_->size() - off_ < sizeof(T)) {
+    if (b_.size() - off_ < sizeof(T)) {
       return false;
     }
-    std::memcpy(v, b_->data() + off_, sizeof(T));
+    std::memcpy(v, b_.data() + off_, sizeof(T));
     off_ += sizeof(T);
     return true;
   }
   bool GetString(std::string* s) {
     uint32_t n = 0;
-    if (!Get(&n) || b_->size() - off_ < n) {
+    if (!Get(&n) || b_.size() - off_ < n) {
       return false;
     }
-    s->assign(reinterpret_cast<const char*>(b_->data() + off_), n);
+    s->assign(reinterpret_cast<const char*>(b_.data() + off_), n);
     off_ += n;
     return true;
   }
   const uint8_t* Raw(size_t n) {
-    if (b_->size() - off_ < n) {
+    if (b_.size() - off_ < n) {
       return nullptr;
     }
-    const uint8_t* p = b_->data() + off_;
+    const uint8_t* p = b_.data() + off_;
     off_ += n;
     return p;
   }
-  size_t remaining() const { return b_->size() - off_; }
+  size_t remaining() const { return b_.size() - off_; }
 
  private:
-  const std::vector<uint8_t>* b_;
+  std::span<const uint8_t> b_;
   size_t off_ = 0;
 };
 
+// Appends one frame whose body is `body` followed by `tail`, so a reply can
+// gather its fixed fields and a payload that lives elsewhere (the psall rows
+// in the server's window) into the channel without first joining them.
 void PdWriteFrame(PdChannel& ch, PdOp op, uint16_t flags, uint32_t tag,
-                  const std::vector<uint8_t>& body);
+                  std::span<const uint8_t> body, std::span<const uint8_t> tail = {});
 void PdWriteError(PdChannel& ch, PdOp op, uint32_t tag, Errno e);
 
 // --- Connection --------------------------------------------------------------
@@ -225,7 +238,7 @@ struct ProcdPeer;  // the server's per-peer state (procd.cc)
 class ProcdConn {
  public:
   // Appends one request frame to the client -> server stream.
-  void Send(PdOp op, uint32_t tag, const std::vector<uint8_t>& body);
+  void Send(PdOp op, uint32_t tag, std::span<const uint8_t> body);
   // Orderly hangup: the server detaches the peer once its queued frames
   // are served.
   void Hangup();
@@ -397,6 +410,11 @@ class ProcdServer {
   std::vector<SubRef> every_round_subs_;  // subscriptions on other descriptors
   uint64_t next_conn_id_ = 1;
   Stats stats_;
+  // The one psall window, shared by every peer and call: PIOCPSALL refills
+  // it in place and HandlePsall gathers its rows straight into the peer's
+  // channel, so once it has grown to the largest window asked for (at most
+  // the population) a snapshot allocates nothing on the server.
+  PrPsAll psall_;
 
   bool spans_on_ = false;
   std::array<OpSpan, kPdOpSlots> spans_{};

@@ -100,8 +100,11 @@ class ProcHandle {
   Result<PrKstat> Kstat();     // kernel-wide metrics registry (PIOCKSTAT)
   // Bulk ps info for the whole population: PIOCPSALL in windows of 1024
   // rows. One window (up to 1024 processes) is one operation whose buffer
-  // becomes the result; later windows are appended to it. The handle's own
-  // target is just the descriptor the requests ride on.
+  // becomes the result. A larger population reserves the result once, at
+  // twice the first window, and copies each window into it from the one
+  // window buffer, which every PIOCPSALL refills in place: two windows
+  // allocate exactly the window and the result, on any transport. The
+  // handle's own target is just the descriptor the requests ride on.
   Result<std::vector<PrPsinfo>> PsinfoAll();
   // The target's slice of the kernel event ring, read from
   // /proc2/<pid>/trace. Works on zombies, and keeps working after the

@@ -32,8 +32,9 @@ Result<std::vector<PrPsinfo>> PsSnapshot(Kernel& k, Proc* caller);
 // The bulk path: PIOCPSALL on a single handle, in windows of 1024 rows
 // chained by pr_next_pid (ProcHandle::PsinfoAll). A population that fits
 // one window is one operation, and that window's buffer is the result,
-// never copied; a larger one appends each later window to the first, and a
-// process born or reaped between windows may be missed or shift the rows.
+// never copied; a larger one copies each window into a result reserved
+// once, and a process born or reaped between windows may be missed or
+// shift the rows. Over procd the snapshot allocates what it does locally.
 // At 10^5+ processes this is the only shape that keeps ps O(n) — the
 // per-pid loop pays open+ioctl+close per process.
 Result<std::vector<PrPsinfo>> PsSnapshotAll(ProcIo& io, Pid handle_pid);

@@ -1237,7 +1237,9 @@ bool Kernel::StepFreeRun() {
         return;  // a serial quantum stopped, killed or reaped it meanwhile
       }
       l->proc->as->BindCpu(pk.cpu);  // this worker's translations go to its own bank
+      SmpState::SetWorkerCpu(pk.cpu);  // and its shootdowns are sent by its CPU
       pk.executed = RunUserChunk(l, pk.budget, &pk.last, &smp_.cpu(pk.cpu).ipi_pending);
+      SmpState::SetWorkerCpu(-1);
     });
   }
 

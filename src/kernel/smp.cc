@@ -15,7 +15,20 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+// The CPU whose chunk this thread runs in a free-running super-step, or -1
+// outside one (SmpState::SetWorkerCpu).
+thread_local int t_worker_cpu = -1;
+
 }  // namespace
+
+void SmpState::SetWorkerCpu(int cpu) { t_worker_cpu = cpu; }
+
+int SmpState::SendingCpu() const {
+  if (t_worker_cpu >= 0) {
+    return t_worker_cpu;
+  }
+  return cur_cpu_src_ != nullptr ? *cur_cpu_src_ : 0;
+}
 
 void SmpState::Resize(int n) {
   cpus_.assign(static_cast<size_t>(n), CpuState{});
@@ -33,7 +46,7 @@ void SmpState::Shootdown(const void* as, int32_t pid) {
   if (n <= 1) {
     return;
   }
-  int self = cur_cpu_src_ != nullptr ? *cur_cpu_src_ : 0;
+  int self = SendingCpu();
   for (int i = 0; i < n; ++i) {
     CpuState& c = cpus_[static_cast<size_t>(i)];
     if (i == self || c.cur_as != as) {
@@ -43,8 +56,9 @@ void SmpState::Shootdown(const void* as, int32_t pid) {
         c.ipi_pending.fetch_add(1, std::memory_order_relaxed) + 1;
     CpuState& from = cpus_[static_cast<size_t>(self)];
     // atomic_ref: free-running workers shoot down through the VM layer
-    // while other workers do the same, and all of them charge the BSP
-    // (cur_cpu 0) as the sender.
+    // concurrently. Each charges the CPU whose chunk it runs, so no two
+    // share a sender today; the atomic keeps the count exact if a sender
+    // is ever charged from two threads at once.
     std::atomic_ref<uint64_t>(from.stats.ipis_sent)
         .fetch_add(1, std::memory_order_relaxed);
     if (kt_ != nullptr && kt_->armed()) {
@@ -60,7 +74,7 @@ void SmpState::ReschedIpi(int target_cpu, int32_t pid, int lwpid) {
   if (ncpus() <= 1 || target_cpu < 0 || target_cpu >= ncpus()) {
     return;
   }
-  int self = cur_cpu_src_ != nullptr ? *cur_cpu_src_ : 0;
+  int self = SendingCpu();
   if (target_cpu == self) {
     return;
   }

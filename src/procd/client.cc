@@ -41,7 +41,7 @@ void RemoteProcIo::DrainPushed() {
   }
 }
 
-Result<PdFrame> RemoteProcIo::Call(PdOp op, std::vector<uint8_t> body) {
+Result<PdFrame> RemoteProcIo::Call(PdOp op, std::span<const uint8_t> body) {
   if (conn_ == nullptr || conn_->client_closed() || conn_->server_closed) {
     return Errno::kEIO;
   }
@@ -118,7 +118,7 @@ Result<int> RemoteProcIo::Open(const std::string& path, int oflags) {
   PdWriter w;
   w.Put<int32_t>(oflags);
   w.PutString(path);
-  auto f = Call(PdOp::kOpen, std::move(w.bytes()));
+  auto f = Call(PdOp::kOpen, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -133,7 +133,7 @@ Result<int> RemoteProcIo::Open(const std::string& path, int oflags) {
 Result<void> RemoteProcIo::Close(int fd) {
   PdWriter w;
   w.Put<int32_t>(fd);
-  auto f = Call(PdOp::kClose, std::move(w.bytes()));
+  auto f = Call(PdOp::kClose, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -144,9 +144,12 @@ Result<int64_t> RemoteProcIo::Read(int fd, void* buf, uint64_t n) {
   PdWriter w;
   w.Put<int32_t>(fd);
   w.Put<uint32_t>(static_cast<uint32_t>(n));
-  auto f = Call(PdOp::kRead, std::move(w.bytes()));
+  auto f = Call(PdOp::kRead, w.bytes());
   if (!f.ok()) {
     return f.error();
+  }
+  if (f->body.size() > n) {
+    return Errno::kEIO;  // more bytes than were asked for: never past buf
   }
   if (!f->body.empty()) {
     std::memcpy(buf, f->body.data(), f->body.size());
@@ -158,7 +161,7 @@ Result<int64_t> RemoteProcIo::Write(int fd, const void* buf, uint64_t n) {
   PdWriter w;
   w.Put<int32_t>(fd);
   w.PutBytes(buf, n);
-  auto f = Call(PdOp::kWrite, std::move(w.bytes()));
+  auto f = Call(PdOp::kWrite, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -175,7 +178,7 @@ Result<int64_t> RemoteProcIo::Lseek(int fd, int64_t off, int whence) {
   w.Put<int32_t>(fd);
   w.Put<int64_t>(off);
   w.Put<int32_t>(whence);
-  auto f = Call(PdOp::kLseek, std::move(w.bytes()));
+  auto f = Call(PdOp::kLseek, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -199,7 +202,7 @@ Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
     w.Put<int32_t>(fd);
     w.Put<int32_t>(all->pr_start_pid);
     w.Put<uint32_t>(all->pr_limit);
-    auto f = Call(PdOp::kPsall, std::move(w.bytes()));
+    auto f = Call(PdOp::kPsall, w.bytes());
     if (!f.ok()) {
       return f.error();
     }
@@ -233,7 +236,7 @@ Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
   if (s.in != 0) {
     w.PutBytes(arg, s.in);
   }
-  auto f = Call(PdOp::kIoctl, std::move(w.bytes()));
+  auto f = Call(PdOp::kIoctl, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -274,7 +277,7 @@ Result<size_t> RemoteProcIo::ReadDirChunk(const std::string& path, uint64_t* coo
   w.Put<uint64_t>(*cookie);
   w.Put<uint32_t>(static_cast<uint32_t>(max));
   w.PutString(path);
-  auto f = Call(PdOp::kReadDirChunk, std::move(w.bytes()));
+  auto f = Call(PdOp::kReadDirChunk, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -298,7 +301,7 @@ Result<size_t> RemoteProcIo::ReadDirChunk(const std::string& path, uint64_t* coo
 Result<VAttr> RemoteProcIo::Stat(const std::string& path) {
   PdWriter w;
   w.PutString(path);
-  auto f = Call(PdOp::kStat, std::move(w.bytes()));
+  auto f = Call(PdOp::kStat, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -329,7 +332,7 @@ Result<int> RemoteProcIo::PollFds(std::span<PollFd> fds, int64_t timeout_ticks) 
     w.Put<int32_t>(pf.fd);
     w.Put<int32_t>(pf.events);
   }
-  auto f = Call(PdOp::kPoll, std::move(w.bytes()));
+  auto f = Call(PdOp::kPoll, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -360,7 +363,7 @@ Result<Pid> RemoteProcIo::Spawn(const std::string& path,
   for (const auto& a : argv) {
     w.PutString(a);
   }
-  auto f = Call(PdOp::kSpawn, std::move(w.bytes()));
+  auto f = Call(PdOp::kSpawn, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -376,7 +379,7 @@ Result<void> RemoteProcIo::Subscribe(int fd, int events) {
   PdWriter w;
   w.Put<int32_t>(fd);
   w.Put<int32_t>(events);
-  auto f = Call(PdOp::kSubscribe, std::move(w.bytes()));
+  auto f = Call(PdOp::kSubscribe, w.bytes());
   if (!f.ok()) {
     return f.error();
   }
@@ -386,7 +389,7 @@ Result<void> RemoteProcIo::Subscribe(int fd, int events) {
 Result<void> RemoteProcIo::Unsubscribe(int fd) {
   PdWriter w;
   w.Put<int32_t>(fd);
-  auto f = Call(PdOp::kUnsubscribe, std::move(w.bytes()));
+  auto f = Call(PdOp::kUnsubscribe, w.bytes());
   if (!f.ok()) {
     return f.error();
   }

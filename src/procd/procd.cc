@@ -41,15 +41,18 @@ const char* PdOpName(PdOp op) {
 }
 
 void PdWriteFrame(PdChannel& ch, PdOp op, uint16_t flags, uint32_t tag,
-                  const std::vector<uint8_t>& body) {
+                  std::span<const uint8_t> body, std::span<const uint8_t> tail) {
   PdFrameHdr h;
-  h.body_len = static_cast<uint32_t>(body.size());
+  h.body_len = static_cast<uint32_t>(body.size() + tail.size());
   h.op = static_cast<uint16_t>(op);
   h.flags = flags;
   h.tag = tag;
   ch.Append(&h, sizeof(h));
   if (!body.empty()) {
     ch.Append(body.data(), body.size());
+  }
+  if (!tail.empty()) {
+    ch.Append(tail.data(), tail.size());
   }
 }
 
@@ -144,7 +147,7 @@ struct ProcdPeer {
   uint64_t park_start_tick = 0; // first park tick of the current frame
 };
 
-void ProcdConn::Send(PdOp op, uint32_t tag, const std::vector<uint8_t>& body) {
+void ProcdConn::Send(PdOp op, uint32_t tag, std::span<const uint8_t> body) {
   PdWriteFrame(c2s_, op, 0, tag, body);
   if (peer_ != nullptr) {
     server->Ready(*peer_);
@@ -484,23 +487,25 @@ void ProcdServer::HandlePsall(Peer& peer, uint32_t tag, PdReader& r) {
     PdWriteError(peer.conn->s2c, PdOp::kPsall, tag, Errno::kEINVAL);
     return;
   }
-  PrPsAll all;
-  all.pr_start_pid = start;
-  all.pr_limit = limit;
-  auto rv = kernel_->Ioctl(peer.proc, fd, PIOCPSALL, &all);
+  psall_.pr_start_pid = start;
+  psall_.pr_limit = limit;
+  auto rv = kernel_->Ioctl(peer.proc, fd, PIOCPSALL, &psall_);
   if (!rv.ok()) {
     PdWriteError(peer.conn->s2c, PdOp::kPsall, tag, rv.error());
     return;
   }
   ++stats_.ctl_ops;
   ++peer.ctl_ops;
-  PdWriter w;
-  w.Put<int32_t>(all.pr_next_pid);
-  w.Put<uint32_t>(static_cast<uint32_t>(all.pr_procs.size()));
-  if (!all.pr_procs.empty()) {
-    w.PutBytes(all.pr_procs.data(), all.pr_procs.size() * sizeof(PrPsinfo));
-  }
-  PdWriteFrame(peer.conn->s2c, PdOp::kPsall, 0, tag, w.bytes());
+  // Gathered reply: {next_pid, n} from the stack, the rows from the window.
+  const std::vector<PrPsinfo>& rows = psall_.pr_procs;
+  struct {
+    int32_t next_pid;
+    uint32_t n;
+  } head = {psall_.pr_next_pid, static_cast<uint32_t>(rows.size())};
+  PdWriteFrame(peer.conn->s2c, PdOp::kPsall, 0, tag,
+               std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&head), sizeof(head)),
+               std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(rows.data()),
+                                        rows.size() * sizeof(PrPsinfo)));
 }
 
 int ProcdServer::EvalPoll(Peer& peer, std::vector<PollFd>& pfds) {
@@ -735,7 +740,8 @@ void ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
     case PdOp::kStats: {
       std::string text = StatsText();
       PdWriteFrame(peer.conn->s2c, PdOp::kStats, 0, tag,
-                   std::vector<uint8_t>(text.begin(), text.end()));
+                   std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
+                                            text.size()));
       break;
     }
     default:

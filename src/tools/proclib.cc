@@ -311,25 +311,27 @@ Result<std::vector<PrPsinfo>> ProcHandle::PsinfoAll() {
   // snapshot: each ioctl marshals at most pr_limit records, and pr_next_pid
   // chains the windows. Entries appearing between windows may be missed and
   // exits may shift records — the same snapshot contract ps(1) already has.
-  // The first window's buffer becomes the result, so a population that fits
-  // one window is never copied; later windows are appended.
-  std::vector<PrPsinfo> out;
+  // A population that fits one window is that window's buffer, never
+  // copied. A larger one reserves the result once, at twice the first
+  // window, and copies each window into it from the one window buffer,
+  // which every later PIOCPSALL refills in place.
   PrPsAll a;
   a.pr_limit = 1024;
+  SVR4_RETURN_IF_ERROR(Io(PIOCPSALL, &a));
+  if (a.pr_next_pid < 0) {
+    return std::move(a.pr_procs);
+  }
+  std::vector<PrPsinfo> out;
+  out.reserve(2 * a.pr_procs.size());
   for (;;) {
-    SVR4_RETURN_IF_ERROR(Io(PIOCPSALL, &a));
-    if (out.empty()) {
-      out.swap(a.pr_procs);
-    } else {
-      out.insert(out.end(), a.pr_procs.begin(), a.pr_procs.end());
-    }
+    out.insert(out.end(), a.pr_procs.begin(), a.pr_procs.end());
     if (a.pr_next_pid < 0) {
-      break;
+      return out;
     }
     a.pr_start_pid = a.pr_next_pid;
     a.pr_next_pid = -1;
+    SVR4_RETURN_IF_ERROR(Io(PIOCPSALL, &a));
   }
-  return out;
 }
 
 Result<PrTrace> ProcHandle::Trace() {

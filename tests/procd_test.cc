@@ -6,7 +6,8 @@
 // peer held, the seeded PEER_DISCONNECT chaos sweep, pump cost beside idle
 // peers and across connect/hangup churn, the windowed PIOCPSALL cursor
 // under pid churn, a two-window snapshot byte-identical to the local one,
-// and a psall reply that claims rows it does not carry.
+// a psall reply that claims rows it does not carry, and the lifetime of a
+// frame body that views its channel's buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1371,6 +1372,245 @@ TEST(ProcdPsall, ReplyClaimingRowsItDoesNotCarryIsEio) {
   EXPECT_EQ(rv.error(), Errno::kEIO);
   EXPECT_TRUE(all.pr_procs.empty());
   EXPECT_EQ(all.pr_procs.capacity(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Frames are views: a frame's body points into its channel's buffer until
+// the next NextFrame or Append on that channel. What a reader keeps past
+// that point it must copy; what it decodes before that point it must not
+// read past.
+// ---------------------------------------------------------------------------
+
+TEST(ProcdFrameViews, RepliesAfterATwoWindowSnapshotEqualLocalBytes) {
+  // The client's channel has just carried two ~164 KiB psall replies. Each
+  // smaller reply after them must carry exactly its own bytes, never a tail
+  // of the larger frame that sat in the same buffer.
+  Sim sim;
+  Kernel& k = sim.kernel();
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto pid = sim.Start("/bin/prog");
+  ASSERT_TRUE(pid.ok());
+  for (int i = 0; i < 1'100; ++i) {
+    ASSERT_NE(k.CreateNativeProc(Creds::Root(), "worker"), nullptr);
+  }
+  auto local = ProcHandle::Grab(k, sim.controller(), *pid);
+  ASSERT_TRUE(local.ok());
+  ASSERT_TRUE(local->Stop().ok()) << "a stopped target reads the same twice";
+  ProcdServer srv(k);
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  auto remote = ProcHandle::Grab(rio, *pid);
+  ASSERT_TRUE(remote.ok());
+  auto two_windows = [&] {
+    auto snap = PsSnapshotAll(rio, 1);
+    ASSERT_TRUE(snap.ok());
+    ASSERT_GT(snap->size(), 1024u);
+  };
+
+  // A read into a buffer larger than the file: the same count and bytes,
+  // and nothing written past them.
+  char path[32];
+  std::snprintf(path, sizeof(path), "/proc2/%d/status", *pid);
+  auto rfd = rio.Open(path, O_RDONLY);
+  auto lfd = k.Open(sim.controller(), path, O_RDONLY);
+  ASSERT_TRUE(rfd.ok() && lfd.ok());
+  std::vector<uint8_t> rbuf(4096, 0xA5), lbuf(4096, 0xA5);
+  ASSERT_NO_FATAL_FAILURE(two_windows());
+  auto rn = rio.Read(*rfd, rbuf.data(), rbuf.size());
+  auto ln = k.Read(sim.controller(), *lfd, lbuf.data(), lbuf.size());
+  ASSERT_TRUE(rn.ok() && ln.ok());
+  EXPECT_EQ(*rn, *ln);
+  EXPECT_GT(*ln, 0);
+  EXPECT_LT(*ln, 4096);
+  EXPECT_EQ(rbuf, lbuf) << "the read differs from the local one, or ran past its count";
+
+  ASSERT_NO_FATAL_FAILURE(two_windows());
+  auto rst = remote->Status();
+  auto lst = local->Status();
+  ASSERT_TRUE(rst.ok() && lst.ok());
+  EXPECT_EQ(std::memcmp(&*rst, &*lst, sizeof(PrStatus)), 0);
+
+  ASSERT_NO_FATAL_FAILURE(two_windows());
+  PrStatus st;
+  auto rerr = rio.Ioctl(9999, PIOCSTATUS, &st);
+  LocalProcIo lio(k, sim.controller());
+  auto lerr = lio.Ioctl(9999, PIOCSTATUS, &st);
+  ASSERT_FALSE(rerr.ok());
+  ASSERT_FALSE(lerr.ok());
+  EXPECT_EQ(ErrnoName(rerr.error()), ErrnoName(lerr.error()));
+  ASSERT_TRUE(local->Run().ok());
+}
+
+TEST(ProcdFrameViews, EventBetweenARequestAndItsReplyIsQueued) {
+  // A poll parks on a target that never stops while a subscribed one
+  // stops itself on a traced SIGSTOP: the event is pushed after the poll
+  // request and before its reply. Call queues it and still decodes the
+  // reply behind it.
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/selfstop", kSelfStop).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto stopper = sim.Start("/bin/selfstop");
+  auto runner = sim.Start("/bin/prog");
+  ASSERT_TRUE(stopper.ok() && runner.ok());
+  ProcdServer srv(sim.kernel());
+  auto conn = srv.Connect(Creds::Root());
+  RemoteProcIo rio(conn);
+  auto traced = ProcHandle::Grab(rio, *stopper);
+  ASSERT_TRUE(traced.ok());
+  SigSet stop;
+  stop.Add(SIGSTOP);
+  ASSERT_TRUE(traced->SetSigTrace(stop).ok());
+  int sub = traced->fd();
+  auto polled = rio.Open(FlatPath(*runner), O_RDONLY);
+  ASSERT_TRUE(polled.ok());
+  ASSERT_TRUE(rio.Subscribe(sub, POLLPRI).ok());
+  EXPECT_EQ(DrainEvents(rio), EventList{}) << "a running target's level is 0";
+
+  PollFd pf{};
+  pf.fd = *polled;
+  pf.events = POLLPRI;
+  auto ready = rio.PollFds(std::span<PollFd>(&pf, 1), /*timeout_ticks=*/100'000);
+  ASSERT_TRUE(ready.ok());
+  EXPECT_EQ(*ready, 0) << "the polled target never stops: the poll times out";
+  EXPECT_EQ(pf.revents, 0);
+  EXPECT_TRUE(conn->s2c.empty()) << "Call returns at its reply: nothing may follow it";
+  Proc* p = sim.kernel().FindProc(*stopper);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->MainLwp()->state, LwpState::kStopped);
+  RemoteProcIo::Event ev;
+  ASSERT_TRUE(rio.NextEvent(&ev)) << "the event pushed before the reply was dropped";
+  EXPECT_EQ(ev.fd, sub);
+  EXPECT_EQ(ev.revents, POLLPRI);
+
+  // The connection still decodes replies after the queued event.
+  auto st = ProcHandle::Grab(rio, *stopper, O_RDONLY);
+  ASSERT_TRUE(st.ok());
+  auto status = st->Status();
+  ASSERT_TRUE(status.ok());
+  EXPECT_NE(status->pr_flags & PR_STOPPED, 0u);
+}
+
+struct CtlStreamOutcome {
+  int64_t rv = -1;          // bytes the write reports consumed
+  PrCtlAudit audit{};       // the target's audit ring afterwards
+  SigSet sigtrace;          // the target's traced signals afterwards
+  std::vector<uint32_t> reply_tags;  // remote: reply order after the park
+};
+
+// A blocking PCSTOP, then a PCSTRACE whose set the tail carries.
+std::vector<uint8_t> StopThenTraceStream() {
+  std::vector<uint8_t> stream;
+  auto put = [&](const void* p, size_t n) {
+    const uint8_t* b = static_cast<const uint8_t*>(p);
+    stream.insert(stream.end(), b, b + n);
+  };
+  int32_t stop = PCSTOP, trace = PCSTRACE;
+  SigSet sigs;
+  for (int sig : {SIGUSR1, SIGUSR2, SIGTERM, SIGALRM}) {
+    sigs.Add(sig);
+  }
+  put(&stop, 4);
+  put(&trace, 4);
+  put(&sigs, sizeof(sigs));
+  return stream;
+}
+
+// Writes the stream to a running target's ctl file. Locally the write
+// blocks; remotely the peer parks holding the tail, and the client sends
+// two more frames while it is parked. Those frames reuse the request
+// channel's buffer where the parked write's bytes were.
+CtlStreamOutcome RunParkedCtlStream(bool remote) {
+  CtlStreamOutcome out;
+  Sim sim;
+  Kernel& k = sim.kernel();
+  EXPECT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto pid = sim.Start("/bin/prog");
+  EXPECT_TRUE(pid.ok());
+  char path[32];
+  std::snprintf(path, sizeof(path), "/proc2/%d/ctl", *pid);
+  std::vector<uint8_t> stream = StopThenTraceStream();
+  if (!remote) {
+    LocalProcIo io(k, sim.NewController(Creds::Root(), "peer-standin"));
+    auto fd = io.Open(path, O_WRONLY);
+    EXPECT_TRUE(fd.ok());
+    auto wrote = io.Write(*fd, stream.data(), stream.size());
+    EXPECT_TRUE(wrote.ok());
+    out.rv = wrote.ok() ? *wrote : -1;
+  } else {
+    ProcdServer srv(k);
+    auto conn = srv.Connect(Creds::Root());
+    RemoteProcIo rio(conn);
+    auto fd = rio.Open(path, O_WRONLY);
+    EXPECT_TRUE(fd.ok());
+    PdWriter w;
+    w.Put<int32_t>(*fd);
+    w.PutBytes(stream.data(), stream.size());
+    conn->Send(PdOp::kWrite, /*tag=*/9001, w.bytes());
+    srv.Pump();
+    PdFrame f;
+    EXPECT_FALSE(conn->s2c.NextFrame(&f)) << "the write must park on its PCSTOP";
+    EXPECT_EQ(srv.op_span(PdOp::kWrite).parks, 1u);
+    PdWriter stat;
+    stat.PutString(std::string(2 * stream.size(), 'z'));
+    conn->Send(PdOp::kStat, /*tag=*/9002, stat.bytes());
+    conn->Send(PdOp::kHello, /*tag=*/9003, {});
+    for (int i = 0; i < 10'000 && out.reply_tags.size() < 3; ++i) {
+      srv.Pump();
+      while (conn->s2c.NextFrame(&f)) {
+        out.reply_tags.push_back(f.hdr.tag);
+        if (f.hdr.tag == 9001 && (f.hdr.flags & kPdErrFlag) == 0) {
+          PdReader r(f.body);
+          EXPECT_TRUE(r.Get(&out.rv));
+        }
+      }
+    }
+  }
+  Proc* p = k.FindProc(*pid);
+  EXPECT_NE(p, nullptr);
+  if (p != nullptr) {
+    EXPECT_EQ(p->MainLwp()->state, LwpState::kStopped);
+    out.sigtrace = p->trace.sigtrace;
+  }
+  auto h = ProcHandle::Grab(k, sim.controller(), *pid, O_RDONLY);
+  EXPECT_TRUE(h.ok());
+  if (h.ok()) {
+    auto a = h->Audit();
+    EXPECT_TRUE(a.ok());
+    if (a.ok()) {
+      out.audit = *a;
+    }
+  }
+  return out;
+}
+
+TEST(ProcdFrameViews, ParkedCtlTailSurvivesFramesSentWhileParked) {
+  CtlStreamOutcome local = RunParkedCtlStream(/*remote=*/false);
+  CtlStreamOutcome remote = RunParkedCtlStream(/*remote=*/true);
+  EXPECT_EQ(remote.reply_tags, (std::vector<uint32_t>{9001, 9002, 9003}))
+      << "frames sent behind a parked write are answered after it, in order";
+  EXPECT_EQ(local.rv, static_cast<int64_t>(StopThenTraceStream().size()));
+  EXPECT_EQ(remote.rv, local.rv);
+  EXPECT_EQ(std::memcmp(&remote.sigtrace, &local.sigtrace, sizeof(SigSet)), 0)
+      << "the tail written after the park is not the tail that was sent";
+  EXPECT_EQ(std::memcmp(&remote.audit, &local.audit, sizeof(PrCtlAudit)), 0)
+      << "audit diverged:\n"
+      << FormatCtlAudit(local.audit) << "--- remote ---\n" << FormatCtlAudit(remote.audit);
+}
+
+TEST(ProcdFrameViews, ReadReplyLongerThanAskedIsEio) {
+  // The reply body is copied into the caller's buffer only if it fits the
+  // count asked for. The reply is queued before the call, for tag 1, the
+  // tag of a fresh RemoteProcIo's first request.
+  Sim sim;
+  ProcdServer srv(sim.kernel());
+  auto conn = srv.Connect(Creds::Root());
+  RemoteProcIo rio(conn);
+  std::vector<uint8_t> body(16, 0xEE);
+  PdWriteFrame(conn->s2c, PdOp::kRead, 0, /*tag=*/1, body);
+  std::vector<uint8_t> buf(16, 0x5A);
+  auto n = rio.Read(0, buf.data(), 4);
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.error(), Errno::kEIO);
+  EXPECT_EQ(buf, std::vector<uint8_t>(16, 0x5A)) << "the reply was written past the count";
 }
 
 }  // namespace
