@@ -55,64 +55,10 @@ namespace svr4 {
 
 class AddressSpace;
 
-// Dense dispatch indices, one per defined opcode. Kept dense (unlike the
-// sparse Opcode byte space) so the dispatch table has no holes.
-enum BKind : uint8_t {
-  B_ILL,  // any undefined opcode byte; raises FLTILL at the instruction
-  B_NOP,
-  B_BPT,
-  B_RET,
-  B_HLT,
-  B_SYS,
-  B_MOV,
-  B_ADD,
-  B_SUB,
-  B_MUL,
-  B_DIV,
-  B_MOD,
-  B_AND,
-  B_OR,
-  B_XOR,
-  B_SHL,
-  B_SHR,
-  B_CMP,
-  B_ADDV,
-  B_LDI,
-  B_ADDI,
-  B_CMPI,
-  B_LDW,
-  B_STW,
-  B_LDB,
-  B_STB,
-  B_JMP,
-  B_JZ,
-  B_JNZ,
-  B_JLT,
-  B_JGE,
-  B_JGT,
-  B_JLE,
-  B_JCS,
-  B_JCC,
-  B_CALL,
-  B_PUSH,
-  B_POP,
-  B_CALLR,
-  B_JMPR,
-  B_FLDI,
-  B_FMOV,
-  B_FADD,
-  B_FSUB,
-  B_FMUL,
-  B_FDIV,
-  B_FTOI,
-  B_ITOF,
-  B_KIND_COUNT,
-};
-
 // One predecoded instruction: operands extracted, lengths resolved, no
 // byte-level work left at execution time. 12 bytes, array-of-structs.
 struct PInstr {
-  uint8_t kind = B_ILL;  // BKind dispatch index
+  uint8_t kind = B_ILL;  // BKind dispatch index (isa.h)
   uint8_t rd = 0;        // destination register / fp register
   uint8_t rs = 0;        // source register / fp register
   uint8_t len = 1;       // encoded length in bytes
@@ -141,13 +87,13 @@ struct BlockStats {
 };
 
 // Predecodes the single instruction at `bytes` (which holds at least
-// InstrLength(bytes[0]) valid bytes; undefined opcodes need 1). Fills *out
-// and returns its encoded length. Shared by the block builder and the
-// decoder-consistency tests.
+// InstrLength(bytes[0]) valid bytes; undefined opcodes need 1) from its kIsa
+// row and DecodeOperands. Fills *out and returns its encoded length.
 int PredecodeOne(const uint8_t* bytes, uint32_t pc, PInstr* out);
 
-// True when the opcode ends a basic block: control transfers, syscalls, and
-// every instruction that can only trap (bpt/hlt/undefined).
+// True when the opcode ends a basic block (its row's ends_block): control
+// transfers, syscalls, and every instruction that can only trap
+// (bpt/hlt/undefined).
 bool IsBlockTerminator(uint8_t opcode);
 
 // Block cache size bounds in slots; powers of two. Every cache starts at

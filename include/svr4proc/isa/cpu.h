@@ -53,6 +53,44 @@ struct StepResult {
   uint32_t fault_addr = 0;
 };
 
+// Condition flags, shared by the interpreter and the block engine so the two
+// agree bit for bit on psr effects.
+inline void SetZn(Regs& regs, uint32_t v) {
+  regs.psr &= ~(kPsrZ | kPsrN);
+  if (v == 0) {
+    regs.psr |= kPsrZ;
+  }
+  if (static_cast<int32_t>(v) < 0) {
+    regs.psr |= kPsrN;
+  }
+}
+
+// Flags of a - b.
+inline void SetCmpFlags(Regs& regs, uint32_t a, uint32_t b) {
+  uint32_t d = a - b;
+  regs.psr &= ~(kPsrZ | kPsrN | kPsrC | kPsrV);
+  if (d == 0) {
+    regs.psr |= kPsrZ;
+  }
+  if (static_cast<int32_t>(d) < 0) {
+    regs.psr |= kPsrN;
+  }
+  if (a < b) {
+    regs.psr |= kPsrC;  // borrow
+  }
+  bool v = ((a ^ b) & (a ^ d)) >> 31;
+  if (v) {
+    regs.psr |= kPsrV;
+  }
+}
+
+// Signed less-than after a compare: N != V.
+inline bool SignedLt(const Regs& regs) {
+  bool n = regs.psr & kPsrN;
+  bool v = regs.psr & kPsrV;
+  return n != v;
+}
+
 // Executes exactly one instruction.
 //
 // Fault semantics: on any fault the program counter is left at the faulting

@@ -22,6 +22,16 @@ namespace svr4 {
 
 class KTrace;
 
+// splitmix64: tiny, well-distributed, and stateful enough that every
+// fault site, the chaos scheduler and every per-CPU steal stream get an
+// independent, replayable sequence.
+inline uint64_t SplitMix64(uint64_t& state) {
+  uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 // Named injection sites. Each maps to one seam:
 //   kCopyin / kCopyout  user-memory copies fail with EFAULT
 //   kVmMap              AddressSpace::Map fails with ENOMEM

@@ -180,6 +180,11 @@ class Kernel {
                               size_t max, std::vector<DirEnt>* out);
   Result<VAttr> Stat(Proc* p, const std::string& path);
   Result<int> PollFds(Proc* p, std::span<PollFd> fds, int64_t timeout_ticks);
+  // The poll level rule, shared by every waiter (PollFds, poll(2), procd's
+  // kPoll and its subscriptions): sets each entry's revents from p's
+  // descriptor table now and returns how many are nonzero. A bad fd reads
+  // POLLNVAL; only POLLERR/POLLHUP/POLLNVAL are reported unrequested.
+  int PollLevels(Proc* p, std::span<PollFd> fds);
   // Blocking wait for a child transition; pumps the simulation.
   Result<WaitResult> Wait(Proc* p, Pid pid = -1, bool nohang = false);
   Result<void> Kill(Proc* sender, Pid pid, int sig);

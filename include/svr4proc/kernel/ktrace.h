@@ -140,6 +140,10 @@ struct KtHist {
     }
     return max;
   }
+
+  // Appends one "hist <name><tag> count=.. sum=.. max=.. mean=.. b<i>:<n>..."
+  // line: the grammar of /proc2/kernel/metrics and /proc2/kernel/procd.
+  void Render(std::string& out, const char* name, const std::string& tag) const;
 };
 
 struct KtSyscallStat {

@@ -67,8 +67,8 @@ enum class PdOp : uint16_t {
   kOpen,            // -> {i32 oflags, path}                <- {i32 fd}
   kClose,           // -> {i32 fd}                          <- {}
   kRead,            // -> {i32 fd, u32 n}                   <- {bytes}
-  kPread,           // -> {i32 fd, u64 off, u32 n}          <- {bytes}
-  kWrite,           // -> {i32 fd, bytes}                   <- {i64 n}
+                    // 5 is unassigned; the ops after it keep their codes
+  kWrite = 6,       // -> {i32 fd, bytes}                   <- {i64 n}
   kLseek,           // -> {i32 fd, i64 off, i32 whence}     <- {i64 pos}
   kIoctl,           // -> {i32 fd, u32 op, u32 in_len, u32 out_cap, in}
                     //                                      <- {i32 rv, out}
@@ -339,7 +339,7 @@ class ProcdServer {
 
   void HandleFrame(Peer& peer, const PdFrame& f);
   void HandleOpen(Peer& peer, uint32_t tag, PdReader& r);
-  void HandleRead(Peer& peer, uint32_t tag, PdReader& r, bool pread);
+  void HandleRead(Peer& peer, uint32_t tag, PdReader& r);
   void HandleWrite(Peer& peer, uint32_t tag, PdReader& r);
   void HandleIoctl(Peer& peer, uint32_t tag, PdReader& r);
   void HandlePsall(Peer& peer, uint32_t tag, PdReader& r);
@@ -366,7 +366,6 @@ class ProcdServer {
   bool EvalParked(bool idle);
   bool TryCompleteWait(Peer& peer, bool idle);
   void ReplyStopWait(Peer& peer, Errno e);
-  int EvalPoll(Peer& peer, std::vector<PollFd>& pfds);
 
   // Subscriptions. Those on /proc descriptors are indexed by target pid and
   // re-polled when the kernel's hook names the pid (MarkPid); those on any

@@ -21,7 +21,7 @@ std::string FormatCtlAudit(const PrCtlAudit& a);
 struct TrussOptions {
   bool follow_fork = false;   // -f: trace children as they are created
   bool counts_only = false;   // -c: summary table instead of a line per call
-  SysSet filter;              // -t: trace only these syscalls (empty: all)
+  SysSet filter{};            // -t: trace only these syscalls (empty: all)
   uint64_t max_events = 100000;  // safety valve
 };
 

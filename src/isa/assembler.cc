@@ -24,52 +24,17 @@ struct PendingRef {
   int line;
 };
 
-enum class Sig {
-  kNone,  // 1-byte
-  kRR,    // rd, rs
-  kRI,    // rd, imm32
-  kLoad,  // rv, [ra+off16]
-  kStore, // rv, [ra+off16]
-  kJump,  // addr32
-  kReg,   // single register
-  kFI,    // fd, double-literal
-  kFF,    // fd, fs
-  kRF,    // rd, fs
-  kFR,    // fd, rs
-};
-
-struct Mnemonic {
-  uint8_t opcode;
-  Sig sig;
-};
-
-const std::map<std::string_view, Mnemonic>& MnemonicTable() {
-  static const std::map<std::string_view, Mnemonic> table = {
-      {"nop", {kOpNop, Sig::kNone}},   {"bpt", {kOpBpt, Sig::kNone}},
-      {"ret", {kOpRet, Sig::kNone}},   {"hlt", {kOpHlt, Sig::kNone}},
-      {"sys", {kOpSys, Sig::kNone}},   {"mov", {kOpMov, Sig::kRR}},
-      {"add", {kOpAdd, Sig::kRR}},     {"sub", {kOpSub, Sig::kRR}},
-      {"mul", {kOpMul, Sig::kRR}},     {"div", {kOpDiv, Sig::kRR}},
-      {"mod", {kOpMod, Sig::kRR}},     {"and", {kOpAnd, Sig::kRR}},
-      {"or", {kOpOr, Sig::kRR}},       {"xor", {kOpXor, Sig::kRR}},
-      {"shl", {kOpShl, Sig::kRR}},     {"shr", {kOpShr, Sig::kRR}},
-      {"cmp", {kOpCmp, Sig::kRR}},     {"addv", {kOpAddv, Sig::kRR}},
-      {"ldi", {kOpLdi, Sig::kRI}},     {"addi", {kOpAddi, Sig::kRI}},
-      {"cmpi", {kOpCmpi, Sig::kRI}},   {"ldw", {kOpLdw, Sig::kLoad}},
-      {"ldb", {kOpLdb, Sig::kLoad}},   {"stw", {kOpStw, Sig::kStore}},
-      {"stb", {kOpStb, Sig::kStore}},  {"jmp", {kOpJmp, Sig::kJump}},
-      {"jz", {kOpJz, Sig::kJump}},     {"jnz", {kOpJnz, Sig::kJump}},
-      {"jlt", {kOpJlt, Sig::kJump}},   {"jge", {kOpJge, Sig::kJump}},
-      {"jgt", {kOpJgt, Sig::kJump}},   {"jle", {kOpJle, Sig::kJump}},
-      {"jcs", {kOpJcs, Sig::kJump}},   {"jcc", {kOpJcc, Sig::kJump}},
-      {"call", {kOpCall, Sig::kJump}}, {"push", {kOpPush, Sig::kReg}},
-      {"pop", {kOpPop, Sig::kReg}},    {"callr", {kOpCallr, Sig::kReg}},
-      {"jmpr", {kOpJmpr, Sig::kReg}},  {"fldi", {kOpFldi, Sig::kFI}},
-      {"fmov", {kOpFmov, Sig::kFF}},   {"fadd", {kOpFadd, Sig::kFF}},
-      {"fsub", {kOpFsub, Sig::kFF}},   {"fmul", {kOpFmul, Sig::kFF}},
-      {"fdiv", {kOpFdiv, Sig::kFF}},   {"ftoi", {kOpFtoi, Sig::kRF}},
-      {"itof", {kOpItof, Sig::kFR}},
-  };
+// Mnemonic -> instruction row, built once from the ISA table.
+const std::map<std::string_view, const OpInfo*>& MnemonicTable() {
+  static const std::map<std::string_view, const OpInfo*> table = [] {
+    std::map<std::string_view, const OpInfo*> t;
+    for (const OpInfo& row : kIsa) {
+      if (row.kind != B_ILL) {
+        t.emplace(row.name, &row);
+      }
+    }
+    return t;
+  }();
   return table;
 }
 
@@ -498,7 +463,7 @@ Result<Aout> Assembler::Assemble(std::string_view source) {
     if (mit == MnemonicTable().end()) {
       return fail(line_no, "unknown mnemonic '" + std::string(head) + "'");
     }
-    const Mnemonic& m = mit->second;
+    const OpInfo& m = *mit->second;
 
     // Immediate operand: number, equate, or label expression (fixed up later).
     auto emit_imm32 = [&](const std::string& op) {
@@ -510,35 +475,43 @@ Result<Aout> Assembler::Assemble(std::string_view source) {
       }
     };
 
-    switch (m.sig) {
-      case Sig::kNone:
+    em.Byte(m.opcode);
+    switch (m.form) {
+      case OpForm::kNone:
         if (!ops.empty()) {
           return fail(line_no, "'" + std::string(head) + "' takes no operands");
         }
-        em.Byte(m.opcode);
         break;
-      case Sig::kRR: {
-        auto rd = ops.size() == 2 ? ParseReg(ops[0]) : std::nullopt;
-        auto rs = ops.size() == 2 ? ParseReg(ops[1]) : std::nullopt;
-        if (!rd || !rs) {
-          return fail(line_no, "expected 'rd, rs'");
+      case OpForm::kRR:
+      case OpForm::kFF:
+      case OpForm::kRF:
+      case OpForm::kFR: {
+        // Two registers packed (first << 4) | second; the form says which
+        // of them are floating-point registers.
+        const bool f1 = m.form == OpForm::kFF || m.form == OpForm::kFR;
+        const bool f2 = m.form == OpForm::kFF || m.form == OpForm::kRF;
+        auto parse = [](bool f, const std::string& tok) {
+          return f ? ParseFreg(tok) : ParseReg(tok);
+        };
+        auto a = ops.size() == 2 ? parse(f1, ops[0]) : std::nullopt;
+        auto b = ops.size() == 2 ? parse(f2, ops[1]) : std::nullopt;
+        if (!a || !b) {
+          return fail(line_no, std::string("expected '") + (f1 ? "fd" : "rd") + ", " +
+                                   (f2 ? "fs" : "rs") + "'");
         }
-        em.Byte(m.opcode);
-        em.Byte(static_cast<uint8_t>((*rd << 4) | *rs));
+        em.Byte(static_cast<uint8_t>((*a << 4) | *b));
         break;
       }
-      case Sig::kRI: {
+      case OpForm::kRI: {
         auto rd = ops.size() == 2 ? ParseReg(ops[0]) : std::nullopt;
         if (!rd) {
           return fail(line_no, "expected 'rd, imm'");
         }
-        em.Byte(m.opcode);
         em.Byte(static_cast<uint8_t>(*rd));
         emit_imm32(ops[1]);
         break;
       }
-      case Sig::kLoad:
-      case Sig::kStore: {
+      case OpForm::kMem: {
         if (ops.size() != 2) {
           return fail(line_no, "expected 'rv, [ra+off]'");
         }
@@ -575,29 +548,26 @@ Result<Aout> Assembler::Assemble(std::string_view source) {
         if (off < -32768 || off > 32767) {
           return fail(line_no, "memory offset out of range");
         }
-        em.Byte(m.opcode);
         em.Byte(static_cast<uint8_t>((*rv << 4) | *ra));
         em.U16(static_cast<uint16_t>(static_cast<int16_t>(off)));
         break;
       }
-      case Sig::kJump: {
+      case OpForm::kJump: {
         if (ops.size() != 1) {
           return fail(line_no, "expected one target");
         }
-        em.Byte(m.opcode);
         emit_imm32(ops[0]);
         break;
       }
-      case Sig::kReg: {
+      case OpForm::kReg: {
         auto r = ops.size() == 1 ? ParseReg(ops[0]) : std::nullopt;
         if (!r) {
           return fail(line_no, "expected one register");
         }
-        em.Byte(m.opcode);
         em.Byte(static_cast<uint8_t>(*r));
         break;
       }
-      case Sig::kFI: {
+      case OpForm::kFI: {
         auto fd = ops.size() == 2 ? ParseFreg(ops[0]) : std::nullopt;
         if (!fd) {
           return fail(line_no, "expected 'fd, literal'");
@@ -607,43 +577,12 @@ Result<Aout> Assembler::Assemble(std::string_view source) {
         if (end == ops[1].c_str() || *end != '\0') {
           return fail(line_no, "bad float literal");
         }
-        em.Byte(m.opcode);
         em.Byte(static_cast<uint8_t>(*fd));
         uint8_t raw[8];
         std::memcpy(raw, &v, 8);
         for (uint8_t b : raw) {
           em.Byte(b);
         }
-        break;
-      }
-      case Sig::kFF: {
-        auto fd = ops.size() == 2 ? ParseFreg(ops[0]) : std::nullopt;
-        auto fs = ops.size() == 2 ? ParseFreg(ops[1]) : std::nullopt;
-        if (!fd || !fs) {
-          return fail(line_no, "expected 'fd, fs'");
-        }
-        em.Byte(m.opcode);
-        em.Byte(static_cast<uint8_t>((*fd << 4) | *fs));
-        break;
-      }
-      case Sig::kRF: {
-        auto rd = ops.size() == 2 ? ParseReg(ops[0]) : std::nullopt;
-        auto fs = ops.size() == 2 ? ParseFreg(ops[1]) : std::nullopt;
-        if (!rd || !fs) {
-          return fail(line_no, "expected 'rd, fs'");
-        }
-        em.Byte(m.opcode);
-        em.Byte(static_cast<uint8_t>((*rd << 4) | *fs));
-        break;
-      }
-      case Sig::kFR: {
-        auto fd = ops.size() == 2 ? ParseFreg(ops[0]) : std::nullopt;
-        auto rs = ops.size() == 2 ? ParseReg(ops[1]) : std::nullopt;
-        if (!fd || !rs) {
-          return fail(line_no, "expected 'fd, rs'");
-        }
-        em.Byte(m.opcode);
-        em.Byte(static_cast<uint8_t>((*fd << 4) | *rs));
         break;
       }
     }

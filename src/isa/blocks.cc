@@ -1,6 +1,5 @@
 #include "svr4proc/isa/blocks.h"
 
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -14,232 +13,19 @@
 #endif
 
 namespace svr4 {
-namespace {
 
-// Flag helpers: exact copies of the interpreter's (cpu.cc); the two engines
-// must agree bit-for-bit on psr effects.
-inline void SetZn(Regs& regs, uint32_t v) {
-  regs.psr &= ~(kPsrZ | kPsrN);
-  if (v == 0) {
-    regs.psr |= kPsrZ;
-  }
-  if (static_cast<int32_t>(v) < 0) {
-    regs.psr |= kPsrN;
-  }
-}
-
-inline void SetCmpFlags(Regs& regs, uint32_t a, uint32_t b) {
-  uint32_t d = a - b;
-  regs.psr &= ~(kPsrZ | kPsrN | kPsrC | kPsrV);
-  if (d == 0) {
-    regs.psr |= kPsrZ;
-  }
-  if (static_cast<int32_t>(d) < 0) {
-    regs.psr |= kPsrN;
-  }
-  if (a < b) {
-    regs.psr |= kPsrC;  // borrow
-  }
-  bool v = ((a ^ b) & (a ^ d)) >> 31;
-  if (v) {
-    regs.psr |= kPsrV;
-  }
-}
-
-inline bool SignedLt(const Regs& regs) {
-  bool n = regs.psr & kPsrN;
-  bool v = regs.psr & kPsrV;
-  return n != v;
-}
-
-// Opcode byte -> dense dispatch kind; B_ILL for every undefined byte.
-constexpr std::array<uint8_t, 256> BuildKindTable() {
-  std::array<uint8_t, 256> t{};
-  for (auto& k : t) {
-    k = B_ILL;
-  }
-  t[kOpNop] = B_NOP;
-  t[kOpBpt] = B_BPT;
-  t[kOpRet] = B_RET;
-  t[kOpHlt] = B_HLT;
-  t[kOpSys] = B_SYS;
-  t[kOpMov] = B_MOV;
-  t[kOpAdd] = B_ADD;
-  t[kOpSub] = B_SUB;
-  t[kOpMul] = B_MUL;
-  t[kOpDiv] = B_DIV;
-  t[kOpMod] = B_MOD;
-  t[kOpAnd] = B_AND;
-  t[kOpOr] = B_OR;
-  t[kOpXor] = B_XOR;
-  t[kOpShl] = B_SHL;
-  t[kOpShr] = B_SHR;
-  t[kOpCmp] = B_CMP;
-  t[kOpAddv] = B_ADDV;
-  t[kOpLdi] = B_LDI;
-  t[kOpAddi] = B_ADDI;
-  t[kOpCmpi] = B_CMPI;
-  t[kOpLdw] = B_LDW;
-  t[kOpStw] = B_STW;
-  t[kOpLdb] = B_LDB;
-  t[kOpStb] = B_STB;
-  t[kOpJmp] = B_JMP;
-  t[kOpJz] = B_JZ;
-  t[kOpJnz] = B_JNZ;
-  t[kOpJlt] = B_JLT;
-  t[kOpJge] = B_JGE;
-  t[kOpJgt] = B_JGT;
-  t[kOpJle] = B_JLE;
-  t[kOpJcs] = B_JCS;
-  t[kOpJcc] = B_JCC;
-  t[kOpCall] = B_CALL;
-  t[kOpPush] = B_PUSH;
-  t[kOpPop] = B_POP;
-  t[kOpCallr] = B_CALLR;
-  t[kOpJmpr] = B_JMPR;
-  t[kOpFldi] = B_FLDI;
-  t[kOpFmov] = B_FMOV;
-  t[kOpFadd] = B_FADD;
-  t[kOpFsub] = B_FSUB;
-  t[kOpFmul] = B_FMUL;
-  t[kOpFdiv] = B_FDIV;
-  t[kOpFtoi] = B_FTOI;
-  t[kOpItof] = B_ITOF;
-  return t;
-}
-
-constexpr std::array<uint8_t, 256> kKindOf = BuildKindTable();
-
-inline StepResult MakeFault(int fault, uint32_t addr) {
-  StepResult r;
-  r.kind = StepResult::kFault;
-  r.fault = fault;
-  r.fault_addr = addr;
-  return r;
-}
-
-}  // namespace
-
-bool IsBlockTerminator(uint8_t opcode) {
-  switch (kKindOf[opcode]) {
-    case B_ILL:
-    case B_BPT:
-    case B_RET:
-    case B_HLT:
-    case B_SYS:
-    case B_JMP:
-    case B_JZ:
-    case B_JNZ:
-    case B_JLT:
-    case B_JGE:
-    case B_JGT:
-    case B_JLE:
-    case B_JCS:
-    case B_JCC:
-    case B_CALL:
-    case B_CALLR:
-    case B_JMPR:
-      return true;
-    default:
-      return false;
-  }
-}
+bool IsBlockTerminator(uint8_t opcode) { return IsaRow(opcode).ends_block; }
 
 int PredecodeOne(const uint8_t* bytes, uint32_t pc, PInstr* out) {
-  const uint8_t opcode = bytes[0];
-  const int len = InstrLength(opcode);
-  out->kind = kKindOf[opcode];
-  out->rd = 0;
-  out->rs = 0;
-  out->len = static_cast<uint8_t>(len == 0 ? 1 : len);
-  out->imm = 0;
+  const OpInfo& row = IsaRow(bytes[0]);
+  const Operands o = DecodeOperands(row.form, bytes);
+  out->kind = row.kind;
+  out->rd = o.rd;
+  out->rs = o.rs;
+  out->len = static_cast<uint8_t>(FormLength(row.form));
+  out->imm = o.imm;  // for fldi, the builder makes it the fimm[] index
   out->pc = pc;
-  if (len == 0) {
-    return 1;  // undefined byte: a 1-byte FLTILL terminator
-  }
-  const uint8_t* operand = bytes + 1;
-  auto imm32at = [&](int i) {
-    uint32_t v;
-    std::memcpy(&v, &operand[i], 4);
-    return v;
-  };
-  switch (out->kind) {
-    case B_MOV:
-    case B_ADD:
-    case B_SUB:
-    case B_MUL:
-    case B_DIV:
-    case B_MOD:
-    case B_AND:
-    case B_OR:
-    case B_XOR:
-    case B_SHL:
-    case B_SHR:
-    case B_CMP:
-    case B_ADDV:
-      out->rd = operand[0] >> 4;
-      out->rs = operand[0] & 0x0F;
-      break;
-    case B_LDI:
-    case B_ADDI:
-    case B_CMPI:
-      out->rd = operand[0] & 0x0F;
-      out->imm = imm32at(1);
-      break;
-    case B_LDW:
-    case B_STW:
-    case B_LDB:
-    case B_STB: {
-      out->rd = operand[0] >> 4;  // value register
-      out->rs = operand[0] & 0x0F;  // address register
-      int16_t off;
-      std::memcpy(&off, &operand[1], 2);
-      out->imm = static_cast<uint32_t>(static_cast<int32_t>(off));
-      break;
-    }
-    case B_JMP:
-    case B_JZ:
-    case B_JNZ:
-    case B_JLT:
-    case B_JGE:
-    case B_JGT:
-    case B_JLE:
-    case B_JCS:
-    case B_JCC:
-    case B_CALL:
-      out->imm = imm32at(0);
-      break;
-    case B_PUSH:
-    case B_POP:
-    case B_CALLR:
-    case B_JMPR:
-      out->rs = operand[0] & 0x0F;
-      out->rd = out->rs;
-      break;
-    case B_FLDI:
-      out->rd = operand[0] & 0x07;
-      // imm becomes the fimm[] index; the builder fills it in.
-      break;
-    case B_FMOV:
-    case B_FADD:
-    case B_FSUB:
-    case B_FMUL:
-    case B_FDIV:
-      out->rd = (operand[0] >> 4) & 0x07;
-      out->rs = operand[0] & 0x07;
-      break;
-    case B_FTOI:
-      out->rd = (operand[0] >> 4) & 0x0F;
-      out->rs = operand[0] & 0x07;
-      break;
-    case B_ITOF:
-      out->rd = (operand[0] >> 4) & 0x07;
-      out->rs = operand[0] & 0x0F;
-      break;
-    default:
-      break;  // 1-byte instructions carry no operands
-  }
-  return len;
+  return out->len;
 }
 
 bool BlockCache::BuildInto(Slot& s, uint32_t start, AddressSpace& as) {
@@ -283,8 +69,9 @@ bool BlockCache::BuildInto(Slot& s, uint32_t start, AddressSpace& as) {
       }
       have = 1;
     }
-    const int len = InstrLength(ibuf[0]);
-    if (len != 0 && static_cast<uint32_t>(len) > have) {
+    const OpInfo& row = IsaRow(ibuf[0]);
+    const int len = FormLength(row.form);
+    if (static_cast<uint32_t>(len) > have) {
       // Straddles the fetch window (page boundary): fetch the tail exactly
       // as the interpreter would when executing this instruction.
       if (as.MemRead(pc + have, ibuf + have, static_cast<uint32_t>(len) - have,
@@ -298,13 +85,11 @@ bool BlockCache::BuildInto(Slot& s, uint32_t start, AddressSpace& as) {
     PInstr ins;
     PredecodeOne(ibuf, pc, &ins);
     if (ins.kind == B_FLDI) {
-      double v;
-      std::memcpy(&v, &ibuf[2], 8);
       ins.imm = static_cast<uint32_t>(b.fimm.size());
-      b.fimm.push_back(v);
+      b.fimm.push_back(DecodeOperands(row.form, ibuf).fimm);
     }
     b.code.push_back(ins);
-    if (IsBlockTerminator(ibuf[0])) {
+    if (row.ends_block) {
       break;
     }
     pc += static_cast<uint32_t>(len);
@@ -389,12 +174,12 @@ uint32_t ExecuteBlock(const Block& b, Regs& regs, FpRegs& fp, AddressSpace& as,
     regs.pc = (next_pc);               \
     goto chain_step;                   \
   } while (0)
-#define SVR4_B_FAULT(fltno, fltaddr)             \
-  do {                                           \
-    ++executed;                                  \
-    regs.pc = ip->pc;                            \
-    *last = MakeFault((fltno), (fltaddr));       \
-    goto done;                                   \
+#define SVR4_B_FAULT(fltno, fltaddr)                           \
+  do {                                                         \
+    ++executed;                                                \
+    regs.pc = ip->pc;                                          \
+    *last = StepResult{StepResult::kFault, (fltno), (fltaddr)}; \
+    goto done;                                                 \
   } while (0)
 // Fall through to the next instruction. If the block is exhausted or the
 // budget is spent, end the block with pc at the successor.

@@ -16,40 +16,6 @@ StepResult FaultAt(int fault, uint32_t addr) {
 
 StepResult FaultFromMem(const MemFault& mf) { return FaultAt(mf.fault, mf.addr); }
 
-void SetZn(Regs& regs, uint32_t v) {
-  regs.psr &= ~(kPsrZ | kPsrN);
-  if (v == 0) {
-    regs.psr |= kPsrZ;
-  }
-  if (static_cast<int32_t>(v) < 0) {
-    regs.psr |= kPsrN;
-  }
-}
-
-void SetCmpFlags(Regs& regs, uint32_t a, uint32_t b) {
-  uint32_t d = a - b;
-  regs.psr &= ~(kPsrZ | kPsrN | kPsrC | kPsrV);
-  if (d == 0) {
-    regs.psr |= kPsrZ;
-  }
-  if (static_cast<int32_t>(d) < 0) {
-    regs.psr |= kPsrN;
-  }
-  if (a < b) {
-    regs.psr |= kPsrC;  // borrow
-  }
-  bool v = ((a ^ b) & (a ^ d)) >> 31;
-  if (v) {
-    regs.psr |= kPsrV;
-  }
-}
-
-bool SignedLt(const Regs& regs) {
-  bool n = regs.psr & kPsrN;
-  bool v = regs.psr & kPsrV;
-  return n != v;
-}
-
 }  // namespace
 
 StepResult CpuStep(Regs& regs, FpRegs& fp, MemoryIf& mem) {

@@ -1,28 +1,15 @@
 #include "svr4proc/isa/disasm.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "svr4proc/isa/isa.h"
 
 namespace svr4 {
 namespace {
 
-std::string RegName(int r) {
-  if (r == kRegSp) {
-    return "sp";
-  }
-  if (r == kRegFp) {
-    return "fp";
-  }
-  return "r" + std::to_string(r);
-}
-
-std::string Hex(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%x", v);
-  return buf;
-}
+constexpr const char* kRegName[kNumRegs] = {"r0", "r1", "r2",  "r3",  "r4",  "r5",  "r6", "r7",
+                                            "r8", "r9", "r10", "r11", "r12", "r13", "fp", "sp"};
+static_assert(kRegFp == 14 && kRegSp == 15);
 
 }  // namespace
 
@@ -32,118 +19,57 @@ DisasmResult DisassembleOne(std::span<const uint8_t> bytes, uint32_t /*addr*/) {
     out.mnemonic = "<empty>";
     return out;
   }
-  uint8_t opcode = bytes[0];
-  int len = InstrLength(opcode);
-  if (len == 0 || static_cast<size_t>(len) > bytes.size()) {
+  const OpInfo& row = IsaRow(bytes[0]);
+  const int len = FormLength(row.form);
+  if (row.kind == B_ILL || static_cast<size_t>(len) > bytes.size()) {
     char buf[24];
-    std::snprintf(buf, sizeof(buf), "<illegal 0x%02x>", opcode);
+    std::snprintf(buf, sizeof(buf), "<illegal 0x%02x>", bytes[0]);
     out.mnemonic = buf;
     out.length = 1;
     return out;
   }
   out.length = len;
-  std::string name(OpcodeName(opcode));
-  const uint8_t* op = bytes.data() + 1;
-  auto u32 = [&](int i) {
-    uint32_t v;
-    std::memcpy(&v, op + i, 4);
-    return v;
-  };
-  auto s16 = [&](int i) {
-    int16_t v;
-    std::memcpy(&v, op + i, 2);
-    return static_cast<int>(v);
-  };
-
-  switch (opcode) {
-    case kOpNop:
-    case kOpBpt:
-    case kOpRet:
-    case kOpHlt:
-    case kOpSys:
-      out.mnemonic = name;
+  const Operands o = DecodeOperands(row.form, bytes.data());
+  const char* rd = kRegName[o.rd];
+  const char* rs = kRegName[o.rs];
+  char args[48] = "";
+  switch (row.form) {
+    case OpForm::kNone:
       break;
-    case kOpMov:
-    case kOpAdd:
-    case kOpSub:
-    case kOpMul:
-    case kOpDiv:
-    case kOpMod:
-    case kOpAnd:
-    case kOpOr:
-    case kOpXor:
-    case kOpShl:
-    case kOpShr:
-    case kOpCmp:
-    case kOpAddv:
-      out.mnemonic = name + " " + RegName(op[0] >> 4) + ", " + RegName(op[0] & 0x0F);
+    case OpForm::kRR:
+      std::snprintf(args, sizeof(args), " %s, %s", rd, rs);
       break;
-    case kOpLdi:
-    case kOpAddi:
-    case kOpCmpi:
-      out.mnemonic = name + " " + RegName(op[0] & 0x0F) + ", " + Hex(u32(1));
+    case OpForm::kRI:
+      std::snprintf(args, sizeof(args), " %s, 0x%x", rd, o.imm);
       break;
-    case kOpLdw:
-    case kOpStw:
-    case kOpLdb:
-    case kOpStb: {
-      int off = s16(1);
-      std::string memop = "[" + RegName(op[0] & 0x0F);
-      if (off > 0) {
-        memop += "+" + std::to_string(off);
-      } else if (off < 0) {
-        memop += std::to_string(off);
+    case OpForm::kMem:
+      if (o.imm == 0) {
+        std::snprintf(args, sizeof(args), " %s, [%s]", rd, rs);
+      } else {
+        std::snprintf(args, sizeof(args), " %s, [%s%+d]", rd, rs, static_cast<int32_t>(o.imm));
       }
-      memop += "]";
-      out.mnemonic = name + " " + RegName(op[0] >> 4) + ", " + memop;
       break;
-    }
-    case kOpJmp:
-    case kOpJz:
-    case kOpJnz:
-    case kOpJlt:
-    case kOpJge:
-    case kOpJgt:
-    case kOpJle:
-    case kOpJcs:
-    case kOpJcc:
-    case kOpCall:
-      out.mnemonic = name + " " + Hex(u32(0));
+    case OpForm::kJump:
+      std::snprintf(args, sizeof(args), " 0x%x", o.imm);
       break;
-    case kOpPush:
-    case kOpPop:
-    case kOpCallr:
-    case kOpJmpr:
-      out.mnemonic = name + " " + RegName(op[0] & 0x0F);
+    case OpForm::kReg:
+      std::snprintf(args, sizeof(args), " %s", rs);
       break;
-    case kOpFldi: {
-      double v;
-      std::memcpy(&v, op + 1, 8);
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "fldi f%d, %g", op[0] & 0x07, v);
-      out.mnemonic = buf;
+    case OpForm::kFI:
+      std::snprintf(args, sizeof(args), " f%d, %g", o.rd, o.fimm);
       break;
-    }
-    case kOpFmov:
-    case kOpFadd:
-    case kOpFsub:
-    case kOpFmul:
-    case kOpFdiv:
-      out.mnemonic = name + " f" + std::to_string((op[0] >> 4) & 0x07) + ", f" +
-                     std::to_string(op[0] & 0x07);
+    case OpForm::kFF:
+      std::snprintf(args, sizeof(args), " f%d, f%d", o.rd, o.rs);
       break;
-    case kOpFtoi:
-      out.mnemonic = name + " " + RegName((op[0] >> 4) & 0x0F) + ", f" +
-                     std::to_string(op[0] & 0x07);
+    case OpForm::kRF:
+      std::snprintf(args, sizeof(args), " %s, f%d", rd, o.rs);
       break;
-    case kOpItof:
-      out.mnemonic = name + " f" + std::to_string((op[0] >> 4) & 0x07) + ", " +
-                     RegName(op[0] & 0x0F);
-      break;
-    default:
-      out.mnemonic = "<illegal>";
+    case OpForm::kFR:
+      std::snprintf(args, sizeof(args), " f%d, %s", o.rd, rs);
       break;
   }
+  out.mnemonic.assign(row.name);
+  out.mnemonic += args;
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "svr4proc/isa/isa.h"
 
+#include <cstring>
+
 namespace svr4 {
 
 std::string_view FaultName(int fault) {
@@ -33,165 +35,77 @@ std::string_view FaultName(int fault) {
   }
 }
 
-int InstrLength(uint8_t opcode) {
-  switch (opcode) {
-    case kOpNop:
-    case kOpBpt:
-    case kOpRet:
-    case kOpHlt:
-    case kOpSys:
-      return 1;
-    case kOpMov:
-    case kOpAdd:
-    case kOpSub:
-    case kOpMul:
-    case kOpDiv:
-    case kOpMod:
-    case kOpAnd:
-    case kOpOr:
-    case kOpXor:
-    case kOpShl:
-    case kOpShr:
-    case kOpCmp:
-    case kOpAddv:
-    case kOpPush:
-    case kOpPop:
-    case kOpCallr:
-    case kOpJmpr:
-    case kOpFmov:
-    case kOpFadd:
-    case kOpFsub:
-    case kOpFmul:
-    case kOpFdiv:
-    case kOpFtoi:
-    case kOpItof:
-      return 2;
-    case kOpLdw:
-    case kOpStw:
-    case kOpLdb:
-    case kOpStb:
-      return 4;
-    case kOpJmp:
-    case kOpJz:
-    case kOpJnz:
-    case kOpJlt:
-    case kOpJge:
-    case kOpJgt:
-    case kOpJle:
-    case kOpJcs:
-    case kOpJcc:
-    case kOpCall:
-      return 5;
-    case kOpLdi:
-    case kOpAddi:
-    case kOpCmpi:
-      return 6;
-    case kOpFldi:
-      return 10;
-    default:
-      return 0;
-  }
-}
+namespace {
 
-std::string_view OpcodeName(uint8_t opcode) {
-  switch (opcode) {
-    case kOpNop:
-      return "nop";
-    case kOpBpt:
-      return "bpt";
-    case kOpRet:
-      return "ret";
-    case kOpHlt:
-      return "hlt";
-    case kOpSys:
-      return "sys";
-    case kOpMov:
-      return "mov";
-    case kOpLdi:
-      return "ldi";
-    case kOpAdd:
-      return "add";
-    case kOpSub:
-      return "sub";
-    case kOpMul:
-      return "mul";
-    case kOpDiv:
-      return "div";
-    case kOpMod:
-      return "mod";
-    case kOpAnd:
-      return "and";
-    case kOpOr:
-      return "or";
-    case kOpXor:
-      return "xor";
-    case kOpShl:
-      return "shl";
-    case kOpShr:
-      return "shr";
-    case kOpAddi:
-      return "addi";
-    case kOpCmp:
-      return "cmp";
-    case kOpCmpi:
-      return "cmpi";
-    case kOpAddv:
-      return "addv";
-    case kOpLdw:
-      return "ldw";
-    case kOpStw:
-      return "stw";
-    case kOpLdb:
-      return "ldb";
-    case kOpStb:
-      return "stb";
-    case kOpJmp:
-      return "jmp";
-    case kOpJz:
-      return "jz";
-    case kOpJnz:
-      return "jnz";
-    case kOpJlt:
-      return "jlt";
-    case kOpJge:
-      return "jge";
-    case kOpJgt:
-      return "jgt";
-    case kOpJle:
-      return "jle";
-    case kOpJcs:
-      return "jcs";
-    case kOpJcc:
-      return "jcc";
-    case kOpCall:
-      return "call";
-    case kOpPush:
-      return "push";
-    case kOpPop:
-      return "pop";
-    case kOpCallr:
-      return "callr";
-    case kOpJmpr:
-      return "jmpr";
-    case kOpFldi:
-      return "fldi";
-    case kOpFmov:
-      return "fmov";
-    case kOpFadd:
-      return "fadd";
-    case kOpFsub:
-      return "fsub";
-    case kOpFmul:
-      return "fmul";
-    case kOpFdiv:
-      return "fdiv";
-    case kOpFtoi:
-      return "ftoi";
-    case kOpItof:
-      return "itof";
-    default:
-      return "";
+// Opcode byte -> InstrLength, built from the rows: one load on the
+// interpreter's per-instruction path.
+constexpr std::array<uint8_t, 256> kLengthOf = [] {
+  std::array<uint8_t, 256> t{};
+  for (const OpInfo& row : kIsa) {
+    if (row.kind != B_ILL) {
+      t[row.opcode] = static_cast<uint8_t>(FormLength(row.form));
+    }
   }
+  return t;
+}();
+
+}  // namespace
+
+int InstrLength(uint8_t opcode) { return kLengthOf[opcode]; }
+
+std::string_view OpcodeName(uint8_t opcode) { return IsaRow(opcode).name; }
+
+Operands DecodeOperands(OpForm form, const uint8_t* bytes) {
+  Operands o;
+  if (form == OpForm::kNone) {
+    return o;
+  }
+  const uint8_t hi = bytes[1] >> 4;
+  const uint8_t lo = bytes[1] & 0x0F;
+  switch (form) {
+    case OpForm::kNone:
+      break;
+    case OpForm::kRR:
+      o.rd = hi;
+      o.rs = lo;
+      break;
+    case OpForm::kRI:
+      o.rd = lo;
+      std::memcpy(&o.imm, bytes + 2, 4);
+      break;
+    case OpForm::kMem: {
+      int16_t off;
+      std::memcpy(&off, bytes + 2, 2);
+      o.rd = hi;
+      o.rs = lo;
+      o.imm = static_cast<uint32_t>(static_cast<int32_t>(off));
+      break;
+    }
+    case OpForm::kJump:
+      std::memcpy(&o.imm, bytes + 1, 4);
+      break;
+    case OpForm::kReg:
+      o.rd = lo;
+      o.rs = lo;
+      break;
+    case OpForm::kFI:
+      o.rd = lo & 0x07;
+      std::memcpy(&o.fimm, bytes + 2, 8);
+      break;
+    case OpForm::kFF:
+      o.rd = hi & 0x07;
+      o.rs = lo & 0x07;
+      break;
+    case OpForm::kRF:
+      o.rd = hi;
+      o.rs = lo & 0x07;
+      break;
+    case OpForm::kFR:
+      o.rd = hi & 0x07;
+      o.rs = lo;
+      break;
+  }
+  return o;
 }
 
 }  // namespace svr4

@@ -25,8 +25,9 @@ constexpr uint32_t kVersion = 1;
 template <typename T>
 void Append(std::vector<uint8_t>& out, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
+  size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
 template <typename T>

@@ -177,40 +177,6 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
     lib_vp = *lv;
   }
 
-  // Honor set-id bits; enforce /proc security.
-  bool setid_exec = false;
-  if (attr->mode & 04000) {
-    p->creds.euid = attr->uid;
-    p->creds.suid = attr->uid;
-    setid_exec = true;
-  }
-  if (attr->mode & 02000) {
-    p->creds.egid = attr->gid;
-    p->creds.sgid = attr->gid;
-    setid_exec = true;
-  }
-  if (setid_exec) {
-    p->setid = true;
-    if (p->trace.total_opens > 0) {
-      // "The set-id operation is honored but the file descriptor held by the
-      // controlling process becomes invalid ... the traced process is
-      // directed to stop and its run-on-last-close flag is set."
-      ++p->trace.gen;
-      ProcPollLevelMoved(p->pid);
-      // Rebalance the open counts at invalidation time: the outstanding
-      // descriptors now belong to a dead generation, so their counts move
-      // to the stale ledger and any exclusivity they held dissolves. A new
-      // controller of the new generation starts from clean counters.
-      p->trace.stale_writable_opens += p->trace.writable_opens;
-      p->trace.stale_total_opens += p->trace.total_opens;
-      p->trace.writable_opens = 0;
-      p->trace.total_opens = 0;
-      p->trace.excl = false;
-      p->trace.dstop_pending = true;
-      p->trace.run_on_last_close = true;
-    }
-  }
-
   // Build the new address space: Figure 2's structure. Text is a private
   // read/execute mapping of the executable file; data private read/write;
   // bss and stack anonymous; the break mapping grows on brk(2) request; a
@@ -315,7 +281,42 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
   }
   sp -= 16;  // headroom
 
-  // Commit: the process transforms.
+  // Commit: the process transforms. Nothing below fails, so the set-id
+  // bits are honored (and /proc security enforced) only here: a failed
+  // exec leaves the credentials and every descriptor as they were.
+  bool setid_exec = false;
+  if (attr->mode & 04000) {
+    p->creds.euid = attr->uid;
+    p->creds.suid = attr->uid;
+    setid_exec = true;
+  }
+  if (attr->mode & 02000) {
+    p->creds.egid = attr->gid;
+    p->creds.sgid = attr->gid;
+    setid_exec = true;
+  }
+  if (setid_exec) {
+    p->setid = true;
+    if (p->trace.total_opens > 0) {
+      // "The set-id operation is honored but the file descriptor held by the
+      // controlling process becomes invalid ... the traced process is
+      // directed to stop and its run-on-last-close flag is set."
+      ++p->trace.gen;
+      ProcPollLevelMoved(p->pid);
+      // Rebalance the open counts at invalidation time: the outstanding
+      // descriptors now belong to a dead generation, so their counts move
+      // to the stale ledger and any exclusivity they held dissolves. A new
+      // controller of the new generation starts from clean counters.
+      p->trace.stale_writable_opens += p->trace.writable_opens;
+      p->trace.stale_total_opens += p->trace.total_opens;
+      p->trace.writable_opens = 0;
+      p->trace.total_opens = 0;
+      p->trace.excl = false;
+      p->trace.dstop_pending = true;
+      p->trace.run_on_last_close = true;
+    }
+  }
+
   if (p->is_vfork_child && !p->vfork_done) {
     p->vfork_done = true;
     Wakeup(p);

@@ -15,18 +15,6 @@
 #include "svr4proc/kernel/ktrace.h"
 
 namespace svr4 {
-namespace {
-
-// splitmix64: tiny, well-distributed, and stateful enough that every site
-// gets an independent deterministic stream.
-uint64_t SplitMix64(uint64_t* s) {
-  uint64_t z = (*s += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 const char* FaultSiteName(FaultSite s) {
   switch (s) {
@@ -61,7 +49,7 @@ bool FaultInjector::Fire(FaultSite s) {
   if (r.num == 0 || r.den == 0 || st.fires >= r.max_hits) {
     return false;
   }
-  if (SplitMix64(&st.rng) % r.den >= r.num) {
+  if (SplitMix64(st.rng) % r.den >= r.num) {
     return false;
   }
   ++st.fires;
@@ -74,7 +62,7 @@ bool FaultInjector::Fire(FaultSite s) {
 }
 
 uint64_t FaultInjector::Draw(FaultSite s, uint64_t n) {
-  return SplitMix64(&state_[static_cast<int>(s)].rng) % n;
+  return SplitMix64(state_[static_cast<int>(s)].rng) % n;
 }
 
 std::string FaultInjector::Describe() const {
@@ -127,7 +115,7 @@ void Kernel::SetChaosScheduler(uint64_t seed) {
 
 void Kernel::ClearChaosScheduler() { chaos_ = false; }
 
-uint64_t Kernel::ChaosNext() { return SplitMix64(&chaos_rng_); }
+uint64_t Kernel::ChaosNext() { return SplitMix64(chaos_rng_); }
 
 // PRNG-driven choice among every runnable lwp, replacing the round-robin
 // rotation. The run-queue cursor is advanced past the pick so switching

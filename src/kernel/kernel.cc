@@ -597,26 +597,24 @@ Result<VAttr> Kernel::Stat(Proc* /*p*/, const std::string& path) {
   return (*vp)->GetAttr();
 }
 
+int Kernel::PollLevels(Proc* p, std::span<PollFd> fds) {
+  int ready = 0;
+  for (auto& pf : fds) {
+    auto of = FdGet(p, pf.fd);
+    // POLLPRI, like POLLIN/POLLOUT, must have been asked for in events.
+    pf.revents = of.ok() ? (*of)->vp->Poll(**of) & (pf.events | POLLERR | POLLHUP | POLLNVAL)
+                         : POLLNVAL;
+    if (pf.revents != 0) {
+      ++ready;
+    }
+  }
+  return ready;
+}
+
 Result<int> Kernel::PollFds(Proc* p, std::span<PollFd> fds, int64_t timeout_ticks) {
   uint64_t deadline = timeout_ticks < 0 ? 0 : ticks_ + static_cast<uint64_t>(timeout_ticks);
   for (;;) {
-    int ready = 0;
-    for (auto& pf : fds) {
-      pf.revents = 0;
-      auto of = FdGet(p, pf.fd);
-      if (!of.ok()) {
-        pf.revents = POLLNVAL;
-        ++ready;
-        continue;
-      }
-      int bits = (*of)->vp->Poll(**of);
-      // Only POLLERR/POLLHUP/POLLNVAL may be reported unrequested; POLLPRI
-      // (like POLLIN/POLLOUT) must have been asked for in events.
-      pf.revents = bits & (pf.events | POLLERR | POLLHUP | POLLNVAL);
-      if (pf.revents != 0) {
-        ++ready;
-      }
-    }
+    int ready = PollLevels(p, fds);
     if (ready > 0) {
       return ready;
     }

@@ -110,27 +110,22 @@ std::vector<uint8_t> KTrace::Snapshot(int32_t pid_filter) const {
   return out;
 }
 
-namespace {
-
-void RenderHist(std::string& out, const char* name, const std::string& tag,
-                const KtHist& h) {
+void KtHist::Render(std::string& out, const char* name, const std::string& tag) const {
   char line[192];
-  std::snprintf(line, sizeof(line), "hist %s%s count=%llu sum=%llu max=%llu mean=%.1f",
-                name, tag.c_str(), static_cast<unsigned long long>(h.count),
-                static_cast<unsigned long long>(h.sum),
-                static_cast<unsigned long long>(h.max), h.Mean());
+  std::snprintf(line, sizeof(line), "hist %s%s count=%llu sum=%llu max=%llu mean=%.1f", name,
+                tag.c_str(), static_cast<unsigned long long>(count),
+                static_cast<unsigned long long>(sum), static_cast<unsigned long long>(max),
+                Mean());
   out += line;
-  for (size_t i = 0; i < h.bucket.size(); ++i) {
-    if (h.bucket[i] != 0) {
+  for (size_t i = 0; i < bucket.size(); ++i) {
+    if (bucket[i] != 0) {
       std::snprintf(line, sizeof(line), " b%zu:%llu", i,
-                    static_cast<unsigned long long>(h.bucket[i]));
+                    static_cast<unsigned long long>(bucket[i]));
       out += line;
     }
   }
   out += '\n';
 }
-
-}  // namespace
 
 std::string KTrace::MetricsText(const FaultInjector* finj) const {
   std::string out;
@@ -159,18 +154,18 @@ std::string KTrace::MetricsText(const FaultInjector* finj) const {
                   static_cast<unsigned long long>(s.calls),
                   static_cast<unsigned long long>(s.errors));
     out += line;
-    RenderHist(out, "syscall_lat[", std::string(SyscallName(n)) + "]", s.lat);
+    s.lat.Render(out, "syscall_lat[", std::string(SyscallName(n)) + "]");
   }
-  RenderHist(out, "stop_wait", "", stop_wait_);
-  RenderHist(out, "runq_depth", "", runq_depth_);
+  stop_wait_.Render(out, "stop_wait", "");
+  runq_depth_.Render(out, "runq_depth", "");
   for (int c = 0; c < kKtMaxCpus; ++c) {
     if (runq_wait_[c].count != 0) {
-      RenderHist(out, "runq_wait[cpu", std::to_string(c) + "]", runq_wait_[c]);
+      runq_wait_[c].Render(out, "runq_wait[cpu", std::to_string(c) + "]");
     }
   }
   for (int c = 0; c < kKtMaxCpus; ++c) {
     if (steal_lat_[c].count != 0) {
-      RenderHist(out, "steal_lat[cpu", std::to_string(c) + "]", steal_lat_[c]);
+      steal_lat_[c].Render(out, "steal_lat[cpu", std::to_string(c) + "]");
     }
   }
   if (finj != nullptr) {

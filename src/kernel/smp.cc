@@ -1,19 +1,11 @@
 #include "svr4proc/kernel/smp.h"
 
+#include "svr4proc/kernel/faults.h"
 #include "svr4proc/kernel/ktrace.h"
 
 namespace svr4 {
 
 namespace {
-
-// Same splitmix64 the fault injector uses: every per-CPU steal stream is an
-// independent, replayable sequence.
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 // The CPU whose chunk this thread runs in a free-running super-step, or -1
 // outside one (SmpState::SetWorkerCpu).

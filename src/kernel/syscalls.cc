@@ -3,6 +3,7 @@
 // blocking handlers built on the classic while-condition-sleep structure,
 // syscall aborting, and the individual handlers.
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "svr4proc/fs/dev.h"
@@ -722,42 +723,21 @@ Kernel::SysResult Kernel::SysPoll(Lwp* lwp) {
   }
   int32_t timeout = static_cast<int32_t>(lwp->sysargs[2]);
 
-  // On-wire pollfd: i32 fd, i32 events, i32 revents.
-  struct WirePollFd {
-    int32_t fd;
-    int32_t events;
-    int32_t revents;
-  };
-  std::vector<WirePollFd> fds(nfds);
-  if (nfds > 0 &&
-      !Copyin(p, fds_va, fds.data(), nfds * sizeof(WirePollFd)).ok()) {
+  // The user's pollfd array (i32 fd, i32 events, i32 revents) is PollFd.
+  static_assert(sizeof(PollFd) == 12 && offsetof(PollFd, events) == 4 &&
+                offsetof(PollFd, revents) == 8 && sizeof(int) == 4);
+  std::vector<PollFd> fds(nfds);
+  if (nfds > 0 && !Copyin(p, fds_va, fds.data(), nfds * sizeof(PollFd)).ok()) {
     return SysResult::Fail(Errno::kEFAULT);
   }
-  int ready = 0;
-  for (auto& pf : fds) {
-    pf.revents = 0;
-    auto of = FdGet(p, pf.fd);
-    if (!of.ok()) {
-      pf.revents = POLLNVAL;
-      ++ready;
-      continue;
-    }
-    int bits = (*of)->vp->Poll(**of);
-    // Only POLLERR/POLLHUP/POLLNVAL may be reported unrequested; POLLPRI
-    // (like POLLIN/POLLOUT) must have been asked for in events.
-    pf.revents = bits & (pf.events | POLLERR | POLLHUP | POLLNVAL);
-    if (pf.revents != 0) {
-      ++ready;
-    }
-  }
+  int ready = PollLevels(p, fds);
   if (timeout > 0 && lwp->sys_deadline == 0) {
     lwp->sys_deadline = ticks_ + static_cast<uint64_t>(timeout);
   }
   bool timed_out =
       timeout == 0 || (lwp->sys_deadline != 0 && ticks_ >= lwp->sys_deadline);
   if (ready > 0 || timed_out) {
-    if (nfds > 0 &&
-        !Copyout(p, fds_va, fds.data(), nfds * sizeof(WirePollFd)).ok()) {
+    if (nfds > 0 && !Copyout(p, fds_va, fds.data(), nfds * sizeof(PollFd)).ok()) {
       return SysResult::Fail(Errno::kEFAULT);
     }
     return SysResult::Ok(static_cast<uint32_t>(ready));

@@ -23,7 +23,6 @@ const char* PdOpName(PdOp op) {
     case PdOp::kOpen: return "open";
     case PdOp::kClose: return "close";
     case PdOp::kRead: return "read";
-    case PdOp::kPread: return "pread";
     case PdOp::kWrite: return "write";
     case PdOp::kLseek: return "lseek";
     case PdOp::kIoctl: return "ioctl";
@@ -64,12 +63,6 @@ void PdWriteError(PdChannel& ch, PdOp op, uint32_t tag, Errno e) {
 
 namespace {
 
-// Masks poll bits exactly as Kernel::PollFds does: error conditions are
-// always reportable, everything else must have been requested.
-int MaskRevents(int bits, int events) {
-  return bits & (events | POLLERR | POLLHUP | POLLNVAL);
-}
-
 // Span latency axis: host wall clock, because virtual ticks stand still
 // while only native peers act (see EnableSpans in the header).
 uint64_t NowNs() {
@@ -77,26 +70,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-// Same line grammar as the metrics registry's renderer (ktrace.cc), so one
-// parser handles /proc2/kernel/metrics and /proc2/kernel/procd alike.
-void RenderHist(std::string& out, const char* name, const std::string& tag,
-                const KtHist& h) {
-  char line[192];
-  std::snprintf(line, sizeof(line), "hist %s%s count=%llu sum=%llu max=%llu mean=%.1f",
-                name, tag.c_str(), static_cast<unsigned long long>(h.count),
-                static_cast<unsigned long long>(h.sum),
-                static_cast<unsigned long long>(h.max), h.Mean());
-  out += line;
-  for (size_t i = 0; i < h.bucket.size(); ++i) {
-    if (h.bucket[i] != 0) {
-      std::snprintf(line, sizeof(line), " b%zu:%llu", i,
-                    static_cast<unsigned long long>(h.bucket[i]));
-      out += line;
-    }
-  }
-  out += '\n';
 }
 
 // Unknown wire codes share slot 0 rather than growing the array.
@@ -307,17 +280,17 @@ std::string ProcdServer::StatsText() const {
                   static_cast<unsigned long long>(s.parks));
     out += line;
     if (s.lat_ns.count != 0) {
-      RenderHist(out, "procd_lat_ns[", std::string(name) + "]", s.lat_ns);
+      s.lat_ns.Render(out, "procd_lat_ns[", std::string(name) + "]");
     }
     if (s.bytes.count != 0) {
-      RenderHist(out, "procd_bytes[", std::string(name) + "]", s.bytes);
+      s.bytes.Render(out, "procd_bytes[", std::string(name) + "]");
     }
     if (s.park_ticks.count != 0) {
-      RenderHist(out, "procd_park_ticks[", std::string(name) + "]", s.park_ticks);
+      s.park_ticks.Render(out, "procd_park_ticks[", std::string(name) + "]");
     }
   }
   if (parked_peers_.count != 0) {
-    RenderHist(out, "procd_parked_peers", "", parked_peers_);
+    parked_peers_.Render(out, "procd_parked_peers", "");
   }
   for (const auto& up : peers_) {
     if (up->dead) {
@@ -352,40 +325,21 @@ void ProcdServer::HandleOpen(Peer& peer, uint32_t tag, PdReader& r) {
   PdWriteFrame(peer.conn->s2c, PdOp::kOpen, 0, tag, w.bytes());
 }
 
-void ProcdServer::HandleRead(Peer& peer, uint32_t tag, PdReader& r, bool pread) {
-  PdOp op = pread ? PdOp::kPread : PdOp::kRead;
+void ProcdServer::HandleRead(Peer& peer, uint32_t tag, PdReader& r) {
   int32_t fd = 0;
-  uint64_t off = 0;
   uint32_t n = 0;
-  if (!r.Get(&fd) || (pread && !r.Get(&off)) || !r.Get(&n) || n > (1u << 26)) {
-    PdWriteError(peer.conn->s2c, op, tag, Errno::kEINVAL);
+  if (!r.Get(&fd) || !r.Get(&n) || n > (1u << 26)) {
+    PdWriteError(peer.conn->s2c, PdOp::kRead, tag, Errno::kEINVAL);
     return;
   }
   std::vector<uint8_t> buf(n);
-  int64_t saved = -1;
-  if (pread) {
-    auto cur = kernel_->Lseek(peer.proc, fd, 0, SEEK_CUR_);
-    if (!cur.ok()) {
-      PdWriteError(peer.conn->s2c, op, tag, cur.error());
-      return;
-    }
-    saved = *cur;
-    auto seek = kernel_->Lseek(peer.proc, fd, static_cast<int64_t>(off), SEEK_SET_);
-    if (!seek.ok()) {
-      PdWriteError(peer.conn->s2c, op, tag, seek.error());
-      return;
-    }
-  }
   auto got = kernel_->Read(peer.proc, fd, buf.data(), n);
-  if (pread && saved >= 0) {
-    (void)kernel_->Lseek(peer.proc, fd, saved, SEEK_SET_);
-  }
   if (!got.ok()) {
-    PdWriteError(peer.conn->s2c, op, tag, got.error());
+    PdWriteError(peer.conn->s2c, PdOp::kRead, tag, got.error());
     return;
   }
   buf.resize(static_cast<size_t>(*got));
-  PdWriteFrame(peer.conn->s2c, op, 0, tag, buf);
+  PdWriteFrame(peer.conn->s2c, PdOp::kRead, 0, tag, buf);
 }
 
 bool ProcdServer::ParkDeferredWait(Peer& peer, PdOp op, uint32_t tag) {
@@ -508,24 +462,6 @@ void ProcdServer::HandlePsall(Peer& peer, uint32_t tag, PdReader& r) {
                                         rows.size() * sizeof(PrPsinfo)));
 }
 
-int ProcdServer::EvalPoll(Peer& peer, std::vector<PollFd>& pfds) {
-  int ready = 0;
-  for (auto& pf : pfds) {
-    pf.revents = 0;
-    auto of = kernel_->FdGet(peer.proc, pf.fd);
-    if (!of.ok()) {
-      pf.revents = POLLNVAL;
-      ++ready;
-      continue;
-    }
-    pf.revents = MaskRevents((*of)->vp->Poll(**of), pf.events);
-    if (pf.revents != 0) {
-      ++ready;
-    }
-  }
-  return ready;
-}
-
 void ProcdServer::HandlePoll(Peer& peer, uint32_t tag, PdReader& r) {
   int64_t timeout = 0;
   uint32_t n = 0;
@@ -543,7 +479,7 @@ void ProcdServer::HandlePoll(Peer& peer, uint32_t tag, PdReader& r) {
     pf.fd = fd;
     pf.events = events;
   }
-  int ready = EvalPoll(peer, pfds);
+  int ready = kernel_->PollLevels(peer.proc, pfds);
   if (ready > 0 || timeout == 0) {
     PdWriter w;
     w.Put<int32_t>(ready);
@@ -629,10 +565,7 @@ void ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
       break;
     }
     case PdOp::kRead:
-      HandleRead(peer, tag, r, /*pread=*/false);
-      break;
-    case PdOp::kPread:
-      HandleRead(peer, tag, r, /*pread=*/true);
+      HandleRead(peer, tag, r);
       break;
     case PdOp::kWrite:
       HandleWrite(peer, tag, r);
@@ -800,7 +733,7 @@ bool ProcdServer::TryCompleteWait(Peer& peer, bool idle) {
       return true;
     }
     case Peer::Wait::kPoll: {
-      int ready = EvalPoll(peer, peer.wait_pfds);
+      int ready = kernel_->PollLevels(peer.proc, peer.wait_pfds);
       bool timed_out =
           peer.wait_deadline != 0 && kernel_->Ticks() >= peer.wait_deadline;
       if (ready == 0 && !timed_out && !idle) {
@@ -893,8 +826,9 @@ void ProcdServer::MarkPid(Pid pid) {
 }
 
 int ProcdServer::SubLevel(Peer& peer, int32_t fd, int32_t events) const {
-  auto of = kernel_->FdGet(peer.proc, fd);
-  return of.ok() ? MaskRevents((*of)->vp->Poll(**of), events) : POLLNVAL;
+  PollFd pf{fd, events, 0};
+  kernel_->PollLevels(peer.proc, std::span<PollFd>(&pf, 1));
+  return pf.revents;
 }
 
 bool ProcdServer::RepollSubscriptions() {

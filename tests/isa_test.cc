@@ -8,6 +8,7 @@
 #include "svr4proc/base/fixed_set.h"
 #include "svr4proc/isa/aout.h"
 #include "svr4proc/isa/assembler.h"
+#include "svr4proc/isa/blocks.h"
 #include "svr4proc/isa/cpu.h"
 #include "svr4proc/isa/disasm.h"
 #include "svr4proc/isa/isa.h"
@@ -96,6 +97,77 @@ TEST(InstrLength, BreakpointIsShortestInstruction) {
       EXPECT_GE(len, kBreakpointLength);
     }
   }
+}
+
+// The instruction table: each row assembles from a line that puts a
+// distinct nonzero value in every operand slot of its form, to exactly
+// InstrLength bytes, and disassembles and predecodes back to the fields
+// that line named.
+struct FormCase {
+  std::string args;  // the line after the mnemonic
+  uint8_t rd = 0;    // the fields PredecodeOne must produce
+  uint8_t rs = 0;
+  uint32_t imm = 0;
+};
+
+FormCase CaseFor(OpForm form) {
+  switch (form) {
+    case OpForm::kNone:
+      return {"", 0, 0, 0};
+    case OpForm::kRR:
+      return {" r3, r9", 3, 9, 0};
+    case OpForm::kRI:
+      return {" r3, 0x12345678", 3, 0, 0x12345678};
+    case OpForm::kMem:
+      return {" r3, [r9-8]", 3, 9, static_cast<uint32_t>(-8)};
+    case OpForm::kJump:
+      return {" 0x12345678", 0, 0, 0x12345678};
+    case OpForm::kReg:
+      return {" r9", 9, 9, 0};
+    case OpForm::kFI:
+      return {" f3, 2.5", 3, 0, 0};
+    case OpForm::kFF:
+      return {" f3, f5", 3, 5, 0};
+    case OpForm::kRF:
+      return {" r9, f5", 9, 5, 0};
+    case OpForm::kFR:
+      return {" f3, r9", 3, 9, 0};
+  }
+  return {};
+}
+
+TEST(IsaTable, EveryRowAssemblesDisassemblesAndPredecodesItsFields) {
+  int rows = 0;
+  for (const OpInfo& row : kIsa) {
+    if (row.kind == B_ILL) {
+      continue;
+    }
+    const FormCase c = CaseFor(row.form);
+    const std::string line = std::string(row.name) + c.args;
+    const int len = InstrLength(row.opcode);
+    Assembler as(AsmOptions{.text_base = 0x1000});
+    auto img = as.Assemble("  " + line + "\n");
+    ASSERT_TRUE(img.ok()) << line << ": " << as.error();
+    ASSERT_EQ(img->text.size(), static_cast<size_t>(len)) << line;
+    EXPECT_EQ(img->text[0], row.opcode) << line;
+
+    auto d = DisassembleOne(img->text);
+    EXPECT_EQ(d.mnemonic, line);
+    EXPECT_EQ(d.length, len) << line;
+
+    PInstr pi;
+    EXPECT_EQ(PredecodeOne(img->text.data(), 0x1000, &pi), len) << line;
+    EXPECT_EQ(pi.kind, row.kind) << line;
+    EXPECT_EQ(pi.rd, c.rd) << line;
+    EXPECT_EQ(pi.rs, c.rs) << line;
+    EXPECT_EQ(pi.imm, c.imm) << line;
+    EXPECT_EQ(pi.len, len) << line;
+    if (row.form == OpForm::kFI) {
+      EXPECT_EQ(DecodeOperands(row.form, img->text.data()).fimm, 2.5) << line;
+    }
+    ++rows;
+  }
+  EXPECT_EQ(rows, B_KIND_COUNT - 1) << "every instruction has a row";
 }
 
 TEST(Cpu, LdiMovAdd) {

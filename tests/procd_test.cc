@@ -454,6 +454,184 @@ TEST(ProcdTrust, OutOfRangeNamesAreEnoent) {
   EXPECT_TRUE(rig.rio().Stat(dir + "/lwp/00001/lwpstatus").ok());
 }
 
+// Op code 5 is unassigned: a frame carrying it gets ENOSYS like any unknown
+// op, even with a {fd, off, n} read body on a readable /proc descriptor, and
+// the codes around it keep their wire values.
+TEST(ProcdTrust, RetiredOpFiveIsEnosys) {
+  static_assert(static_cast<int>(PdOp::kRead) == 4 && static_cast<int>(PdOp::kWrite) == 6);
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto pid = sim.Start("/bin/prog");
+  ASSERT_TRUE(pid.ok());
+  ProcdServer srv(sim.kernel());
+  auto conn = srv.Connect(Creds::Root());
+  RemoteProcIo rio(conn);
+  auto fd = rio.Open(FlatPath(*pid), O_RDONLY);
+  ASSERT_TRUE(fd.ok());
+  PdWriter w;
+  w.Put<int32_t>(*fd);
+  w.Put<uint64_t>(0x80000000u);
+  w.Put<uint32_t>(16);
+  conn->Send(static_cast<PdOp>(5), 4242, w.bytes());
+  PdFrame f;
+  for (int i = 0; i < 100 && !conn->s2c.NextFrame(&f); ++i) {
+    srv.Pump();
+  }
+  ASSERT_EQ(f.hdr.tag, 4242u) << "no reply to the op-5 frame";
+  EXPECT_EQ(f.hdr.op, 5);
+  ASSERT_TRUE(f.hdr.flags & kPdErrFlag);
+  ASSERT_EQ(f.body.size(), 4u);
+  int32_t e = 0;
+  std::memcpy(&e, f.body.data(), 4);
+  EXPECT_EQ(static_cast<Errno>(e), Errno::kENOSYS);
+}
+
+// ---------------------------------------------------------------------------
+// One poll level rule (Kernel::PollLevels) behind every poller: the same
+// descriptor set, polled with timeout 0 through Kernel::PollFds, a
+// simulated process's poll(2) and RemoteProcIo::PollFds, reports the same
+// revents and the same count on all three.
+// ---------------------------------------------------------------------------
+
+TEST(PollRule, SameLevelsOnEveryPath) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  ASSERT_TRUE(sim.InstallProgram("/bin/spin", kSpin).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/suid", kSpin, 04755, 0, 0).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/exit", "ldi r0, SYS_exit\nldi r1, 0\nsys\n").ok());
+  // Waits for its first data word to turn nonzero, then execs set-uid.
+  auto setid_img = sim.InstallProgram("/bin/setid", R"(
+wait: ldi r4, go
+      ldw r5, [r4]
+      cmpi r5, 0
+      jz wait
+      ldi r0, SYS_exec
+      ldi r1, path
+      ldi r2, 0
+      sys
+spin: jmp spin
+      .data
+go:   .word 0
+path: .asciz "/bin/suid"
+)");
+  ASSERT_TRUE(setid_img.ok());
+  auto stopped_pri = sim.Start("/bin/spin");
+  auto stopped_in = sim.Start("/bin/spin");
+  auto zombie = k.Spawn("/bin/exit", {"exit"}, Creds::Root(), sim.controller());
+  auto setid = sim.Start("/bin/setid", {}, Creds::User(100, 10));
+  ASSERT_TRUE(stopped_pri.ok() && stopped_in.ok() && zombie.ok() && setid.ok());
+
+  // {target, events} per entry; target -1 stands for kBadFd, a descriptor
+  // number no poller holds.
+  constexpr int kBadFd = 63;
+  const std::vector<std::pair<Pid, int>> set = {
+      {-1, POLLPRI},
+      {*stopped_pri, POLLPRI},
+      {*stopped_in, POLLIN},
+      {*zombie, POLLPRI},
+      {*setid, POLLPRI},
+  };
+  const std::vector<int> want = {POLLNVAL, POLLPRI, 0, POLLHUP, POLLNVAL};
+
+  // The simulated poller opens the targets, marks r10 = 2, waits for its
+  // first data word, polls the set with timeout 0 and marks r10 = 1.
+  std::string src;
+  std::string data = "      .data\ngo:   .word 0\ncnt:  .word -1\npfd:";
+  for (size_t i = 0; i < set.size(); ++i) {
+    auto [pid, events] = set[i];
+    data += (i == 0 ? " .word " : ", ") + std::to_string(pid < 0 ? kBadFd : 0) + ", " +
+            std::to_string(events) + ", -1";
+    if (pid >= 0) {
+      src += "      ldi r0, SYS_open\n      ldi r1, path" + std::to_string(i) +
+             "\n      ldi r2, O_RDONLY\n      ldi r3, 0\n      sys\n      ldi r4, pfd\n"
+             "      stw r0, [r4+" + std::to_string(12 * i) + "]\n";
+    }
+  }
+  data += "\n";
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (set[i].first >= 0) {
+      data += "path" + std::to_string(i) + ": .asciz \"" + FlatPath(set[i].first) + "\"\n";
+    }
+  }
+  src += R"(      ldi r10, 2
+wait: ldi r4, go
+      ldw r5, [r4]
+      cmpi r5, 0
+      jz wait
+      ldi r0, SYS_poll
+      ldi r1, pfd
+      ldi r2, )" + std::to_string(set.size()) + R"(
+      ldi r3, 0
+      sys
+      ldi r4, cnt
+      stw r0, [r4]
+      ldi r10, 1
+done: jmp done
+)" + data;
+  auto poller_img = sim.InstallProgram("/bin/poller", src);
+  ASSERT_TRUE(poller_img.ok());
+  auto poller = sim.Start("/bin/poller");
+  ASSERT_TRUE(poller.ok());
+
+  auto pri = ProcHandle::Grab(k, sim.controller(), *stopped_pri);
+  auto in = ProcHandle::Grab(k, sim.controller(), *stopped_in);
+  ASSERT_TRUE(pri.ok() && in.ok());
+  ASSERT_TRUE(pri->Stop().ok());
+  ASSERT_TRUE(in->Stop().ok());
+  ASSERT_TRUE(k.RunUntil([&] {
+    return k.FindProc(*zombie)->state == Proc::State::kZombie &&
+           k.FindProc(*poller)->MainLwp()->regs.r[10] == 2;
+  }));
+
+  // The other two pollers open the same targets.
+  Proc* native = sim.NewController(Creds::Root(), "native");
+  ProcdServer srv(k);
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  std::vector<PollFd> local(set.size()), remote(set.size());
+  for (size_t i = 0; i < set.size(); ++i) {
+    local[i] = PollFd{kBadFd, set[i].second, -1};
+    remote[i] = local[i];
+    if (set[i].first >= 0) {
+      auto lf = k.Open(native, FlatPath(set[i].first), O_RDONLY);
+      auto rf = rio.Open(FlatPath(set[i].first), O_RDONLY);
+      ASSERT_TRUE(lf.ok() && rf.ok());
+      local[i].fd = *lf;
+      remote[i].fd = *rf;
+    }
+  }
+
+  // Now the set-id exec: every descriptor on that target goes stale.
+  auto go = ProcHandle::Grab(k, sim.controller(), *setid);
+  ASSERT_TRUE(go.ok());
+  const uint32_t one = 1;
+  ASSERT_TRUE(go->WriteMem(setid_img->data_vaddr, &one, 4).ok());
+  ASSERT_TRUE(k.RunUntil([&] { return k.FindProc(*setid)->trace.gen == 2; }));
+
+  auto nl = k.PollFds(native, local, 0);
+  auto nr = rio.PollFds(remote, 0);
+  ASSERT_TRUE(nl.ok() && nr.ok());
+
+  auto ph = ProcHandle::Grab(k, sim.controller(), *poller);
+  ASSERT_TRUE(ph.ok());
+  ASSERT_TRUE(ph->WriteMem(poller_img->data_vaddr, &one, 4).ok());
+  ASSERT_TRUE(k.RunUntil([&] { return k.FindProc(*poller)->MainLwp()->regs.r[10] == 1; }));
+  int32_t ns = 0;
+  std::vector<PollFd> simulated(set.size());
+  ASSERT_TRUE(ph->ReadMem(poller_img->data_vaddr + 4, &ns, 4).ok());
+  ASSERT_TRUE(ph->ReadMem(poller_img->data_vaddr + 8, simulated.data(),
+                          simulated.size() * sizeof(PollFd))
+                  .ok());
+
+  EXPECT_EQ(*nl, 4);
+  EXPECT_EQ(*nr, *nl);
+  EXPECT_EQ(ns, *nl);
+  for (size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(local[i].revents, want[i]) << "entry " << i;
+    EXPECT_EQ(remote[i].revents, local[i].revents) << "entry " << i;
+    EXPECT_EQ(simulated[i].revents, local[i].revents) << "entry " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Blocking operations: the ctl core runs the checks, the audit record and
 // the directive for a remote peer exactly as for a local controller, and

@@ -1210,6 +1210,99 @@ path: .asciz "/bin/suid"
   EXPECT_FALSE(p->trace.run_on_last_close);
 }
 
+// Execs /bin/suid with `argc` copies of one argument of `arg_len` bytes
+// (argv = 0 when argc is 0). A failed exec stores its errno in r9; r10 = 1
+// marks the failure path.
+std::string FailingExecSource(int argc, int arg_len) {
+  std::string s = R"(
+      ldi r0, SYS_exec
+      ldi r1, path
+      ldi r2, )" + std::string(argc > 0 ? "argv" : "0") + R"(
+      sys
+      mov r9, r0
+      ldi r10, 1
+spin: jmp spin
+      .data
+path: .asciz "/bin/suid"
+)";
+  if (argc > 0) {
+    s += "arg:  .asciz \"" + std::string(static_cast<size_t>(arg_len), 'a') + "\"\n";
+    s += "      .align 4\nargv:";
+    for (int i = 0; i < argc; ++i) {
+      s += i == 0 ? " .word arg" : ", arg";
+    }
+    s += ", 0\n";
+  }
+  return s;
+}
+
+// The exec under test has failed (r10 set) or the target has stopped.
+void RunUntilExecFailsOrStops(Sim& sim, Pid pid) {
+  sim.kernel().RunUntil([&]() {
+    Proc* p = sim.kernel().FindProc(pid);
+    Lwp* l = p == nullptr ? nullptr : p->MainLwp();
+    return l == nullptr || l->state == LwpState::kStopped || l->regs.r[10] == 1;
+  });
+}
+
+// A set-id exec that fails must leave the process as it was: its old
+// credentials, its controllers' descriptors valid, no stop directed.
+void ExpectNoSetIdTrace(Sim& sim, Pid pid, ProcHandle& h, Errno want) {
+  Proc* p = sim.kernel().FindProc(pid);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->MainLwp()->regs.r[10], 1u) << "the exec did not fail back to its caller";
+  EXPECT_EQ(p->MainLwp()->regs.r[9], static_cast<uint32_t>(want));
+  EXPECT_EQ(p->creds.euid, 100u) << "a failed exec raised the effective uid";
+  EXPECT_FALSE(p->setid);
+  EXPECT_EQ(p->trace.gen, 1u) << "a failed exec invalidated descriptors";
+  EXPECT_NE(p->MainLwp()->state, LwpState::kStopped) << "a failed exec directed a stop";
+  EXPECT_FALSE(p->trace.run_on_last_close);
+  EXPECT_TRUE(h.Status().ok()) << "the owner's descriptor must stay valid";
+}
+
+// 64 arguments of 1,023 bytes fill the 16-page initial stack, so the
+// argument pointers no longer fit: the exec fails with EFAULT after its
+// image has been read and its address space built.
+TEST(ProcSecurity, SetIdExecFailingOnArgvLeavesNoTrace) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/suid", kSpin, 04755, 0, 0).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", FailingExecSource(64, 1023)).ok());
+  auto pid = sim.Start("/bin/prog", {}, Creds::User(100, 10));
+  ASSERT_TRUE(pid.ok());
+  Proc* owner = sim.NewController(Creds::User(100, 10), "owner");
+  auto h = ProcHandle::Grab(sim.kernel(), owner, *pid);
+  ASSERT_TRUE(h.ok());
+  RunUntilExecFailsOrStops(sim, *pid);
+  ExpectNoSetIdTrace(sim, *pid, *h, Errno::kEFAULT);
+}
+
+// The first mapping of the new image fails (VM_MAP armed while the target
+// is stopped at exec entry): ENOMEM, and again no trace.
+TEST(ProcSecurity, SetIdExecFailingOnMapLeavesNoTrace) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/suid", kSpin, 04755, 0, 0).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", FailingExecSource(0, 0)).ok());
+  auto pid = sim.Start("/bin/prog", {}, Creds::User(100, 10));
+  ASSERT_TRUE(pid.ok());
+  Proc* owner = sim.NewController(Creds::User(100, 10), "owner");
+  auto h = ProcHandle::Grab(sim.kernel(), owner, *pid);
+  ASSERT_TRUE(h.ok());
+  SysSet entry;
+  entry.Add(SYS_exec);
+  ASSERT_TRUE(h->Stop().ok());
+  ASSERT_TRUE(h->SetSysEntry(entry).ok());
+  ASSERT_TRUE(h->Run().ok());
+  ASSERT_TRUE(h->WaitStop().ok());
+  auto st = h->Status();
+  ASSERT_TRUE(st.ok());
+  ASSERT_EQ(st->pr_why, PR_SYSENTRY);
+  ASSERT_EQ(st->pr_what, SYS_exec);
+  sim.kernel().SetFaultPlan(FaultPlan().Arm(FaultSite::kVmMap, FaultRule{1, 1, 1, 1}));
+  ASSERT_TRUE(h->Run().ok());
+  RunUntilExecFailsOrStops(sim, *pid);
+  ExpectNoSetIdTrace(sim, *pid, *h, Errno::kENOMEM);
+}
+
 TEST(ProcSecurity, ReadOnlyStaleDrainRunsLastClose) {
   Sim sim;
   // Regression: a set-id exec invalidates descriptors and sets
