@@ -176,13 +176,14 @@ BENCHMARK(BM_ExecThroughput)
 // in the perfbench population, taken past them to 1024 blocks.
 std::string BlockRing(int blocks) {
   std::string s = "loop:\n";
+  char next[16];
+  char block[128];
   for (int i = 0; i < blocks; ++i) {
-    const std::string next = i + 1 == blocks ? "loop" : "b" + std::to_string(i + 1);
-    s += "b" + std::to_string(i) + ": addi r" + std::to_string(1 + i % 5) + ", " +
-         std::to_string(1 + i % 97) + "\n";
-    s += "      xor r" + std::to_string(1 + (i + 2) % 5) + ", r" +
-         std::to_string(1 + (i + 3) % 5) + "\n";
-    s += "      jmp " + next + "\n";
+    std::snprintf(next, sizeof(next), "b%d", i + 1);
+    std::snprintf(block, sizeof(block), "b%d: addi r%d, %d\n      xor r%d, r%d\n      jmp %s\n", i,
+                  1 + i % 5, 1 + i % 97, 1 + (i + 2) % 5, 1 + (i + 3) % 5,
+                  i + 1 == blocks ? "loop" : next);
+    s += block;
   }
   return s;
 }

@@ -15,7 +15,7 @@ namespace svr4 {
 class RemoteProcIo : public ProcIo {
  public:
   explicit RemoteProcIo(std::shared_ptr<ProcdConn> conn) : conn_(std::move(conn)) {}
-  ~RemoteProcIo() override { Hangup(); }
+  ~RemoteProcIo() override;
 
   RemoteProcIo(const RemoteProcIo&) = delete;
   RemoteProcIo& operator=(const RemoteProcIo&) = delete;
@@ -61,17 +61,25 @@ class RemoteProcIo : public ProcIo {
   void Poke();
 
  private:
-  // Sends one request and pumps the server until its tagged reply arrives.
-  // Pushed kEvent frames encountered on the way are queued. The reply's
-  // body views the connection's server -> client buffer, uncopied: decode
-  // it before the next Call, Poke or NextEvent, or before pumping the
-  // server, any of which may overwrite it.
-  Result<PdFrame> Call(PdOp op, std::span<const uint8_t> body);
+  // Sends one request, its fields encoded through PdMsg<Op>, and pumps the
+  // server until the tagged reply arrives; decodes the reply through
+  // PdMsg<Op> (one that does not decode is EIO). Pushed kEvent frames met
+  // on the way are queued. Strings, byte runs and sequences in the result
+  // view the connection's server -> client buffer, uncopied: use them before
+  // the next Call, Poke or NextEvent, any of which may overwrite it.
+  template <PdOp Op, typename... A>
+  Result<PdRep<Op>> Call(const A&... fields);
+  // Sends the body in request_ and returns the reply frame, or the errno an
+  // error reply carries.
+  Result<PdFrame> Exchange(PdOp op);
+  // Queues `f` if it is a pushed event; returns whether it was one.
+  bool TakeEvent(const PdFrame& f);
   void DrainPushed();
 
   std::shared_ptr<ProcdConn> conn_;
   std::deque<Event> events_;
   uint32_t next_tag_ = 1;
+  PdWriter request_;  // the request body being encoded, reused across calls
 };
 
 }  // namespace svr4

@@ -42,13 +42,19 @@
 #ifndef SVR4PROC_PROCD_PROCD_H_
 #define SVR4PROC_PROCD_PROCD_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "svr4proc/kernel/kernel.h"
@@ -59,46 +65,21 @@ namespace svr4 {
 
 // --- Wire protocol -----------------------------------------------------------
 
-// Request/reply/push operation codes. Every client frame gets exactly one
-// reply frame with the same tag; kEvent frames (tag 0) are pushed to
-// subscribed peers between replies.
+// Operation codes. Every request frame gets exactly one reply frame with the
+// same tag; kEvent frames (tag 0) are pushed to subscribed peers between
+// replies. Each request op's body layouts are its PdMsg below.
 enum class PdOp : uint16_t {
-  kHello = 1,       // -> {}                                <- {i32 peer_pid}
-  kOpen,            // -> {i32 oflags, path}                <- {i32 fd}
-  kClose,           // -> {i32 fd}                          <- {}
-  kRead,            // -> {i32 fd, u32 n}                   <- {bytes}
-                    // 5 is unassigned; the ops after it keep their codes
-  kWrite = 6,       // -> {i32 fd, bytes}                   <- {i64 n}
-  kLseek,           // -> {i32 fd, i64 off, i32 whence}     <- {i64 pos}
-  kIoctl,           // -> {i32 fd, u32 op, u32 in_len, u32 out_cap, in}
-                    //                                      <- {i32 rv, out}
-                    //    in_len/out_cap: CtlFlatOperand of the op's row, or
-                    //    0/0 for a null operand; a kOutArray row names one
-                    //    element and `out` holds as many as the target has
-  kPsall,           // -> {i32 fd, i32 start, u32 limit}
-                    //                  <- {i32 next_pid, u32 n, PrPsinfo[n]}
-  kReadDirChunk,    // -> {u64 cookie, u32 max, path}
-                    //        <- {u64 cookie, u32 n, n * {u8 type, u16 len, name}}
-  kStat,            // -> {path}                            <- {VAttr fields}
-  kPoll,            // -> {i64 timeout, u32 n, n * {i32 fd, i32 events}}
-                    //                  <- {i32 ready, u32 n, n * {i32 revents}}
-  kSubscribe,       // -> {i32 fd, i32 events}              <- {}
-  kUnsubscribe,     // -> {i32 fd}                          <- {}
-  kSpawn,           // -> {u32 ruid, u32 rgid, path, u32 argc, argv...}
-                    //                                      <- {i32 pid}
-  kStats,           // -> {}        <- {bytes: the server's StatsText()}
-  kEvent = 100,     // push: {i32 fd, i32 revents} — a subscribed fd's poll
-                    //       state changed (level captured at push time)
+  kHello = 1, kOpen, kClose, kRead,
+  kWrite = 6,  // 5 is unassigned; the ops after it keep their codes
+  kLseek, kIoctl, kPsall, kReadDirChunk, kStat, kPoll, kSubscribe, kUnsubscribe, kSpawn, kStats,
+  kEvent = 100,
 };
-
-// Lowercase op mnemonic for stats keys ("ioctl", "psall", ...).
-const char* PdOpName(PdOp op);
 
 // Frame: 12-byte header + body_len bytes of body.
 struct PdFrameHdr {
   uint32_t body_len = 0;
   uint16_t op = 0;
-  uint16_t flags = 0;  // kPdErrFlag: body is {i32 errno}
+  uint16_t flags = 0;  // kPdErrFlag: the body is PdError
   uint32_t tag = 0;
 };
 inline constexpr uint16_t kPdErrFlag = 1;
@@ -154,8 +135,9 @@ class PdChannel {
   size_t rd_ = 0;
 };
 
-// Little-endian-in-host-order body builder/reader (both ends live in one
-// process; a socket transport would pin byte order here).
+// A body being built. The client encodes each request into one, reused
+// across calls; a hand-built frame (a test's forged request) writes its
+// fields one by one.
 class PdWriter {
  public:
   template <typename T>
@@ -175,6 +157,7 @@ class PdWriter {
     Put<uint32_t>(static_cast<uint32_t>(s.size()));
     return PutBytes(s.data(), s.size());
   }
+  void Append(const void* p, size_t n) { PutBytes(p, n); }
   std::vector<uint8_t>& bytes() { return bytes_; }
 
  private:
@@ -195,15 +178,7 @@ class PdReader {
     off_ += sizeof(T);
     return true;
   }
-  bool GetString(std::string* s) {
-    uint32_t n = 0;
-    if (!Get(&n) || b_.size() - off_ < n) {
-      return false;
-    }
-    s->assign(reinterpret_cast<const char*>(b_.data() + off_), n);
-    off_ += n;
-    return true;
-  }
+  // The next n bytes, or nullptr when fewer are left.
   const uint8_t* Raw(size_t n) {
     if (b_.size() - off_ < n) {
       return nullptr;
@@ -219,12 +194,310 @@ class PdReader {
   size_t off_ = 0;
 };
 
-// Appends one frame whose body is `body` followed by `tail`, so a reply can
-// gather its fixed fields and a payload that lives elsewhere (the psall rows
-// in the server's window) into the channel without first joining them.
-void PdWriteFrame(PdChannel& ch, PdOp op, uint16_t flags, uint32_t tag,
-                  std::span<const uint8_t> body, std::span<const uint8_t> tail = {});
-void PdWriteError(PdChannel& ch, PdOp op, uint32_t tag, Errno e);
+// --- Field types ---------------------------------------------------------------
+//
+// A body is a list of fields in wire order. PdField<F> says how field type F
+// travels: what a value is (In) and what it decodes to (Out, a view into the
+// body where it can be), the fewest bytes it takes (kMin), its Size, how it
+// is Put onto a sink (a PdChannel or a PdWriter) and how it is read back
+// (Get). Both ends live in one process, so numbers travel in host byte
+// order; a socket transport would pin the order here.
+
+// A trivially copyable type travels as its bytes: the scalars, and PrPsinfo.
+template <typename T>
+concept PdPacked = std::is_trivially_copyable_v<T> && !std::is_empty_v<T>;
+
+struct PdStr {};   // u32 length + bytes
+struct PdRest {};  // every byte left in the body; the last field only
+template <typename T, T Max>
+struct PdMax {};   // a T no larger than Max (a larger one does not decode)
+template <typename E, uint32_t Max = UINT32_MAX>
+struct PdSeq {};   // u32 count (at most Max) + count elements E
+// A struct S as the members listed, in order, each travelling as field F.
+template <auto Member, typename F>
+struct PdAs {};
+template <typename S, typename... Members>
+struct PdRecord {};
+
+template <typename F>
+struct PdField;
+
+template <PdPacked T>
+struct PdField<T> {
+  using In = T;
+  using Out = T;
+  static constexpr size_t kMin = sizeof(T);
+  static size_t Size(const T&) { return sizeof(T); }
+  static void Put(auto& s, const T& v) { s.Append(&v, sizeof(T)); }
+  static bool Get(PdReader& r, T* v) { return r.Get(v); }
+};
+
+template <>
+struct PdField<PdStr> {
+  using In = std::string_view;
+  using Out = std::string_view;
+  static constexpr size_t kMin = sizeof(uint32_t);
+  static size_t Size(std::string_view v) { return sizeof(uint32_t) + v.size(); }
+  static void Put(auto& s, std::string_view v) {
+    const uint32_t n = static_cast<uint32_t>(v.size());
+    s.Append(&n, sizeof(n));
+    s.Append(v.data(), v.size());
+  }
+  static bool Get(PdReader& r, std::string_view* v) {
+    uint32_t n = 0;
+    const uint8_t* p = r.Get(&n) ? r.Raw(n) : nullptr;
+    *v = p != nullptr ? std::string_view(reinterpret_cast<const char*>(p), n) : *v;
+    return p != nullptr;
+  }
+};
+
+template <typename T, T Max>
+struct PdField<PdMax<T, Max>> : PdField<T> {
+  static bool Get(PdReader& r, T* v) { return r.Get(v) && *v <= Max; }
+};
+
+template <>
+struct PdField<PdRest> {
+  using In = std::span<const uint8_t>;
+  using Out = std::span<const uint8_t>;
+  static constexpr size_t kMin = 0;
+  static size_t Size(std::span<const uint8_t> v) { return v.size(); }
+  static void Put(auto& s, std::span<const uint8_t> v) { s.Append(v.data(), v.size()); }
+  static bool Get(PdReader& r, std::span<const uint8_t>* v) {
+    const size_t n = r.remaining();
+    *v = std::span<const uint8_t>(r.Raw(n), n);
+    return true;
+  }
+};
+
+template <typename S, auto... Member, typename... F>
+struct PdField<PdRecord<S, PdAs<Member, F>...>> {
+  using In = S;
+  using Out = S;
+  static constexpr size_t kMin = (size_t{0} + ... + PdField<F>::kMin);
+  static size_t Size(const S& s) {
+    return (size_t{0} + ... + PdField<F>::Size(static_cast<typename PdField<F>::In>(s.*Member)));
+  }
+  static void Put(auto& out, const S& s) {
+    (PdField<F>::Put(out, static_cast<typename PdField<F>::In>(s.*Member)), ...);
+  }
+  static bool Get(PdReader& r, S* s) {
+    *s = S{};
+    return ([&] {
+      typename PdField<F>::Out v{};
+      if (!PdField<F>::Get(r, &v)) {
+        return false;
+      }
+      s->*Member = static_cast<std::remove_cvref_t<decltype(s->*Member)>>(v);
+      return true;
+    }() && ...);
+  }
+};
+
+// A decoded PdSeq: its count, checked against the body it came from, and
+// its elements' bytes, each element already checked to decode.
+template <typename E>
+class PdSeqView {
+ public:
+  PdSeqView() = default;
+  PdSeqView(uint32_t n, std::span<const uint8_t> bytes) : n_(n), bytes_(bytes) {}
+  uint32_t size() const { return n_; }
+  void ForEach(auto&& fn) const {
+    PdReader r(bytes_);
+    for (uint32_t i = 0; i < n_; ++i) {
+      typename PdField<E>::Out e{};
+      PdField<E>::Get(r, &e);
+      fn(std::move(e));
+    }
+  }
+  // Packed elements copy out as one block.
+  void CopyTo(E* out) const
+    requires PdPacked<E>
+  {
+    if (n_ != 0) {
+      std::memcpy(out, bytes_.data(), bytes_.size());
+    }
+  }
+
+ private:
+  uint32_t n_ = 0;
+  std::span<const uint8_t> bytes_;
+};
+
+template <typename E, uint32_t Max>
+struct PdField<PdSeq<E, Max>> {
+  static_assert(PdField<E>::kMin > 0, "a count must bound the bytes it names");
+  using Out = PdSeqView<E>;
+  static constexpr size_t kMin = sizeof(uint32_t);
+  static size_t Size(const auto& elems) {
+    size_t n = sizeof(uint32_t);
+    for (const auto& e : elems) {
+      n += PdField<E>::Size(e);
+    }
+    return n;
+  }
+  static void Put(auto& s, const auto& elems) {
+    const uint32_t n = static_cast<uint32_t>(std::size(elems));
+    s.Append(&n, sizeof(n));
+    if constexpr (PdPacked<E>) {
+      s.Append(std::data(elems), n * sizeof(E));  // gathered from where they live
+    } else {
+      for (const auto& e : elems) {
+        PdField<E>::Put(s, e);
+      }
+    }
+  }
+  // The count is checked against the bytes the body holds before anything
+  // is sized by it, and every element must decode.
+  static bool Get(PdReader& r, PdSeqView<E>* v) {
+    uint32_t n = 0;
+    if (!r.Get(&n) || n > Max || n > r.remaining() / PdField<E>::kMin) {
+      return false;
+    }
+    const size_t before = r.remaining();
+    const uint8_t* start = r.Raw(0);
+    for (uint32_t i = 0; i < n; ++i) {
+      typename PdField<E>::Out e{};
+      if (!PdField<E>::Get(r, &e)) {
+        return false;
+      }
+    }
+    *v = PdSeqView<E>(n, std::span<const uint8_t>(start, before - r.remaining()));
+    return true;
+  }
+};
+
+// A body layout: its fields in wire order. Size, Put and Get take or fill
+// one value per field, and Write appends a whole frame. Get is false when
+// the body is too short for a field; bytes after the last field are not
+// read.
+template <typename... F>
+struct PdFields {
+  using Out = std::tuple<typename PdField<F>::Out...>;
+  static size_t Size(const auto&... v) { return (size_t{0} + ... + PdField<F>::Size(v)); }
+  static void Put(auto& s, const auto&... v) { (PdField<F>::Put(s, v), ...); }
+  static bool Get(std::span<const uint8_t> body, Out* out) {
+    PdReader r(body);
+    return std::apply([&](auto&... o) { return (PdField<F>::Get(r, &o) && ...); }, *out);
+  }
+  static void Write(PdChannel& ch, PdOp op, uint16_t flags, uint32_t tag, const auto&... v) {
+    const PdFrameHdr h{static_cast<uint32_t>(Size(v...)), static_cast<uint16_t>(op), flags, tag};
+    ch.Append(&h, sizeof(h));
+    Put(ch, v...);
+  }
+};
+
+// --- The ops -------------------------------------------------------------------
+
+using PdPollReq = PdRecord<PollFd, PdAs<&PollFd::fd, int32_t>, PdAs<&PollFd::events, int32_t>>;
+using PdRevents = PdRecord<PollFd, PdAs<&PollFd::revents, int32_t>>;
+using PdDirEnt = PdRecord<DirEnt, PdAs<&DirEnt::type, uint8_t>, PdAs<&DirEnt::name, PdStr>>;
+using PdVAttr =
+    PdRecord<VAttr, PdAs<&VAttr::type, uint8_t>, PdAs<&VAttr::mode, uint32_t>,
+             PdAs<&VAttr::uid, uint32_t>, PdAs<&VAttr::gid, uint32_t>,
+             PdAs<&VAttr::size, uint64_t>, PdAs<&VAttr::mtime, uint64_t>,
+             PdAs<&VAttr::nlink, uint32_t>>;
+
+template <size_t N>
+struct PdName {
+  constexpr PdName(const char (&s)[N]) { std::copy_n(s, N, str); }  // NOLINT
+  char str[N];
+};
+template <PdName Name, typename Request, typename Reply>
+struct PdLayout {
+  static constexpr const char* kName = Name.str;  // the op's stats key
+  using Req = Request;
+  using Rep = Reply;
+};
+
+// Each request op, written down once: its stats name, its request fields
+// and its reply fields, in wire order. RemoteProcIo encodes requests and
+// decodes replies through these, and ProcdServer the reverse; nothing else
+// reads or writes a body. Field names are comments; the types are the
+// format.
+template <PdOp Op>
+struct PdMsg;
+template <>
+struct PdMsg<PdOp::kHello> : PdLayout<"hello", PdFields<>, PdFields<int32_t /*peer pid*/>> {};
+template <>
+struct PdMsg<PdOp::kOpen>
+    : PdLayout<"open", PdFields<int32_t /*oflags*/, PdStr /*path*/>, PdFields<int32_t /*fd*/>> {};
+template <>
+struct PdMsg<PdOp::kClose> : PdLayout<"close", PdFields<int32_t /*fd*/>, PdFields<>> {};
+template <>
+struct PdMsg<PdOp::kRead>
+    : PdLayout<"read", PdFields<int32_t /*fd*/, PdMax<uint32_t, (1u << 26)> /*n*/>,
+               PdFields<PdRest /*bytes*/>> {};
+template <>
+struct PdMsg<PdOp::kWrite>
+    : PdLayout<"write", PdFields<int32_t /*fd*/, PdRest /*bytes*/>, PdFields<int64_t /*n*/>> {};
+template <>
+struct PdMsg<PdOp::kLseek>
+    : PdLayout<"lseek", PdFields<int32_t /*fd*/, int64_t /*off*/, int32_t /*whence*/>,
+               PdFields<int64_t /*pos*/>> {};
+// in_len and out_cap are CtlFlatOperand of the op's row, or 0/0 for a null
+// operand; `in` carries at least in_len bytes. A kOutArray row names one
+// element, and `out` holds as many as the target has.
+template <>
+struct PdMsg<PdOp::kIoctl>
+    : PdLayout<"ioctl",
+               PdFields<int32_t /*fd*/, uint32_t /*op*/, uint32_t /*in_len*/,
+                        uint32_t /*out_cap*/, PdRest /*in*/>,
+               PdFields<int32_t /*rv*/, PdRest /*out*/>> {};
+template <>
+struct PdMsg<PdOp::kPsall>
+    : PdLayout<"psall",
+               PdFields<int32_t /*fd*/, int32_t /*start pid*/,
+                        PdMax<uint32_t, (1u << 20)> /*limit*/>,
+               PdFields<int32_t /*next pid*/, PdSeq<PrPsinfo>>> {};
+template <>
+struct PdMsg<PdOp::kReadDirChunk>
+    : PdLayout<"readdir",
+               PdFields<uint64_t /*cookie*/, PdMax<uint32_t, (1u << 20)> /*max*/, PdStr /*path*/>,
+               PdFields<uint64_t /*cookie*/, PdSeq<PdDirEnt>>> {};
+template <>
+struct PdMsg<PdOp::kStat> : PdLayout<"stat", PdFields<PdStr /*path*/>, PdFields<PdVAttr>> {};
+template <>
+struct PdMsg<PdOp::kPoll>
+    : PdLayout<"poll", PdFields<int64_t /*timeout*/, PdSeq<PdPollReq>>,
+               PdFields<int32_t /*ready*/, PdSeq<PdRevents>>> {};
+template <>
+struct PdMsg<PdOp::kSubscribe>
+    : PdLayout<"subscribe", PdFields<int32_t /*fd*/, int32_t /*events*/>, PdFields<>> {};
+template <>
+struct PdMsg<PdOp::kUnsubscribe>
+    : PdLayout<"unsubscribe", PdFields<int32_t /*fd*/>, PdFields<>> {};
+// The ids ask for credentials; the server decides which the child gets.
+template <>
+struct PdMsg<PdOp::kSpawn>
+    : PdLayout<"spawn",
+               PdFields<uint32_t /*ruid*/, uint32_t /*rgid*/, PdStr /*path*/,
+                        PdSeq<PdStr, 64> /*argv*/>,
+               PdFields<int32_t /*pid*/>> {};
+template <>
+struct PdMsg<PdOp::kStats>
+    : PdLayout<"stats", PdFields<>, PdFields<PdRest /*the server's StatsText()*/>> {};
+
+// A code with a PdMsg is a request op.
+template <PdOp Op>
+concept PdRequestOp = requires { PdMsg<Op>::kName; };
+template <PdOp Op>
+using PdReq = typename PdMsg<Op>::Req::Out;
+template <PdOp Op>
+using PdRep = typename PdMsg<Op>::Rep::Out;
+
+// The body of a kEvent push: a subscribed descriptor's poll level changed
+// (captured at push time).
+using PdEvent = PdFields<int32_t /*fd*/, int32_t /*revents*/>;
+// The body of any reply with kPdErrFlag set.
+using PdError = PdFields<int32_t /*errno*/>;
+
+// Appends one frame whose body is `body`, written by hand (a forged frame in
+// a test, or ProcdConn::Send).
+inline void PdWriteFrame(PdChannel& ch, PdOp op, uint16_t flags, uint32_t tag,
+                         std::span<const uint8_t> body) {
+  PdFields<PdRest>::Write(ch, op, flags, tag, body);
+}
 
 // --- Connection --------------------------------------------------------------
 
@@ -321,12 +594,9 @@ class ProcdServer {
     KtHist bytes;        // request body length
     KtHist park_ticks;   // park -> completion, virtual ticks
   };
-  // Op slot space: 1..17 are request ops, slot 0 absorbs unknown codes.
+  // Op slot space: 1..16 are request ops, slot 0 absorbs unknown codes.
   static constexpr int kPdOpSlots = static_cast<int>(PdOp::kStats) + 1;
-  const OpSpan& op_span(PdOp op) const {
-    int i = static_cast<int>(op);
-    return spans_[i > 0 && i < kPdOpSlots ? i : 0];
-  }
+  const OpSpan& op_span(PdOp op) const { return spans_[OpSlot(static_cast<int>(op))]; }
 
   // The whole registry rendered as `key value` metrics text, served by
   // /proc2/kernel/procd (via Kernel::SetProcdStatsProvider) and the kStats
@@ -337,14 +607,28 @@ class ProcdServer {
   friend class ProcdConn;
   using Peer = ProcdPeer;
 
-  void HandleFrame(Peer& peer, const PdFrame& f);
-  void HandleOpen(Peer& peer, uint32_t tag, PdReader& r);
-  void HandleRead(Peer& peer, uint32_t tag, PdReader& r);
-  void HandleWrite(Peer& peer, uint32_t tag, PdReader& r);
-  void HandleIoctl(Peer& peer, uint32_t tag, PdReader& r);
-  void HandlePsall(Peer& peer, uint32_t tag, PdReader& r);
-  void HandlePoll(Peer& peer, uint32_t tag, PdReader& r);
-  void HandleSpawn(Peer& peer, uint32_t tag, PdReader& r);
+  static constexpr int OpSlot(int op) { return op > 0 && op < kPdOpSlots ? op : 0; }
+
+  // The request ops, indexed by code. A row's member decodes the body
+  // through PdMsg<op> (EINVAL when it does not decode) and hands the
+  // request to Handle<op>; a code without a row answers ENOSYS.
+  struct OpRow {
+    const char* name = nullptr;  // "unknown" in the stats
+    void (ProcdServer::*serve)(Peer&, uint32_t tag, std::span<const uint8_t> body) = nullptr;
+  };
+  static const std::array<OpRow, kPdOpSlots> kOps;
+  template <PdOp Op>
+  void Serve(Peer& peer, uint32_t tag, std::span<const uint8_t> body);
+  template <PdOp Op>
+  void Handle(Peer& peer, uint32_t tag, const PdReq<Op>& req);  // one per op (procd.cc)
+
+  // The one reply writer: every reply frame, the errno frame or the op's
+  // reply fields, is written here, and writing it closes the frame's span.
+  template <PdOp Op, typename... A>
+  void Reply(Peer& peer, uint32_t tag, const A&... fields);
+  template <PdOp Op, typename T>
+  void Reply(Peer& peer, uint32_t tag, const Result<T>& r);
+  void ReplyError(Peer& peer, PdOp op, uint32_t tag, Errno e);
 
   // Writes through the kernel and replies with the bytes accepted. A ctl
   // stream returns after a blocking message whose stop-wait the ctl core

@@ -15,7 +15,7 @@ struct SysEntry {
   int nargs;
 };
 
-constexpr std::array<SysEntry, 45> kSysTable = {{
+constexpr std::array<SysEntry, 48> kSysTable = {{
     {SYS_exit, "exit", 1},
     {SYS_fork, "fork", 0},
     {SYS_read, "read", 3},
@@ -60,6 +60,9 @@ constexpr std::array<SysEntry, 45> kSysTable = {{
     {SYS_munmap, "munmap", 2},
     {SYS_mprotect, "mprotect", 3},
     {SYS_vfork, "vfork", 0},
+    {SYS_lwp_create, "lwp_create", 2},
+    {SYS_lwp_exit, "lwp_exit", 0},
+    {SYS_lwp_self, "lwp_self", 0},
     {SYS_otime, "otime", 0},
 }};
 
@@ -70,16 +73,6 @@ std::string_view SyscallName(int num) {
     if (e.num == num) {
       return e.name;
     }
-  }
-  switch (num) {
-    case SYS_lwp_create:
-      return "lwp_create";
-    case SYS_lwp_exit:
-      return "lwp_exit";
-    case SYS_lwp_self:
-      return "lwp_self";
-    default:
-      break;
   }
   static thread_local char buf[16];
   std::snprintf(buf, sizeof(buf), "sys#%d", num);
@@ -92,15 +85,6 @@ int SyscallByName(std::string_view name) {
       return e.num;
     }
   }
-  if (name == "lwp_create") {
-    return SYS_lwp_create;
-  }
-  if (name == "lwp_exit") {
-    return SYS_lwp_exit;
-  }
-  if (name == "lwp_self") {
-    return SYS_lwp_self;
-  }
   return 0;
 }
 
@@ -110,25 +94,13 @@ int SyscallNargs(int num) {
       return e.nargs;
     }
   }
-  switch (num) {
-    case SYS_lwp_create:
-      return 2;
-    case SYS_lwp_exit:
-      return 0;
-    case SYS_lwp_self:
-      return 0;
-    default:
-      return 0;
-  }
+  return 0;
 }
 
 void DefineSyscallSymbols(Assembler& as) {
   for (const auto& e : kSysTable) {
     as.Define("SYS_" + std::string(e.name), static_cast<uint32_t>(e.num));
   }
-  as.Define("SYS_lwp_create", SYS_lwp_create);
-  as.Define("SYS_lwp_exit", SYS_lwp_exit);
-  as.Define("SYS_lwp_self", SYS_lwp_self);
 
   for (int s = 1; s <= kNumSignals; ++s) {
     as.Define(std::string(SignalName(s)), static_cast<uint32_t>(s));

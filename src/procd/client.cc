@@ -10,6 +10,29 @@
 #include "svr4proc/procfs/ctl.h"
 
 namespace svr4 {
+namespace {
+
+// A reply's first field as T, or the call's error.
+template <typename T, typename Rep>
+Result<T> FirstField(const Result<Rep>& rep) {
+  if (!rep.ok()) {
+    return rep.error();
+  }
+  return static_cast<T>(std::get<0>(*rep));
+}
+
+// The outcome of a call whose reply carries no fields.
+template <typename Rep>
+Result<void> Outcome(const Result<Rep>& rep) {
+  if (!rep.ok()) {
+    return rep.error();
+  }
+  return Result<void>::Ok();
+}
+
+}  // namespace
+
+RemoteProcIo::~RemoteProcIo() { Hangup(); }
 
 void RemoteProcIo::Hangup() {
   if (conn_ == nullptr || conn_->client_closed()) {
@@ -23,54 +46,51 @@ void RemoteProcIo::Hangup() {
   }
 }
 
+bool RemoteProcIo::TakeEvent(const PdFrame& f) {
+  if (static_cast<PdOp>(f.hdr.op) != PdOp::kEvent) {
+    return false;
+  }
+  PdEvent::Out ev;
+  if (PdEvent::Get(f.body, &ev)) {
+    events_.push_back(Event{std::get<0>(ev), std::get<1>(ev)});
+  }
+  return true;
+}
+
 void RemoteProcIo::DrainPushed() {
   if (conn_ == nullptr) {
     return;
   }
   PdFrame f;
   while (conn_->s2c.NextFrame(&f)) {
-    if (static_cast<PdOp>(f.hdr.op) == PdOp::kEvent) {
-      PdReader r(f.body);
-      Event ev;
-      if (r.Get(&ev.fd) && r.Get(&ev.revents)) {
-        events_.push_back(ev);
-      }
-    }
     // Non-event frames with no matching Call are stale replies from a
     // chaos-severed exchange; drop them.
+    TakeEvent(f);
   }
 }
 
-Result<PdFrame> RemoteProcIo::Call(PdOp op, std::span<const uint8_t> body) {
+Result<PdFrame> RemoteProcIo::Exchange(PdOp op) {
   if (conn_ == nullptr || conn_->client_closed() || conn_->server_closed) {
     return Errno::kEIO;
   }
   uint32_t tag = next_tag_++;
-  conn_->Send(op, tag, body);
+  conn_->Send(op, tag, request_.bytes());
   int stalls = 0;
   for (;;) {
     PdFrame f;
     bool saw = false;
     while (conn_->s2c.NextFrame(&f)) {
       saw = true;
-      if (static_cast<PdOp>(f.hdr.op) == PdOp::kEvent) {
-        PdReader r(f.body);
-        Event ev;
-        if (r.Get(&ev.fd) && r.Get(&ev.revents)) {
-          events_.push_back(ev);
-        }
-        continue;
-      }
-      if (f.hdr.tag != tag) {
-        continue;  // stale reply from a severed exchange
+      if (TakeEvent(f) || f.hdr.tag != tag) {
+        continue;  // an event, or a stale reply from a severed exchange
       }
       if ((f.hdr.flags & kPdErrFlag) != 0) {
-        int32_t e = 0;
-        PdReader r(f.body);
-        if (!r.Get(&e)) {
+        // An error reply that names no errno is not one a server sends.
+        PdError::Out e;
+        if (!PdError::Get(f.body, &e) || std::get<0>(e) == 0) {
           return Errno::kEIO;
         }
-        return static_cast<Errno>(e);
+        return static_cast<Errno>(std::get<0>(e));
       }
       return f;
     }
@@ -93,101 +113,60 @@ Result<PdFrame> RemoteProcIo::Call(PdOp op, std::span<const uint8_t> body) {
   }
 }
 
-Result<Pid> RemoteProcIo::PeerPid() {
-  auto f = Call(PdOp::kHello, {});
+template <PdOp Op, typename... A>
+Result<PdRep<Op>> RemoteProcIo::Call(const A&... fields) {
+  request_.bytes().clear();
+  PdMsg<Op>::Req::Put(request_, fields...);
+  auto f = Exchange(Op);
   if (!f.ok()) {
     return f.error();
   }
-  PdReader r(f->body);
-  int32_t pid = 0;
-  if (!r.Get(&pid)) {
+  PdRep<Op> rep;
+  if (!PdMsg<Op>::Rep::Get(f->body, &rep)) {
     return Errno::kEIO;
   }
-  return static_cast<Pid>(pid);
+  return rep;
 }
 
+Result<Pid> RemoteProcIo::PeerPid() { return FirstField<Pid>(Call<PdOp::kHello>()); }
+
 Result<std::string> RemoteProcIo::ProcdStats() {
-  auto f = Call(PdOp::kStats, {});
-  if (!f.ok()) {
-    return f.error();
+  auto rep = Call<PdOp::kStats>();
+  if (!rep.ok()) {
+    return rep.error();
   }
-  return std::string(f->body.begin(), f->body.end());
+  std::span<const uint8_t> text = std::get<0>(*rep);
+  return std::string(text.begin(), text.end());
 }
 
 Result<int> RemoteProcIo::Open(const std::string& path, int oflags) {
-  PdWriter w;
-  w.Put<int32_t>(oflags);
-  w.PutString(path);
-  auto f = Call(PdOp::kOpen, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  PdReader r(f->body);
-  int32_t fd = -1;
-  if (!r.Get(&fd)) {
-    return Errno::kEIO;
-  }
-  return static_cast<int>(fd);
+  return FirstField<int>(Call<PdOp::kOpen>(oflags, path));
 }
 
-Result<void> RemoteProcIo::Close(int fd) {
-  PdWriter w;
-  w.Put<int32_t>(fd);
-  auto f = Call(PdOp::kClose, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  return Result<void>::Ok();
-}
+Result<void> RemoteProcIo::Close(int fd) { return Outcome(Call<PdOp::kClose>(fd)); }
 
 Result<int64_t> RemoteProcIo::Read(int fd, void* buf, uint64_t n) {
-  PdWriter w;
-  w.Put<int32_t>(fd);
-  w.Put<uint32_t>(static_cast<uint32_t>(n));
-  auto f = Call(PdOp::kRead, w.bytes());
-  if (!f.ok()) {
-    return f.error();
+  auto rep = Call<PdOp::kRead>(fd, static_cast<uint32_t>(n));
+  if (!rep.ok()) {
+    return rep.error();
   }
-  if (f->body.size() > n) {
+  std::span<const uint8_t> bytes = std::get<0>(*rep);
+  if (bytes.size() > n) {
     return Errno::kEIO;  // more bytes than were asked for: never past buf
   }
-  if (!f->body.empty()) {
-    std::memcpy(buf, f->body.data(), f->body.size());
+  if (!bytes.empty()) {
+    std::memcpy(buf, bytes.data(), bytes.size());
   }
-  return static_cast<int64_t>(f->body.size());
+  return static_cast<int64_t>(bytes.size());
 }
 
 Result<int64_t> RemoteProcIo::Write(int fd, const void* buf, uint64_t n) {
-  PdWriter w;
-  w.Put<int32_t>(fd);
-  w.PutBytes(buf, n);
-  auto f = Call(PdOp::kWrite, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  PdReader r(f->body);
-  int64_t wrote = 0;
-  if (!r.Get(&wrote)) {
-    return Errno::kEIO;
-  }
-  return wrote;
+  return FirstField<int64_t>(
+      Call<PdOp::kWrite>(fd, std::span<const uint8_t>(static_cast<const uint8_t*>(buf), n)));
 }
 
 Result<int64_t> RemoteProcIo::Lseek(int fd, int64_t off, int whence) {
-  PdWriter w;
-  w.Put<int32_t>(fd);
-  w.Put<int64_t>(off);
-  w.Put<int32_t>(whence);
-  auto f = Call(PdOp::kLseek, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  PdReader r(f->body);
-  int64_t pos = 0;
-  if (!r.Get(&pos)) {
-    return Errno::kEIO;
-  }
-  return pos;
+  return FirstField<int64_t>(Call<PdOp::kLseek>(fd, off, whence));
 }
 
 Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
@@ -198,26 +177,15 @@ Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
     if (all == nullptr) {
       return Errno::kEINVAL;
     }
-    PdWriter w;
-    w.Put<int32_t>(fd);
-    w.Put<int32_t>(all->pr_start_pid);
-    w.Put<uint32_t>(all->pr_limit);
-    auto f = Call(PdOp::kPsall, w.bytes());
-    if (!f.ok()) {
-      return f.error();
+    auto rep = Call<PdOp::kPsall>(fd, all->pr_start_pid, all->pr_limit);
+    if (!rep.ok()) {
+      return rep.error();
     }
-    PdReader r(f->body);
-    uint32_t n = 0;
-    if (!r.Get(&all->pr_next_pid) || !r.Get(&n)) {
-      return Errno::kEIO;
-    }
-    // The body must hold the n rows it claims before anything is sized by n.
-    const uint8_t* rows = r.Raw(n * sizeof(PrPsinfo));
-    if (rows == nullptr) {
-      return Errno::kEIO;
-    }
-    all->pr_procs.resize(n);
-    std::memcpy(all->pr_procs.data(), rows, n * sizeof(PrPsinfo));
+    // The rows were checked to fit the body before the count sizes anything.
+    const auto& [next_pid, rows] = *rep;
+    all->pr_next_pid = next_pid;
+    all->pr_procs.resize(rows.size());
+    rows.CopyTo(all->pr_procs.data());
     return 0;
   }
   // The op's CtlOp row sizes the operand, and the server checks the frame
@@ -228,31 +196,19 @@ Result<int32_t> RemoteProcIo::Ioctl(int fd, uint32_t op, void* arg) {
     return Errno::kEINVAL;  // a host-memory operand (PIOCPAGEDATA) has no flat encoding
   }
   CtlFlatBytes s = row != nullptr && arg != nullptr ? CtlFlatOperand(*row) : CtlFlatBytes{};
-  PdWriter w;
-  w.Put<int32_t>(fd);
-  w.Put<uint32_t>(op);
-  w.Put<uint32_t>(s.in);
-  w.Put<uint32_t>(s.out);
-  if (s.in != 0) {
-    w.PutBytes(arg, s.in);
+  auto rep = Call<PdOp::kIoctl>(fd, op, s.in, s.out,
+                                std::span<const uint8_t>(static_cast<const uint8_t*>(arg), s.in));
+  if (!rep.ok()) {
+    return rep.error();
   }
-  auto f = Call(PdOp::kIoctl, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  PdReader r(f->body);
-  int32_t rv = 0;
-  if (!r.Get(&rv)) {
-    return Errno::kEIO;
-  }
+  const auto& [rv, out] = *rep;
   // A kOutArray reply holds as many elements as the target has.
-  size_t n = r.remaining();
   bool array = s.out != 0 && row->arg == CtlArgKind::kOutArray;
-  if (n != s.out && !array) {
+  if (out.size() != s.out && !array) {
     return Errno::kEIO;
   }
-  if (n != 0) {
-    std::memcpy(arg, r.Raw(n), n);
+  if (!out.empty()) {
+    std::memcpy(arg, out.data(), out.size());
   }
   return rv;
 }
@@ -273,128 +229,45 @@ Result<std::vector<DirEnt>> RemoteProcIo::ReadDir(const std::string& path) {
 
 Result<size_t> RemoteProcIo::ReadDirChunk(const std::string& path, uint64_t* cookie,
                                           size_t max, std::vector<DirEnt>* out) {
-  PdWriter w;
-  w.Put<uint64_t>(*cookie);
-  w.Put<uint32_t>(static_cast<uint32_t>(max));
-  w.PutString(path);
-  auto f = Call(PdOp::kReadDirChunk, w.bytes());
-  if (!f.ok()) {
-    return f.error();
+  auto rep = Call<PdOp::kReadDirChunk>(*cookie, static_cast<uint32_t>(max), path);
+  if (!rep.ok()) {
+    return rep.error();
   }
-  PdReader r(f->body);
-  uint32_t n = 0;
-  if (!r.Get(cookie) || !r.Get(&n)) {
-    return Errno::kEIO;
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t type = 0;
-    DirEnt e;
-    if (!r.Get(&type) || !r.GetString(&e.name)) {
-      return Errno::kEIO;
-    }
-    e.type = static_cast<VType>(type);
-    out->push_back(std::move(e));
-  }
-  return static_cast<size_t>(n);
+  const auto& [next, ents] = *rep;
+  *cookie = next;
+  ents.ForEach([&](DirEnt e) { out->push_back(std::move(e)); });
+  return static_cast<size_t>(ents.size());
 }
 
 Result<VAttr> RemoteProcIo::Stat(const std::string& path) {
-  PdWriter w;
-  w.PutString(path);
-  auto f = Call(PdOp::kStat, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  PdReader r(f->body);
-  uint8_t type = 0;
-  uint32_t mode = 0, uid = 0, gid = 0, nlink = 0;
-  uint64_t size = 0, mtime = 0;
-  if (!r.Get(&type) || !r.Get(&mode) || !r.Get(&uid) || !r.Get(&gid) ||
-      !r.Get(&size) || !r.Get(&mtime) || !r.Get(&nlink)) {
-    return Errno::kEIO;
-  }
-  VAttr a;
-  a.type = static_cast<VType>(type);
-  a.mode = mode;
-  a.uid = uid;
-  a.gid = gid;
-  a.size = size;
-  a.mtime = mtime;
-  a.nlink = nlink;
-  return a;
+  return FirstField<VAttr>(Call<PdOp::kStat>(path));
 }
 
 Result<int> RemoteProcIo::PollFds(std::span<PollFd> fds, int64_t timeout_ticks) {
-  PdWriter w;
-  w.Put<int64_t>(timeout_ticks);
-  w.Put<uint32_t>(static_cast<uint32_t>(fds.size()));
-  for (const auto& pf : fds) {
-    w.Put<int32_t>(pf.fd);
-    w.Put<int32_t>(pf.events);
+  auto rep = Call<PdOp::kPoll>(timeout_ticks, fds);
+  if (!rep.ok()) {
+    return rep.error();
   }
-  auto f = Call(PdOp::kPoll, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  PdReader r(f->body);
-  int32_t ready = 0;
-  uint32_t n = 0;
-  if (!r.Get(&ready) || !r.Get(&n) || n != fds.size()) {
+  const auto& [ready, revents] = *rep;
+  if (revents.size() != fds.size()) {
     return Errno::kEIO;
   }
-  for (auto& pf : fds) {
-    int32_t revents = 0;
-    if (!r.Get(&revents)) {
-      return Errno::kEIO;
-    }
-    pf.revents = revents;
-  }
+  size_t i = 0;
+  revents.ForEach([&](const PollFd& pf) { fds[i++].revents = pf.revents; });
   return static_cast<int>(ready);
 }
 
 Result<Pid> RemoteProcIo::Spawn(const std::string& path,
                                 const std::vector<std::string>& argv,
                                 const Creds& creds) {
-  PdWriter w;
-  w.Put<uint32_t>(creds.ruid);
-  w.Put<uint32_t>(creds.rgid);
-  w.PutString(path);
-  w.Put<uint32_t>(static_cast<uint32_t>(argv.size()));
-  for (const auto& a : argv) {
-    w.PutString(a);
-  }
-  auto f = Call(PdOp::kSpawn, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  PdReader r(f->body);
-  int32_t pid = -1;
-  if (!r.Get(&pid)) {
-    return Errno::kEIO;
-  }
-  return static_cast<Pid>(pid);
+  return FirstField<Pid>(Call<PdOp::kSpawn>(creds.ruid, creds.rgid, path, argv));
 }
 
 Result<void> RemoteProcIo::Subscribe(int fd, int events) {
-  PdWriter w;
-  w.Put<int32_t>(fd);
-  w.Put<int32_t>(events);
-  auto f = Call(PdOp::kSubscribe, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  return Result<void>::Ok();
+  return Outcome(Call<PdOp::kSubscribe>(fd, events));
 }
 
-Result<void> RemoteProcIo::Unsubscribe(int fd) {
-  PdWriter w;
-  w.Put<int32_t>(fd);
-  auto f = Call(PdOp::kUnsubscribe, w.bytes());
-  if (!f.ok()) {
-    return f.error();
-  }
-  return Result<void>::Ok();
-}
+Result<void> RemoteProcIo::Unsubscribe(int fd) { return Outcome(Call<PdOp::kUnsubscribe>(fd)); }
 
 bool RemoteProcIo::NextEvent(Event* out) {
   DrainPushed();

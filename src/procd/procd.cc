@@ -17,50 +17,6 @@
 
 namespace svr4 {
 
-const char* PdOpName(PdOp op) {
-  switch (op) {
-    case PdOp::kHello: return "hello";
-    case PdOp::kOpen: return "open";
-    case PdOp::kClose: return "close";
-    case PdOp::kRead: return "read";
-    case PdOp::kWrite: return "write";
-    case PdOp::kLseek: return "lseek";
-    case PdOp::kIoctl: return "ioctl";
-    case PdOp::kPsall: return "psall";
-    case PdOp::kReadDirChunk: return "readdir";
-    case PdOp::kStat: return "stat";
-    case PdOp::kPoll: return "poll";
-    case PdOp::kSubscribe: return "subscribe";
-    case PdOp::kUnsubscribe: return "unsubscribe";
-    case PdOp::kSpawn: return "spawn";
-    case PdOp::kStats: return "stats";
-    case PdOp::kEvent: return "event";
-  }
-  return "unknown";
-}
-
-void PdWriteFrame(PdChannel& ch, PdOp op, uint16_t flags, uint32_t tag,
-                  std::span<const uint8_t> body, std::span<const uint8_t> tail) {
-  PdFrameHdr h;
-  h.body_len = static_cast<uint32_t>(body.size() + tail.size());
-  h.op = static_cast<uint16_t>(op);
-  h.flags = flags;
-  h.tag = tag;
-  ch.Append(&h, sizeof(h));
-  if (!body.empty()) {
-    ch.Append(body.data(), body.size());
-  }
-  if (!tail.empty()) {
-    ch.Append(tail.data(), tail.size());
-  }
-}
-
-void PdWriteError(PdChannel& ch, PdOp op, uint32_t tag, Errno e) {
-  PdWriter w;
-  w.Put<int32_t>(static_cast<int32_t>(e));
-  PdWriteFrame(ch, op, kPdErrFlag, tag, w.bytes());
-}
-
 namespace {
 
 // Span latency axis: host wall clock, because virtual ticks stand still
@@ -70,11 +26,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-// Unknown wire codes share slot 0 rather than growing the array.
-int OpSlot(uint16_t op) {
-  return op > 0 && op < ProcdServer::kPdOpSlots ? op : 0;
 }
 
 }  // namespace
@@ -93,7 +44,7 @@ struct ProcdPeer {
   // the peer sits on the server's parked list.
   enum class Wait : uint8_t { kNone, kStopWait, kPoll };
   Wait wait = Wait::kNone;
-  PdOp wait_op = PdOp::kHello;  // op code for the eventual reply frame
+  PdOp wait_op = PdOp::kHello;  // stop-wait: kIoctl or kWrite, the op to reply to
   uint32_t wait_tag = 0;
   Pid wait_pid = -1;            // stop-wait: the target process
   uint32_t wait_out_cap = 0;    // flat PIOCWSTOP/PIOCSTOP: PrStatus reply?
@@ -228,7 +179,7 @@ void ProcdServer::SpanDequeue(Peer& peer, const PdFrame& f) {
 }
 
 void ProcdServer::SpanPark(Peer& peer, PdOp op) {
-  ++spans_[OpSlot(static_cast<uint16_t>(op))].parks;
+  ++spans_[OpSlot(static_cast<int>(op))].parks;
   ++peer.parks;
   if (peer.park_start_tick == 0) {
     // +1 bias so tick 0 still reads as "stamped" (cleared on reply).
@@ -238,7 +189,7 @@ void ProcdServer::SpanPark(Peer& peer, PdOp op) {
 
 void ProcdServer::SpanReply(Peer& peer, PdOp op) {
   if (spans_on_) {
-    OpSpan& s = spans_[OpSlot(static_cast<uint16_t>(op))];
+    OpSpan& s = spans_[OpSlot(static_cast<int>(op))];
     if (peer.frame_start_ns != 0) {
       s.lat_ns.Record(NowNs() - peer.frame_start_ns);
     }
@@ -274,7 +225,7 @@ std::string ProcdServer::StatsText() const {
     if (s.count == 0 && s.parks == 0) {
       continue;
     }
-    const char* name = PdOpName(static_cast<PdOp>(i));
+    const char* name = kOps[i].name != nullptr ? kOps[i].name : "unknown";
     std::snprintf(line, sizeof(line), "counter procd_op[%s] count=%llu parks=%llu\n",
                   name, static_cast<unsigned long long>(s.count),
                   static_cast<unsigned long long>(s.parks));
@@ -306,40 +257,68 @@ std::string ProcdServer::StatsText() const {
   return out;
 }
 
-// --- Frame handlers ----------------------------------------------------------
+// --- Request ops ---------------------------------------------------------------
 
-void ProcdServer::HandleOpen(Peer& peer, uint32_t tag, PdReader& r) {
-  int32_t oflags = 0;
-  std::string path;
-  if (!r.Get(&oflags) || !r.GetString(&path)) {
-    PdWriteError(peer.conn->s2c, PdOp::kOpen, tag, Errno::kEINVAL);
-    return;
-  }
-  auto fd = kernel_->Open(peer.proc, path, oflags);
-  if (!fd.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kOpen, tag, fd.error());
-    return;
-  }
-  PdWriter w;
-  w.Put<int32_t>(*fd);
-  PdWriteFrame(peer.conn->s2c, PdOp::kOpen, 0, tag, w.bytes());
+template <PdOp Op, typename... A>
+void ProcdServer::Reply(Peer& peer, uint32_t tag, const A&... fields) {
+  PdMsg<Op>::Rep::Write(peer.conn->s2c, Op, 0, tag, fields...);
+  SpanReply(peer, Op);
 }
 
-void ProcdServer::HandleRead(Peer& peer, uint32_t tag, PdReader& r) {
-  int32_t fd = 0;
-  uint32_t n = 0;
-  if (!r.Get(&fd) || !r.Get(&n) || n > (1u << 26)) {
-    PdWriteError(peer.conn->s2c, PdOp::kRead, tag, Errno::kEINVAL);
+template <PdOp Op, typename T>
+void ProcdServer::Reply(Peer& peer, uint32_t tag, const Result<T>& r) {
+  if (!r.ok()) {
+    ReplyError(peer, Op, tag, r.error());
+  } else if constexpr (std::is_void_v<T>) {
+    Reply<Op>(peer, tag);
+  } else {
+    Reply<Op>(peer, tag, *r);
+  }
+}
+
+void ProcdServer::ReplyError(Peer& peer, PdOp op, uint32_t tag, Errno e) {
+  PdError::Write(peer.conn->s2c, op, kPdErrFlag, tag, static_cast<int32_t>(e));
+  SpanReply(peer, op);
+}
+
+template <PdOp Op>
+void ProcdServer::Serve(Peer& peer, uint32_t tag, std::span<const uint8_t> body) {
+  PdReq<Op> req;
+  if (!PdMsg<Op>::Req::Get(body, &req)) {
+    ReplyError(peer, Op, tag, Errno::kEINVAL);
     return;
   }
+  Handle<Op>(peer, tag, req);
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kHello>(Peer& peer, uint32_t tag, const PdReq<PdOp::kHello>&) {
+  Reply<PdOp::kHello>(peer, tag, peer.proc->pid);
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kOpen>(Peer& peer, uint32_t tag, const PdReq<PdOp::kOpen>& req) {
+  const auto& [oflags, path] = req;
+  Reply<PdOp::kOpen>(peer, tag, kernel_->Open(peer.proc, std::string(path), oflags));
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kClose>(Peer& peer, uint32_t tag, const PdReq<PdOp::kClose>& req) {
+  const auto& [fd] = req;
+  Unsubscribe(peer, fd);
+  Reply<PdOp::kClose>(peer, tag, kernel_->Close(peer.proc, fd));
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kRead>(Peer& peer, uint32_t tag, const PdReq<PdOp::kRead>& req) {
+  const auto& [fd, n] = req;
   std::vector<uint8_t> buf(n);
   auto got = kernel_->Read(peer.proc, fd, buf.data(), n);
   if (!got.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kRead, tag, got.error());
+    ReplyError(peer, PdOp::kRead, tag, got.error());
     return;
   }
-  buf.resize(static_cast<size_t>(*got));
-  PdWriteFrame(peer.conn->s2c, PdOp::kRead, 0, tag, buf);
+  Reply<PdOp::kRead>(peer, tag, std::span<const uint8_t>(buf.data(), static_cast<size_t>(*got)));
 }
 
 bool ProcdServer::ParkDeferredWait(Peer& peer, PdOp op, uint32_t tag) {
@@ -359,7 +338,7 @@ void ProcdServer::WriteThrough(Peer& peer, uint32_t tag, int fd,
                                std::span<const uint8_t> bytes, int64_t done) {
   auto wr = kernel_->Write(peer.proc, fd, bytes.data(), bytes.size());
   if (!wr.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, wr.error());
+    ReplyError(peer, PdOp::kWrite, tag, wr.error());
     return;
   }
   done += *wr;
@@ -369,34 +348,29 @@ void ProcdServer::WriteThrough(Peer& peer, uint32_t tag, int fd,
     peer.wait_consumed = done;
     return;
   }
-  PdWriter w;
-  w.Put<int64_t>(done);
-  PdWriteFrame(peer.conn->s2c, PdOp::kWrite, 0, tag, w.bytes());
+  Reply<PdOp::kWrite>(peer, tag, done);
 }
 
-void ProcdServer::HandleWrite(Peer& peer, uint32_t tag, PdReader& r) {
-  int32_t fd = 0;
-  if (!r.Get(&fd)) {
-    PdWriteError(peer.conn->s2c, PdOp::kWrite, tag, Errno::kEINVAL);
-    return;
-  }
-  size_t n = r.remaining();
-  WriteThrough(peer, tag, fd, std::span<const uint8_t>(r.Raw(n), n), 0);
+template <>
+void ProcdServer::Handle<PdOp::kWrite>(Peer& peer, uint32_t tag, const PdReq<PdOp::kWrite>& req) {
+  const auto& [fd, bytes] = req;
+  WriteThrough(peer, tag, fd, bytes, 0);
 }
 
-void ProcdServer::HandleIoctl(Peer& peer, uint32_t tag, PdReader& r) {
-  int32_t fd = 0;
-  uint32_t op = 0, in_len = 0, out_cap = 0;
-  if (!r.Get(&fd) || !r.Get(&op) || !r.Get(&in_len) || !r.Get(&out_cap)) {
-    PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kEINVAL);
-    return;
-  }
+template <>
+void ProcdServer::Handle<PdOp::kLseek>(Peer& peer, uint32_t tag, const PdReq<PdOp::kLseek>& req) {
+  const auto& [fd, off, whence] = req;
+  Reply<PdOp::kLseek>(peer, tag, kernel_->Lseek(peer.proc, fd, off, whence));
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kIoctl>(Peer& peer, uint32_t tag, const PdReq<PdOp::kIoctl>& req) {
+  const auto& [fd, op, in_len, out_cap, in] = req;
   // The operand is sized by the op's CtlOp row, never by the frame: sizes
   // the row does not take are refused before anything runs.
   const CtlOp* row = FindCtlOpByPioc(op);
-  const uint8_t* in = r.Raw(in_len);
-  if (!CtlFlatSizesOk(row, in_len, out_cap) || (in == nullptr && in_len != 0)) {
-    PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, Errno::kEINVAL);
+  if (!CtlFlatSizesOk(row, in_len, out_cap) || in.size() < in_len) {
+    ReplyError(peer, PdOp::kIoctl, tag, Errno::kEINVAL);
     return;
   }
   ++stats_.ctl_ops;
@@ -407,7 +381,7 @@ void ProcdServer::HandleIoctl(Peer& peer, uint32_t tag, PdReader& r) {
     // for it, and nothing runs between that call and the next.
     auto n = kernel_->Ioctl(peer.proc, fd, op, nullptr);
     if (!n.ok()) {
-      PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, n.error());
+      ReplyError(peer, PdOp::kIoctl, tag, n.error());
       return;
     }
     out_len = static_cast<size_t>(*n) * out_cap;
@@ -416,82 +390,73 @@ void ProcdServer::HandleIoctl(Peer& peer, uint32_t tag, PdReader& r) {
   // buffer round-trips it.
   std::vector<uint64_t> scratch((std::max<size_t>(in_len, out_len) + 7) / 8 + 1);
   if (in_len != 0) {
-    std::memcpy(scratch.data(), in, in_len);
+    std::memcpy(scratch.data(), in.data(), in_len);
   }
   void* arg = in_len != 0 || out_cap != 0 ? scratch.data() : nullptr;
   auto rv = kernel_->Ioctl(peer.proc, fd, op, arg);
   if (!rv.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kIoctl, tag, rv.error());
+    ReplyError(peer, PdOp::kIoctl, tag, rv.error());
     return;
   }
   if (ParkDeferredWait(peer, PdOp::kIoctl, tag)) {
     peer.wait_out_cap = out_cap;  // the PrStatus is taken once the wait is over
     return;
   }
-  PdWriter w;
-  w.Put<int32_t>(*rv);
-  w.PutBytes(scratch.data(), out_len);
-  PdWriteFrame(peer.conn->s2c, PdOp::kIoctl, 0, tag, w.bytes());
+  Reply<PdOp::kIoctl>(peer, tag, *rv,
+                      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(scratch.data()),
+                                               out_len));
 }
 
-void ProcdServer::HandlePsall(Peer& peer, uint32_t tag, PdReader& r) {
-  int32_t fd = 0, start = 0;
-  uint32_t limit = 0;
-  if (!r.Get(&fd) || !r.Get(&start) || !r.Get(&limit) || limit > (1u << 20)) {
-    PdWriteError(peer.conn->s2c, PdOp::kPsall, tag, Errno::kEINVAL);
-    return;
-  }
+template <>
+void ProcdServer::Handle<PdOp::kPsall>(Peer& peer, uint32_t tag, const PdReq<PdOp::kPsall>& req) {
+  const auto& [fd, start, limit] = req;
   psall_.pr_start_pid = start;
   psall_.pr_limit = limit;
   auto rv = kernel_->Ioctl(peer.proc, fd, PIOCPSALL, &psall_);
   if (!rv.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kPsall, tag, rv.error());
+    ReplyError(peer, PdOp::kPsall, tag, rv.error());
     return;
   }
   ++stats_.ctl_ops;
   ++peer.ctl_ops;
-  // Gathered reply: {next_pid, n} from the stack, the rows from the window.
-  const std::vector<PrPsinfo>& rows = psall_.pr_procs;
-  struct {
-    int32_t next_pid;
-    uint32_t n;
-  } head = {psall_.pr_next_pid, static_cast<uint32_t>(rows.size())};
-  PdWriteFrame(peer.conn->s2c, PdOp::kPsall, 0, tag,
-               std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&head), sizeof(head)),
-               std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(rows.data()),
-                                        rows.size() * sizeof(PrPsinfo)));
+  // The rows are gathered into the channel straight from the window.
+  Reply<PdOp::kPsall>(peer, tag, psall_.pr_next_pid, psall_.pr_procs);
 }
 
-void ProcdServer::HandlePoll(Peer& peer, uint32_t tag, PdReader& r) {
-  int64_t timeout = 0;
-  uint32_t n = 0;
-  if (!r.Get(&timeout) || !r.Get(&n) || n > kernel_->poll_max_fds()) {
-    PdWriteError(peer.conn->s2c, PdOp::kPoll, tag, Errno::kEINVAL);
+template <>
+void ProcdServer::Handle<PdOp::kReadDirChunk>(Peer& peer, uint32_t tag,
+                                              const PdReq<PdOp::kReadDirChunk>& req) {
+  auto [cookie, max, path] = req;
+  std::vector<DirEnt> ents;
+  auto n = kernel_->ReadDirChunk(peer.proc, std::string(path), &cookie, max, &ents);
+  if (!n.ok()) {
+    ReplyError(peer, PdOp::kReadDirChunk, tag, n.error());
     return;
   }
-  std::vector<PollFd> pfds(n);
-  for (auto& pf : pfds) {
-    int32_t fd = 0, events = 0;
-    if (!r.Get(&fd) || !r.Get(&events)) {
-      PdWriteError(peer.conn->s2c, PdOp::kPoll, tag, Errno::kEINVAL);
-      return;
-    }
-    pf.fd = fd;
-    pf.events = events;
+  Reply<PdOp::kReadDirChunk>(peer, tag, cookie, ents);
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kStat>(Peer& peer, uint32_t tag, const PdReq<PdOp::kStat>& req) {
+  Reply<PdOp::kStat>(peer, tag, kernel_->Stat(peer.proc, std::string(std::get<0>(req))));
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kPoll>(Peer& peer, uint32_t tag, const PdReq<PdOp::kPoll>& req) {
+  const auto& [timeout, fds] = req;
+  if (fds.size() > kernel_->poll_max_fds()) {
+    ReplyError(peer, PdOp::kPoll, tag, Errno::kEINVAL);
+    return;
   }
+  std::vector<PollFd> pfds;
+  pfds.reserve(fds.size());
+  fds.ForEach([&](PollFd pf) { pfds.push_back(pf); });
   int ready = kernel_->PollLevels(peer.proc, pfds);
   if (ready > 0 || timeout == 0) {
-    PdWriter w;
-    w.Put<int32_t>(ready);
-    w.Put<uint32_t>(n);
-    for (const auto& pf : pfds) {
-      w.Put<int32_t>(pf.revents);
-    }
-    PdWriteFrame(peer.conn->s2c, PdOp::kPoll, 0, tag, w.bytes());
+    Reply<PdOp::kPoll>(peer, tag, ready, pfds);
     return;
   }
   peer.wait = Peer::Wait::kPoll;
-  peer.wait_op = PdOp::kPoll;
   peer.wait_tag = tag;
   peer.wait_pfds = std::move(pfds);
   peer.wait_deadline =
@@ -499,21 +464,32 @@ void ProcdServer::HandlePoll(Peer& peer, uint32_t tag, PdReader& r) {
   SpanPark(peer, PdOp::kPoll);
 }
 
-void ProcdServer::HandleSpawn(Peer& peer, uint32_t tag, PdReader& r) {
-  uint32_t ruid = 0, rgid = 0, argc = 0;
-  std::string path;
-  if (!r.Get(&ruid) || !r.Get(&rgid) || !r.GetString(&path) || !r.Get(&argc) ||
-      argc > 64) {
-    PdWriteError(peer.conn->s2c, PdOp::kSpawn, tag, Errno::kEINVAL);
+template <>
+void ProcdServer::Handle<PdOp::kSubscribe>(Peer& peer, uint32_t tag,
+                                           const PdReq<PdOp::kSubscribe>& req) {
+  const auto& [fd, events] = req;
+  auto of = kernel_->FdGet(peer.proc, fd);
+  if (!of.ok()) {
+    ReplyError(peer, PdOp::kSubscribe, tag, of.error());
     return;
   }
-  std::vector<std::string> argv(argc);
-  for (auto& a : argv) {
-    if (!r.GetString(&a)) {
-      PdWriteError(peer.conn->s2c, PdOp::kSpawn, tag, Errno::kEINVAL);
-      return;
-    }
-  }
+  Subscribe(peer, fd, events, (*of)->vp->PrCountedTarget());
+  Reply<PdOp::kSubscribe>(peer, tag);
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kUnsubscribe>(Peer& peer, uint32_t tag,
+                                             const PdReq<PdOp::kUnsubscribe>& req) {
+  Unsubscribe(peer, std::get<0>(req));
+  Reply<PdOp::kUnsubscribe>(peer, tag);
+}
+
+template <>
+void ProcdServer::Handle<PdOp::kSpawn>(Peer& peer, uint32_t tag, const PdReq<PdOp::kSpawn>& req) {
+  const auto& [ruid, rgid, path, args] = req;
+  std::vector<std::string> argv;
+  argv.reserve(args.size());
+  args.ForEach([&](std::string_view a) { argv.emplace_back(a); });
   // The frame's ids are a request, not a credential: the peer spawns as
   // its own controller process, and only a super-user peer may name others.
   Creds creds = peer.proc->creds;
@@ -522,201 +498,60 @@ void ProcdServer::HandleSpawn(Peer& peer, uint32_t tag, PdReader& r) {
     creds.ruid = creds.euid = ruid;
     creds.rgid = creds.egid = rgid;
   } else if (ruid != creds.ruid || rgid != creds.rgid) {
-    PdWriteError(peer.conn->s2c, PdOp::kSpawn, tag, Errno::kEPERM);
+    ReplyError(peer, PdOp::kSpawn, tag, Errno::kEPERM);
     return;
   }
-  auto pid = kernel_->Spawn(path, argv, creds);
-  if (!pid.ok()) {
-    PdWriteError(peer.conn->s2c, PdOp::kSpawn, tag, pid.error());
-    return;
-  }
-  PdWriter w;
-  w.Put<int32_t>(*pid);
-  PdWriteFrame(peer.conn->s2c, PdOp::kSpawn, 0, tag, w.bytes());
+  Reply<PdOp::kSpawn>(peer, tag, kernel_->Spawn(std::string(path), argv, creds));
 }
 
-void ProcdServer::HandleFrame(Peer& peer, const PdFrame& f) {
-  SpanDequeue(peer, f);
-  PdReader r(f.body);
-  uint32_t tag = f.hdr.tag;
-  switch (static_cast<PdOp>(f.hdr.op)) {
-    case PdOp::kHello: {
-      PdWriter w;
-      w.Put<int32_t>(peer.proc->pid);
-      PdWriteFrame(peer.conn->s2c, PdOp::kHello, 0, tag, w.bytes());
-      break;
-    }
-    case PdOp::kOpen:
-      HandleOpen(peer, tag, r);
-      break;
-    case PdOp::kClose: {
-      int32_t fd = 0;
-      if (!r.Get(&fd)) {
-        PdWriteError(peer.conn->s2c, PdOp::kClose, tag, Errno::kEINVAL);
-        break;
-      }
-      Unsubscribe(peer, fd);
-      auto res = kernel_->Close(peer.proc, fd);
-      if (!res.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kClose, tag, res.error());
-      } else {
-        PdWriteFrame(peer.conn->s2c, PdOp::kClose, 0, tag, {});
-      }
-      break;
-    }
-    case PdOp::kRead:
-      HandleRead(peer, tag, r);
-      break;
-    case PdOp::kWrite:
-      HandleWrite(peer, tag, r);
-      break;
-    case PdOp::kLseek: {
-      int32_t fd = 0, whence = 0;
-      int64_t off = 0;
-      if (!r.Get(&fd) || !r.Get(&off) || !r.Get(&whence)) {
-        PdWriteError(peer.conn->s2c, PdOp::kLseek, tag, Errno::kEINVAL);
-        break;
-      }
-      auto pos = kernel_->Lseek(peer.proc, fd, off, whence);
-      if (!pos.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kLseek, tag, pos.error());
-      } else {
-        PdWriter w;
-        w.Put<int64_t>(*pos);
-        PdWriteFrame(peer.conn->s2c, PdOp::kLseek, 0, tag, w.bytes());
-      }
-      break;
-    }
-    case PdOp::kIoctl:
-      HandleIoctl(peer, tag, r);
-      break;
-    case PdOp::kPsall:
-      HandlePsall(peer, tag, r);
-      break;
-    case PdOp::kReadDirChunk: {
-      uint64_t cookie = 0;
-      uint32_t max = 0;
-      std::string path;
-      if (!r.Get(&cookie) || !r.Get(&max) || !r.GetString(&path) || max > (1u << 20)) {
-        PdWriteError(peer.conn->s2c, PdOp::kReadDirChunk, tag, Errno::kEINVAL);
-        break;
-      }
-      std::vector<DirEnt> ents;
-      auto n = kernel_->ReadDirChunk(peer.proc, path, &cookie, max, &ents);
-      if (!n.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kReadDirChunk, tag, n.error());
-        break;
-      }
-      PdWriter w;
-      w.Put<uint64_t>(cookie);
-      w.Put<uint32_t>(static_cast<uint32_t>(ents.size()));
-      for (const auto& e : ents) {
-        w.Put<uint8_t>(static_cast<uint8_t>(e.type));
-        w.PutString(e.name);
-      }
-      PdWriteFrame(peer.conn->s2c, PdOp::kReadDirChunk, 0, tag, w.bytes());
-      break;
-    }
-    case PdOp::kStat: {
-      std::string path;
-      if (!r.GetString(&path)) {
-        PdWriteError(peer.conn->s2c, PdOp::kStat, tag, Errno::kEINVAL);
-        break;
-      }
-      auto attr = kernel_->Stat(peer.proc, path);
-      if (!attr.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kStat, tag, attr.error());
-        break;
-      }
-      PdWriter w;
-      w.Put<uint8_t>(static_cast<uint8_t>(attr->type));
-      w.Put<uint32_t>(attr->mode);
-      w.Put<uint32_t>(attr->uid);
-      w.Put<uint32_t>(attr->gid);
-      w.Put<uint64_t>(attr->size);
-      w.Put<uint64_t>(attr->mtime);
-      w.Put<uint32_t>(attr->nlink);
-      PdWriteFrame(peer.conn->s2c, PdOp::kStat, 0, tag, w.bytes());
-      break;
-    }
-    case PdOp::kPoll:
-      HandlePoll(peer, tag, r);
-      break;
-    case PdOp::kSubscribe: {
-      int32_t fd = 0, events = 0;
-      if (!r.Get(&fd) || !r.Get(&events)) {
-        PdWriteError(peer.conn->s2c, PdOp::kSubscribe, tag, Errno::kEINVAL);
-        break;
-      }
-      auto of = kernel_->FdGet(peer.proc, fd);
-      if (!of.ok()) {
-        PdWriteError(peer.conn->s2c, PdOp::kSubscribe, tag, of.error());
-        break;
-      }
-      Subscribe(peer, fd, events, (*of)->vp->PrCountedTarget());
-      PdWriteFrame(peer.conn->s2c, PdOp::kSubscribe, 0, tag, {});
-      break;
-    }
-    case PdOp::kUnsubscribe: {
-      int32_t fd = 0;
-      if (!r.Get(&fd)) {
-        PdWriteError(peer.conn->s2c, PdOp::kUnsubscribe, tag, Errno::kEINVAL);
-        break;
-      }
-      Unsubscribe(peer, fd);
-      PdWriteFrame(peer.conn->s2c, PdOp::kUnsubscribe, 0, tag, {});
-      break;
-    }
-    case PdOp::kSpawn:
-      HandleSpawn(peer, tag, r);
-      break;
-    case PdOp::kStats: {
-      std::string text = StatsText();
-      PdWriteFrame(peer.conn->s2c, PdOp::kStats, 0, tag,
-                   std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
-                                            text.size()));
-      break;
-    }
-    default:
-      PdWriteError(peer.conn->s2c, static_cast<PdOp>(f.hdr.op), tag, Errno::kENOSYS);
-      break;
-  }
-  if (peer.wait == Peer::Wait::kNone) {
-    // Replied inline (ok or error); parked frames record at completion.
-    SpanReply(peer, static_cast<PdOp>(f.hdr.op));
-  }
+template <>
+void ProcdServer::Handle<PdOp::kStats>(Peer& peer, uint32_t tag, const PdReq<PdOp::kStats>&) {
+  std::string text = StatsText();
+  Reply<PdOp::kStats>(peer, tag,
+                      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
+                                               text.size()));
 }
+
+// A row for every code that has a PdMsg.
+const std::array<ProcdServer::OpRow, ProcdServer::kPdOpSlots> ProcdServer::kOps =
+    []<size_t... Code>(std::index_sequence<Code...>) {
+      std::array<OpRow, kPdOpSlots> rows{};
+      (
+          [&] {
+            constexpr PdOp kOp = static_cast<PdOp>(Code);
+            if constexpr (PdRequestOp<kOp>) {
+              rows[Code] = {PdMsg<kOp>::kName, &ProcdServer::Serve<kOp>};
+            }
+          }(),
+          ...);
+      return rows;
+    }(std::make_index_sequence<kPdOpSlots>());
 
 // --- Parked waits ------------------------------------------------------------
 
 void ProcdServer::ReplyStopWait(Peer& peer, Errno e) {
-  PdOp op = peer.wait_op;
   uint32_t tag = peer.wait_tag;
   std::vector<uint8_t> tail = std::move(peer.wait_cont);
   peer.wait_cont.clear();
   peer.wait = Peer::Wait::kNone;
   if (e != Errno::kOk) {
-    PdWriteError(peer.conn->s2c, op, tag, e);
+    ReplyError(peer, peer.wait_op, tag, e);
   } else if (!tail.empty()) {
     // A ctl stream parked mid-write: write the tail, which may park again
     // on another blocking message.
     WriteThrough(peer, tag, peer.wait_fd, tail, peer.wait_consumed);
+  } else if (peer.wait_op == PdOp::kWrite) {
+    Reply<PdOp::kWrite>(peer, tag, peer.wait_consumed);  // the stream ended with the wait
   } else {
-    PdWriter w;
-    if (op == PdOp::kWrite) {
-      w.Put<int64_t>(peer.wait_consumed);  // the stream ended with the wait
-    } else {
-      // Flat PIOCSTOP/PIOCWSTOP: optional PrStatus out-parameter.
-      w.Put<int32_t>(0);
-      if (peer.wait_out_cap != 0) {
-        PrStatus st = BuildPrStatus(*kernel_, kernel_->FindProc(peer.wait_pid));
-        w.PutBytes(&st, sizeof(st));
-      }
+    // Flat PIOCSTOP/PIOCWSTOP: optional PrStatus out-parameter.
+    PrStatus st{};
+    size_t n = 0;
+    if (peer.wait_out_cap != 0) {
+      st = BuildPrStatus(*kernel_, kernel_->FindProc(peer.wait_pid));
+      n = sizeof(st);
     }
-    PdWriteFrame(peer.conn->s2c, op, 0, tag, w.bytes());
-  }
-  if (peer.wait == Peer::Wait::kNone) {
-    SpanReply(peer, op);
+    Reply<PdOp::kIoctl>(peer, tag, int32_t{0},
+                        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&st), n));
   }
 }
 
@@ -739,18 +574,9 @@ bool ProcdServer::TryCompleteWait(Peer& peer, bool idle) {
       if (ready == 0 && !timed_out && !idle) {
         return false;
       }
-      PdWriter w;
-      w.Put<int32_t>(ready);
-      w.Put<uint32_t>(static_cast<uint32_t>(peer.wait_pfds.size()));
-      for (const auto& pf : peer.wait_pfds) {
-        w.Put<int32_t>(pf.revents);
-      }
-      PdOp op = peer.wait_op;
-      uint32_t tag = peer.wait_tag;
       peer.wait = Peer::Wait::kNone;
+      Reply<PdOp::kPoll>(peer, peer.wait_tag, ready, peer.wait_pfds);
       peer.wait_pfds.clear();
-      PdWriteFrame(peer.conn->s2c, op, 0, tag, w.bytes());
-      SpanReply(peer, op);
       return true;
     }
   }
@@ -854,10 +680,7 @@ bool ProcdServer::RepollSubscriptions() {
       continue;
     }
     sub.last = revents;
-    PdWriter w;
-    w.Put<int32_t>(r.fd);
-    w.Put<int32_t>(revents);
-    PdWriteFrame(r.peer->conn->s2c, PdOp::kEvent, 0, /*tag=*/0, w.bytes());
+    PdEvent::Write(r.peer->conn->s2c, PdOp::kEvent, 0, /*tag=*/0, r.fd, revents);
     ++stats_.events_pushed;
     pushed = true;
   }
@@ -897,7 +720,13 @@ bool ProcdServer::ServePeer(Peer& peer) {
   bool progress = false;
   PdFrame f;
   while (peer.wait == Peer::Wait::kNone && conn.c2s_.NextFrame(&f)) {
-    HandleFrame(peer, f);
+    SpanDequeue(peer, f);
+    const OpRow& row = kOps[OpSlot(f.hdr.op)];
+    if (row.serve != nullptr) {
+      (this->*row.serve)(peer, f.hdr.tag, f.body);
+    } else {
+      ReplyError(peer, static_cast<PdOp>(f.hdr.op), f.hdr.tag, Errno::kENOSYS);
+    }
     progress = true;
     if (peer.wait != Peer::Wait::kNone) {
       parked_.push_back(&peer);

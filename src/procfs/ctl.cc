@@ -5,6 +5,7 @@
 #include "svr4proc/procfs/ctl.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
@@ -480,7 +481,7 @@ constexpr int32_t kNoFlat = -1;
 // Field order: name, pioc, pc, arg, operand_size, flat_size, read_only,
 // zombie_ok, lwp_scope, blocking, status_out, flat_optional, alias_pc,
 // alias_operand, priv, handler.
-const CtlOp kCtlOps[] = {
+constexpr CtlOp kCtlOps[] = {
     // Control operations, shared by both encodings. Dual rows carry the
     // canonical PC* name so either front-end leaves the same audit trail.
     {"PCNULL", kNoPioc, PCNULL, CtlArgKind::kNone, 0, kNoFlat,
@@ -599,6 +600,21 @@ const CtlOp kCtlOps[] = {
     {"PIOCPROF", PIOCPROF, kNoPc, CtlArgKind::kInt, 4, 4,
      false, false, false, false, false, false, kNoPc, 0, nullptr, OpProf},
 };
+
+// A row with a ctl-message code takes a fixed-size operand whose wire form
+// is its in-memory bytes, or none; RunCtlStream copies each into one buffer
+// of the largest size. (kRun's 8-byte wire form has its own decode.)
+constexpr size_t kCtlMsgOperandMax = [] {
+  size_t n = 0;
+  for (const CtlOp& op : kCtlOps) {
+    n = std::max(n, op.operand_size > 0 ? static_cast<size_t>(op.operand_size) : 0);
+  }
+  return n;
+}();
+static_assert(std::ranges::all_of(kCtlOps, [](const CtlOp& op) {
+  return op.pc == kNoPc || (op.operand_size >= 0 && op.arg != CtlArgKind::kVaddr &&
+                            op.arg != CtlArgKind::kOut && op.arg != CtlArgKind::kOutArray);
+}));
 
 // Both code spaces are dense — PIOC codes are kPiocBase|1..48, PC codes
 // 0..20 — so the indexes are direct-addressed arrays: dispatch stays on
@@ -768,81 +784,25 @@ Result<int64_t> RunCtlStream(Kernel& k, Proc* p, Lwp* lwp, std::span<const uint8
     }
     const uint8_t* wire = buf.data() + pos + 4;
 
-    // Decode the wire operand into the canonical in-memory type.
     Result<int32_t> r = Errno::kEINVAL;
-    switch (op->arg) {
-      case CtlArgKind::kNone:
-        r = CtlDispatchOp(ctx, *op, nullptr);
-        break;
-      case CtlArgKind::kInt:
-      case CtlArgKind::kFlags: {
-        uint32_t v;
-        std::memcpy(&v, wire, 4);
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kSigSet: {
-        SigSet v;
-        std::memcpy(&v, wire, sizeof(v));
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kFltSet: {
-        FltSet v;
-        std::memcpy(&v, wire, sizeof(v));
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kSysSet: {
-        SysSet v;
-        std::memcpy(&v, wire, sizeof(v));
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kSigInfo: {
-        SigInfo v;
-        std::memcpy(&v, wire, sizeof(v));
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kRegs: {
-        Regs v;
-        std::memcpy(&v, wire, sizeof(v));
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kFpRegs: {
-        FpRegs v;
-        std::memcpy(&v, wire, sizeof(v));
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kRun: {
-        PrRun run;
-        std::memcpy(&run.pr_flags, wire, 4);
-        std::memcpy(&run.pr_vaddr, wire + 4, 4);
-        // The 8-byte wire form cannot carry the signal/fault sets; honoring
-        // a set-flag here would install an *empty* set. Reject explicitly
-        // (the sets travel as separate PCSTRACE/PCSHOLD/PCSFAULT messages)
-        // instead of silently masking, which this encoding once did.
-        if (run.pr_flags & (PRSTRACE | PRSHOLD | PRSFAULT)) {
-          return Errno::kEINVAL;
-        }
-        r = CtlDispatchOp(ctx, *op, &run);
-        break;
-      }
-      case CtlArgKind::kWatch: {
-        PrWatch v;
-        std::memcpy(&v, wire, sizeof(v));
-        r = CtlDispatchOp(ctx, *op, &v);
-        break;
-      }
-      case CtlArgKind::kVaddr:
-      case CtlArgKind::kOut:
-      case CtlArgKind::kOutArray:
-        // Flat-only operations have no ctl-message encoding (pc == -1), so
-        // a table row can never route here.
+    if (op->arg == CtlArgKind::kRun) {
+      PrRun run;
+      std::memcpy(&run.pr_flags, wire, 4);
+      std::memcpy(&run.pr_vaddr, wire + 4, 4);
+      // The 8-byte wire form cannot carry the signal/fault sets; honoring
+      // a set-flag here would install an *empty* set. Reject explicitly
+      // (the sets travel as separate PCSTRACE/PCSHOLD/PCSFAULT messages)
+      // instead of silently masking, which this encoding once did.
+      if (run.pr_flags & (PRSTRACE | PRSHOLD | PRSFAULT)) {
         return Errno::kEINVAL;
+      }
+      r = CtlDispatchOp(ctx, *op, &run);
+    } else {
+      // Every other operand is its in-memory bytes; a row that takes none
+      // hands its handler none.
+      alignas(std::max_align_t) uint8_t operand[kCtlMsgOperandMax];
+      std::memcpy(operand, wire, static_cast<size_t>(op->operand_size));
+      r = CtlDispatchOp(ctx, *op, op->operand_size != 0 ? operand : nullptr);
     }
     if (!r.ok()) {
       // Messages already executed keep their effect.

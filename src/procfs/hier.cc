@@ -368,8 +368,8 @@ class Pr2ProcDirVnode : public Vnode {
 };
 
 // The process-independent files of /proc2/kernel, in Readdir order. Each
-// reads as its rendering, made afresh for every read(2) and stat; psall,
-// whose reads are windowed, has no renderer.
+// reads as its rendering, made afresh by every stat and by each descriptor's
+// read at offset 0; psall, whose reads are windowed, has no renderer.
 using Pr2Render = std::vector<uint8_t> (*)(Kernel& k);
 struct Pr2KernelFile {
   const char* name;
@@ -426,8 +426,14 @@ class Pr2KernelFileVnode : public Vnode {
     }
     return Result<void>::Ok();
   }
+  // Later offsets are served from the rendering the read at offset 0 made
+  // (each open has its own vnode), so a file read in several read(2) calls
+  // is one text even while what it renders moves between the calls.
   Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
-    return ServeBytes(render_(*kernel_), off, buf);
+    if (off == 0 || text_.empty()) {
+      text_ = render_(*kernel_);
+    }
+    return ServeBytes(text_, off, buf);
   }
 
  protected:
@@ -435,6 +441,7 @@ class Pr2KernelFileVnode : public Vnode {
 
  private:
   Pr2Render render_;
+  std::vector<uint8_t> text_;
 };
 
 // /proc2/kernel/psall: the bulk population snapshot as packed PrPsinfo
@@ -453,11 +460,13 @@ class Pr2PsallVnode : public Pr2KernelFileVnode {
     return a;
   }
   Result<int64_t> Read(OpenFile& /*of*/, uint64_t off, std::span<uint8_t> buf) override {
-    // Rebuilt per read: each read(2) is a fresh snapshot, like the other
-    // kernel-dir files. A reader paging through with a growing offset sees
-    // each record torn-free (PrPsinfo is trivially copyable and records are
-    // only appended in pid order), though procs that exit mid-pagination
-    // may shift later records — same contract as ps(1) over readdir.
+    // Rebuilt per read: each read(2) is a fresh snapshot of the records it
+    // covers (one rendering per descriptor, as the other kernel-dir files
+    // serve, would here be the whole table). A reader paging through with
+    // a growing offset sees each record torn-free (PrPsinfo is trivially
+    // copyable and records are only appended in pid order), though procs
+    // that exit mid-pagination may shift later records — same contract as
+    // ps(1) over readdir.
     //
     // pread-style windowing: only the records the [off, off+len) window
     // touches are built. The scan still walks earlier pids to find the

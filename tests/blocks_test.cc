@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <span>
@@ -166,15 +167,23 @@ TEST(BlockEngine, DifferentialLockstepWithInterpreter) {
 // A ring of `blocks` three-instruction basic blocks (addi, xor, jmp to the
 // next), each run once per lap: the code footprint of the largest programs
 // in the perfbench population, taken past them to 1024 blocks.
+// The label of block i of a BlockRing.
+std::string BlockLabel(int i) {
+  char label[16];
+  std::snprintf(label, sizeof(label), "b%d", i);
+  return label;
+}
+
 std::string BlockRing(int blocks) {
   std::string s = "loop:\n";
+  char next[16];
+  char block[128];
   for (int i = 0; i < blocks; ++i) {
-    const std::string next = i + 1 == blocks ? "loop" : "b" + std::to_string(i + 1);
-    s += "b" + std::to_string(i) + ": addi r" + std::to_string(1 + i % 5) + ", " +
-         std::to_string(1 + i % 97) + "\n";
-    s += "      xor r" + std::to_string(1 + (i + 2) % 5) + ", r" +
-         std::to_string(1 + (i + 3) % 5) + "\n";
-    s += "      jmp " + next + "\n";
+    std::snprintf(next, sizeof(next), "b%d", i + 1);
+    std::snprintf(block, sizeof(block), "b%d: addi r%d, %d\n      xor r%d, r%d\n      jmp %s\n", i,
+                  1 + i % 5, 1 + i % 97, 1 + (i + 2) % 5, 1 + (i + 3) % 5,
+                  i + 1 == blocks ? "loop" : next);
+    s += block;
   }
   return s;
 }
@@ -222,7 +231,7 @@ RingStops RunRingWithBreakpoints(ExecEngine engine) {
   uint32_t planted = 0;
   uint8_t planted_orig = 0;
   for (int target : {700, 100, 900}) {
-    const uint32_t addr = *t.image.SymbolValue("b" + std::to_string(target));
+    const uint32_t addr = *t.image.SymbolValue(BlockLabel(target));
     uint8_t orig = 0;
     out.slots_at_plants.push_back(slots());
     EXPECT_TRUE(h.ReadMem(addr, &orig, 1).ok());
@@ -531,9 +540,9 @@ ChainStop RunIntoBreakpointAhead(ExecEngine engine) {
   ChainStop out;
   const uint32_t pc = st.ok() ? st->pr_reg.pc : 0;
   for (int i = 0; i < kChainRing; ++i) {
-    const uint32_t start = *t.image.SymbolValue("b" + std::to_string(i));
+    const uint32_t start = *t.image.SymbolValue(BlockLabel(i));
     const uint32_t next =
-        *t.image.SymbolValue("b" + std::to_string((i + 1) % kChainRing));
+        *t.image.SymbolValue(BlockLabel((i + 1) % kChainRing));
     if (pc >= start && pc < start + kRingBlockBytes) {
       out.planted = next;
     }

@@ -3,6 +3,9 @@
 // ptrace baseline.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "svr4proc/kernel/syscall.h"
 #include "svr4proc/tools/sim.h"
 
 namespace svr4 {
@@ -1079,6 +1082,48 @@ pfd:  .space 780
   )");
   EXPECT_TRUE(WIfExited(st));
   EXPECT_EQ(WExitCode(st), 0);
+}
+
+// Every system call in one table: the name, number and arity of each of the
+// 48 calls, looked up both ways, and its SYS_ symbol in the assembler.
+TEST(SyscallTable, EveryCallByNameNumberArityAndSymbol) {
+  struct Row {
+    int num;
+    const char* name;
+    int nargs;
+  };
+  const Row kCalls[] = {
+      {1, "exit", 1},        {2, "fork", 0},         {3, "read", 3},        {4, "write", 3},
+      {5, "open", 3},        {6, "close", 1},        {7, "wait", 0},        {8, "creat", 2},
+      {10, "unlink", 1},     {11, "exec", 2},        {13, "time", 0},       {17, "brk", 1},
+      {18, "stat", 2},       {19, "lseek", 3},       {20, "getpid", 0},     {23, "setuid", 1},
+      {24, "getuid", 0},     {26, "ptrace", 4},      {27, "alarm", 1},      {29, "pause", 0},
+      {34, "nice", 1},       {37, "kill", 2},        {39, "setpgrp", 0},    {41, "dup", 1},
+      {42, "pipe", 0},       {46, "setgid", 1},      {47, "getgid", 0},     {54, "ioctl", 3},
+      {60, "umask", 1},      {62, "setsid", 0},      {63, "getpgrp", 0},    {64, "getppid", 0},
+      {65, "sleep", 1},      {66, "yield", 0},       {87, "poll", 3},       {95, "sigprocmask", 3},
+      {96, "sigsuspend", 1}, {97, "sigreturn", 0},   {98, "sigaction", 3},  {99, "sigpending", 1},
+      {115, "mmap", 6},      {116, "munmap", 2},     {117, "mprotect", 3},  {119, "vfork", 0},
+      {120, "lwp_create", 2}, {121, "lwp_exit", 0},  {122, "lwp_self", 0},  {150, "otime", 0},
+  };
+  Sim sim;
+  size_t named = 0;
+  for (int num = 0; num < kMaxSyscall; ++num) {
+    named += SyscallName(num).substr(0, 4) != "sys#" ? 1 : 0;
+  }
+  EXPECT_EQ(named, std::size(kCalls)) << "a call with a name is missing from this list";
+  for (const Row& c : kCalls) {
+    EXPECT_EQ(SyscallName(c.num), c.name);
+    EXPECT_EQ(SyscallByName(c.name), c.num) << c.name;
+    EXPECT_EQ(SyscallNargs(c.num), c.nargs) << c.name;
+    auto img = sim.NewAssembler().Assemble(std::string(".data\nv: .word SYS_") + c.name + "\n");
+    ASSERT_TRUE(img.ok()) << c.name;
+    uint32_t sym = 0;
+    std::memcpy(&sym, img->data.data(), sizeof(sym));
+    EXPECT_EQ(sym, static_cast<uint32_t>(c.num)) << "SYS_" << c.name;
+  }
+  EXPECT_EQ(SyscallName(9), "sys#9");
+  EXPECT_EQ(SyscallByName("nosuchcall"), 0);
 }
 
 }  // namespace

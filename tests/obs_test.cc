@@ -322,6 +322,22 @@ TEST(ObsProcdSpans, CountersAlwaysOnAndRemoteTextMatchesLocalFile) {
   EXPECT_EQ(span.lat_ns.count, 0u);
 }
 
+// A /proc2/kernel file read in several read(2) calls is one rendering. Over
+// procd each kRead frame is counted before the file renders, so a text made
+// afresh for every read grew under its reader, and the tail the next read
+// served from the longer text tore the lines it split.
+TEST(Pr2KernelFile, RemoteStatsReadsAreOneRenderingEach) {
+  Sim sim;
+  ProcdServer srv(sim.kernel());
+  RemoteProcIo rio(srv.Connect(Creds::Root()));
+  for (int i = 0; i < 400; ++i) {
+    auto text = ProcdStats(rio);
+    ASSERT_TRUE(text.ok());
+    std::string bad;
+    ASSERT_TRUE(ValidateMetricsText(*text, &bad)) << "read " << i << ": bad line \"" << bad << "\"";
+  }
+}
+
 TEST(ObsProcdSpans, ArmedSpansRecordLatencyAndParks) {
   Sim sim;
   EXPECT_TRUE(sim.InstallProgram("/bin/spin", kSpin).ok());
