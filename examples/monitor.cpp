@@ -45,10 +45,12 @@ buf:  .space 65536
               "faults", "dirty-pages");
   PrUsage prev{};
   for (int sample = 1; sample <= 6; ++sample) {
-    // Let the target run between samples.
-    for (int i = 0; i < 20000; ++i) {
-      sim.kernel().Step();
-    }
+    // Let the target run one interval of the virtual clock between samples.
+    // The interval is in ticks, not scheduler steps: a free-running SMP step
+    // runs a chunk of up to 16384 instructions where a deterministic one
+    // runs a 64-instruction quantum.
+    const uint64_t until = sim.kernel().Ticks() + 1'280'000;
+    sim.kernel().RunUntil([&] { return sim.kernel().Ticks() >= until; });
     auto u = *h.Usage();
     auto pd = *h.PageData(/*clear=*/true);  // sample and reset ref/mod bits
     int dirty = 0;

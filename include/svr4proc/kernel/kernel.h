@@ -353,9 +353,9 @@ class Kernel {
   Result<int> FdAlloc(Proc* p, OpenFilePtr of);
   Result<OpenFilePtr> FdGet(Proc* p, int fd);
 
- private:
-  friend class KernelTestPeer;
-
+  // --- The system-call table (syscall_table.cc) ------------------------------
+  // What a call's handler returns: a value for r0 (and r1), an errno with
+  // the carry flag, or a sleep to retry the call from.
   struct SysResult {
     enum Kind { kDone, kError, kBlock } kind = kDone;
     uint32_t rv0 = 0;
@@ -374,7 +374,27 @@ class Kernel {
     static SysResult Block(SleepSpec s) {
       return {kBlock, 0, 0, false, false, Errno::kOk, s};
     }
+    // A native call's result as a call's: its value (0 for none) or errno.
+    static SysResult From(const Result<void>& r) { return r.ok() ? Ok() : Fail(r.error()); }
+    template <typename T>
+    static SysResult From(const Result<T>& r) {
+      return r.ok() ? Ok(static_cast<uint32_t>(*r)) : Fail(r.error());
+    }
   };
+  // One row per system call: its number, name, arity and handler, in number
+  // order. Dispatch and the syscall.h lookups (SyscallName, SyscallByName,
+  // SyscallNargs, DefineSyscallSymbols) read these rows and nothing else. A
+  // row without a handler, like a number without a row, answers ENOSYS.
+  struct SysEntry {
+    int num;
+    std::string_view name;
+    int nargs;
+    SysResult (*handler)(Kernel&, Lwp*);
+  };
+  static const SysEntry kSysTable[];
+
+ private:
+  friend class KernelTestPeer;
 
   // Scheduling. Every CPU owns a run queue; PickNextOn serves the given
   // CPU's cursor, stealing a runnable lwp from a seeded-random nonempty
@@ -514,18 +534,13 @@ class Kernel {
   Result<int64_t> ReadCommon(Proc* p, OpenFile& of, std::span<uint8_t> buf);
   Result<int64_t> WriteCommon(Proc* p, OpenFile& of, std::span<const uint8_t> buf);
 
-  // Syscall handlers (syscalls.cc).
-  SysResult SysExit(Lwp*);
+  // The handlers longer than a table row (syscalls.cc).
   SysResult SysFork(Lwp*, bool vfork);
   SysResult SysRead(Lwp*);
   SysResult SysWrite(Lwp*);
   SysResult SysOpen(Lwp*);
-  SysResult SysClose(Lwp*);
   SysResult SysWait(Lwp*);
   SysResult SysExec(Lwp*);
-  SysResult SysBrk(Lwp*);
-  SysResult SysLseek(Lwp*);
-  SysResult SysKill(Lwp*);
   SysResult SysPipe(Lwp*);
   SysResult SysDup(Lwp*);
   SysResult SysSigaction(Lwp*);
@@ -534,29 +549,29 @@ class Kernel {
   SysResult SysSigreturn(Lwp*);
   SysResult SysSigpending(Lwp*);
   SysResult SysMmap(Lwp*);
-  SysResult SysMunmap(Lwp*);
-  SysResult SysMprotect(Lwp*);
   SysResult SysSleep(Lwp*);
-  SysResult SysPause(Lwp*);
   SysResult SysAlarm(Lwp*);
   SysResult SysLwpCreate(Lwp*);
   SysResult SysLwpExit(Lwp*);
-  SysResult SysStat(Lwp*);
   SysResult SysUnlink(Lwp*);
-  SysResult SysPtraceSys(Lwp*);
   SysResult SysPoll(Lwp*);
 
   // Wait channel for poll-style sleeps, woken on any event that could
   // change poll results (stops, exits, pipe traffic).
   static const void* PollChan();
+  // The pipe rule. Both ends of a pipe sleep on one channel, its PipeBuf,
+  // which PipeChan names (null for any other file): a read of an empty pipe
+  // and a write to a full one block there. Each transfer through a pipe and
+  // the last close of either end can unblock the other end, so ReadCommon,
+  // WriteCommon and FdRelease call WakePipe, which wakes that channel and
+  // the poll channel.
+  static const void* PipeChan(const OpenFile& of);
+  void WakePipe(const OpenFile& of);
 
   // User-memory copy helpers for VCPU syscalls.
   Result<std::string> CopyinStr(Proc* p, uint32_t va, uint32_t max = 1024);
   Result<void> Copyin(Proc* p, uint32_t va, void* buf, uint32_t n);
   Result<void> Copyout(Proc* p, uint32_t va, const void* buf, uint32_t n);
-
-  // ptrace internals.
-  Result<int64_t> PtraceImpl(Proc* caller, int req, Pid pid, uint32_t addr, uint32_t data);
 
   Vfs vfs_;
   std::shared_ptr<ConsoleVnode> console_;

@@ -1,6 +1,8 @@
 // The procd client: a ProcIo transport that ships every operation to a
-// ProcdServer as a wire frame. proclib/truss/ps/dbx run unmodified over
-// this — the paper's "ordinary descriptors" claim, stretched over a wire.
+// ProcdServer as a wire frame. ProcHandle, truss, ps and kstat_tool run
+// unmodified over this — the paper's "ordinary descriptors" claim,
+// stretched over a wire. The debugger does not yet: Debugger, DbxShell and
+// PtraceLib take a Kernel&.
 #ifndef SVR4PROC_PROCD_CLIENT_H_
 #define SVR4PROC_PROCD_CLIENT_H_
 

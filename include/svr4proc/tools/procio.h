@@ -1,5 +1,5 @@
 // ProcIo: the transport seam between the controlling-process tools
-// (proclib, truss, ps, dbx, kstat_tool) and a kernel's /proc namespace.
+// (ProcHandle, truss, ps, kstat_tool) and a kernel's /proc namespace.
 //
 // The paper's claim is that a file-based process interface lets *any*
 // holder of a descriptor operate on a process. This interface makes the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "svr4proc/kernel/core.h"
 #include "svr4proc/kernel/kernel.h"
@@ -17,6 +18,69 @@ constexpr uint32_t kInitialStackPages = 16;
 std::string Basename(const std::string& path) {
   auto pos = path.rfind('/');
   return pos == std::string::npos ? path : path.substr(pos + 1);
+}
+
+// An a.out file read whole and parsed: the executable or its /lib library.
+struct AoutFile {
+  VnodePtr vp;
+  VAttr attr;
+  Aout image;
+};
+
+// Resolves the a.out at `path`, which must be a regular file `cr` may
+// execute, reads it whole (a short read is EIO) and parses it.
+Result<AoutFile> LoadAout(Vfs& vfs, const std::string& path, const Creds& cr) {
+  auto vp = vfs.Resolve(path);
+  if (!vp.ok()) {
+    return vp.error();
+  }
+  auto attr = (*vp)->GetAttr();
+  if (!attr.ok()) {
+    return attr.error();
+  }
+  if (attr->type != VType::kReg ||
+      !CredsPermit(cr, attr->uid, attr->gid, attr->mode, kPermExec)) {
+    return Errno::kEACCES;
+  }
+  std::vector<uint8_t> bytes(attr->size);
+  OpenFile tmp;
+  tmp.vp = *vp;
+  auto n = (*vp)->Read(tmp, 0, bytes);
+  if (!n.ok() || static_cast<uint64_t>(*n) != attr->size) {
+    return Errno::kEIO;
+  }
+  auto image = Aout::Parse(bytes);
+  if (!image.ok()) {
+    return image.error();
+  }
+  return AoutFile{*vp, *attr, std::move(*image)};
+}
+
+// Maps an a.out as Figure 2 shows it, every mapping named `name`: text
+// private read/execute and data private read/write from the file, bss
+// anonymous read/write.
+Result<void> MapAout(AddressSpace& as, const AoutFile& f, const std::string& name) {
+  auto obj = f.vp->GetVmObject();
+  if (!obj.ok()) {
+    return obj.error();
+  }
+  const Aout& a = f.image;
+  if (!a.text.empty()) {
+    SVR4_RETURN_IF_ERROR(as.Map(a.text_vaddr, static_cast<uint32_t>(a.text.size()),
+                                MA_READ | MA_EXEC, *obj, Aout::TextFileOffset(), name));
+  }
+  if (!a.data.empty()) {
+    SVR4_RETURN_IF_ERROR(as.Map(a.data_vaddr, static_cast<uint32_t>(a.data.size()),
+                                MA_READ | MA_WRITE, *obj, a.DataFileOffset(), name));
+  }
+  uint32_t data_end = a.data_vaddr + static_cast<uint32_t>(a.data.size());
+  uint32_t bss_start = PageAlignUp(std::max(data_end, a.data_vaddr));
+  uint32_t bss_end = a.bss_vaddr + a.bss_size;
+  if (a.bss_size > 0 && bss_end > bss_start) {
+    SVR4_RETURN_IF_ERROR(as.Map(bss_start, bss_end - bss_start, MA_READ | MA_WRITE,
+                                std::make_shared<AnonObject>(), 0, name));
+  }
+  return Result<void>::Ok();
 }
 
 }  // namespace
@@ -122,99 +186,37 @@ Kernel::SysResult Kernel::SysFork(Lwp* lwp, bool vfork) {
 
 Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
                                const std::vector<std::string>& argv) {
-  auto vp = vfs_.Resolve(path);
-  if (!vp.ok()) {
-    return vp.error();
+  // Load the program and its shared library before committing to either.
+  auto exe = LoadAout(vfs_, path, p->creds);
+  if (!exe.ok()) {
+    return exe.error();
   }
-  auto attr = (*vp)->GetAttr();
-  if (!attr.ok()) {
-    return attr.error();
-  }
-  if (attr->type != VType::kReg) {
-    return Errno::kEACCES;
-  }
-  if (!CredsPermit(p->creds, attr->uid, attr->gid, attr->mode, kPermExec)) {
-    return Errno::kEACCES;
+  const Aout& image = exe->image;
+  std::optional<AoutFile> lib;
+  if (!image.lib.empty()) {
+    auto l = LoadAout(vfs_, "/lib/" + image.lib, p->creds);
+    if (!l.ok()) {
+      return l.error();
+    }
+    lib = std::move(*l);
   }
 
-  // Read and parse the whole image.
-  std::vector<uint8_t> bytes(attr->size);
-  OpenFile tmp;
-  tmp.vp = *vp;
-  auto n = (*vp)->Read(tmp, 0, bytes);
-  if (!n.ok() || static_cast<uint64_t>(*n) != attr->size) {
-    return Errno::kEIO;
-  }
-  auto image = Aout::Parse(bytes);
-  if (!image.ok()) {
-    return image.error();
-  }
-
-  // Resolve the shared library before committing to the new image.
-  Aout lib_image;
-  VnodePtr lib_vp;
-  if (!image->lib.empty()) {
-    auto lv = vfs_.Resolve("/lib/" + image->lib);
-    if (!lv.ok()) {
-      return Errno::kENOENT;
-    }
-    auto lattr = (*lv)->GetAttr();
-    if (!lattr.ok()) {
-      return lattr.error();
-    }
-    std::vector<uint8_t> lbytes(lattr->size);
-    OpenFile ltmp;
-    ltmp.vp = *lv;
-    auto ln = (*lv)->Read(ltmp, 0, lbytes);
-    if (!ln.ok()) {
-      return Errno::kEIO;
-    }
-    auto li = Aout::Parse(lbytes);
-    if (!li.ok()) {
-      return li.error();
-    }
-    lib_image = std::move(*li);
-    lib_vp = *lv;
-  }
-
-  // Build the new address space: Figure 2's structure. Text is a private
-  // read/execute mapping of the executable file; data private read/write;
-  // bss and stack anonymous; the break mapping grows on brk(2) request; a
-  // shared library contributes its own text and data mappings.
+  // Build the new address space: Figure 2's structure. The program and a
+  // shared library each contribute text, data and bss mappings; the stack
+  // is anonymous and the break mapping grows on brk(2) request.
   auto as = std::make_shared<AddressSpace>();
   as->SetFaultInjector(finj_.get());
   as->SetKtrace(&kt_, p->pid);
   as->SetSmp(&smp_);
   as->SetCpuCount(smp_.ncpus());
-  auto fobj = (*vp)->GetVmObject();
-  if (!fobj.ok()) {
-    return fobj.error();
-  }
   std::string base = Basename(path);
-  if (!image->text.empty()) {
-    SVR4_RETURN_IF_ERROR(as->Map(image->text_vaddr,
-                                 static_cast<uint32_t>(image->text.size()),
-                                 MA_READ | MA_EXEC, *fobj, Aout::TextFileOffset(), base));
-  }
-  if (!image->data.empty()) {
-    SVR4_RETURN_IF_ERROR(as->Map(image->data_vaddr,
-                                 static_cast<uint32_t>(image->data.size()),
-                                 MA_READ | MA_WRITE, *fobj, image->DataFileOffset(), base));
-  }
-  uint32_t data_end = image->data_vaddr + static_cast<uint32_t>(image->data.size());
-  uint32_t bss_end = image->bss_vaddr + image->bss_size;
-  if (image->bss_size > 0) {
-    uint32_t bss_map_start = PageAlignUp(std::max(data_end, image->data_vaddr));
-    if (bss_end > bss_map_start) {
-      SVR4_RETURN_IF_ERROR(as->Map(bss_map_start, bss_end - bss_map_start,
-                                   MA_READ | MA_WRITE, std::make_shared<AnonObject>(), 0,
-                                   base));
-    }
-  }
+  SVR4_RETURN_IF_ERROR(MapAout(*as, *exe, base));
   // The break segment: grown on explicit request by brk(2). It appears in
   // the PIOCMAP list "despite all the disclaimers".
-  uint32_t brk_base = PageAlignUp(std::max({data_end, bss_end, image->text_vaddr +
-                                            static_cast<uint32_t>(image->text.size())}));
+  uint32_t brk_base = PageAlignUp(
+      std::max({image.data_vaddr + static_cast<uint32_t>(image.data.size()),
+                image.bss_vaddr + image.bss_size,
+                image.text_vaddr + static_cast<uint32_t>(image.text.size())}));
   SVR4_RETURN_IF_ERROR(as->Map(brk_base, kPageSize, MA_READ | MA_WRITE | MA_BREAK,
                                std::make_shared<AnonObject>(), 0, "break"));
   // The initial program stack segment, grown automatically by the system.
@@ -223,30 +225,8 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
                                MA_READ | MA_WRITE | MA_STACK,
                                std::make_shared<AnonObject>(), 0, "stack",
                                /*grows_down=*/true));
-  if (!lib_image.text.empty()) {
-    auto lobj = lib_vp->GetVmObject();
-    if (!lobj.ok()) {
-      return lobj.error();
-    }
-    SVR4_RETURN_IF_ERROR(as->Map(lib_image.text_vaddr,
-                                 static_cast<uint32_t>(lib_image.text.size()),
-                                 MA_READ | MA_EXEC, *lobj, Aout::TextFileOffset(),
-                                 image->lib));
-    if (!lib_image.data.empty()) {
-      SVR4_RETURN_IF_ERROR(as->Map(lib_image.data_vaddr,
-                                   static_cast<uint32_t>(lib_image.data.size()),
-                                   MA_READ | MA_WRITE, *lobj, lib_image.DataFileOffset(),
-                                   image->lib));
-    }
-    if (lib_image.bss_size > 0) {
-      uint32_t lend = lib_image.data_vaddr + static_cast<uint32_t>(lib_image.data.size());
-      uint32_t lbss_start = PageAlignUp(lend);
-      uint32_t lbss_end = lib_image.bss_vaddr + lib_image.bss_size;
-      if (lbss_end > lbss_start) {
-        SVR4_RETURN_IF_ERROR(as->Map(lbss_start, lbss_end - lbss_start, MA_READ | MA_WRITE,
-                                     std::make_shared<AnonObject>(), 0, image->lib));
-      }
-    }
+  if (lib) {
+    SVR4_RETURN_IF_ERROR(MapAout(*as, *lib, image.lib));
   }
 
   // Lay out argv on the stack: strings at the top, then the pointer array.
@@ -284,15 +264,16 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
   // Commit: the process transforms. Nothing below fails, so the set-id
   // bits are honored (and /proc security enforced) only here: a failed
   // exec leaves the credentials and every descriptor as they were.
+  const VAttr& attr = exe->attr;
   bool setid_exec = false;
-  if (attr->mode & 04000) {
-    p->creds.euid = attr->uid;
-    p->creds.suid = attr->uid;
+  if (attr.mode & 04000) {
+    p->creds.euid = attr.uid;
+    p->creds.suid = attr.uid;
     setid_exec = true;
   }
-  if (attr->mode & 02000) {
-    p->creds.egid = attr->gid;
-    p->creds.sgid = attr->gid;
+  if (attr.mode & 02000) {
+    p->creds.egid = attr.gid;
+    p->creds.sgid = attr.gid;
     setid_exec = true;
   }
   if (setid_exec) {
@@ -330,7 +311,7 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
     smp_.DropAs(p->as.get());
   }
   p->as = std::move(as);
-  p->exe = *vp;
+  p->exe = exe->vp;
   p->name = base;
   {
     std::string args;
@@ -374,7 +355,7 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
   }
   survivor->regs = Regs{};
   survivor->fpregs = FpRegs{};
-  survivor->regs.pc = image->entry;
+  survivor->regs.pc = image.entry;
   survivor->regs.set_sp(sp);
   survivor->regs.r[1] = static_cast<uint32_t>(argv.size());
   survivor->regs.r[2] = argv_va;
@@ -383,7 +364,7 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
   if (survivor->state == LwpState::kDead) {
     LwpSetState(survivor, LwpState::kRunning);
   }
-  kt_.Emit(KtEvent::kExec, p->pid, survivor->lwpid, image->entry, 0);
+  kt_.Emit(KtEvent::kExec, p->pid, survivor->lwpid, image.entry, 0);
   return Result<void>::Ok();
 }
 

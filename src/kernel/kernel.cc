@@ -48,6 +48,20 @@ int FaultToSignal(int fault) {
 
 const void* Kernel::PollChan() { return kPollChan; }
 
+const void* Kernel::PipeChan(const OpenFile& of) {
+  if (of.vp->type() != VType::kFifo) {
+    return nullptr;
+  }
+  return static_cast<const PipeVnode&>(*of.vp).buf().get();
+}
+
+void Kernel::WakePipe(const OpenFile& of) {
+  if (const void* chan = PipeChan(of)) {
+    Wakeup(chan);
+    Wakeup(kPollChan);
+  }
+}
+
 Kernel::Kernel() {
   pid_hash_.assign(1024, nullptr);
   pid_bitmap_.assign((static_cast<size_t>(max_pid_) + 63) / 64, 0);
@@ -395,11 +409,7 @@ void Kernel::FdRelease(OpenFilePtr of) {
   }
   if (--of->refs == 0) {
     of->vp->Close(*of);
-    Wakeup(kPollChan);
-    // Pipe sleepers must notice EOF / EPIPE.
-    if (auto* pipe = dynamic_cast<PipeVnode*>(of->vp.get())) {
-      Wakeup(pipe->buf().get());
-    }
+    WakePipe(*of);  // the other end's sleepers see EOF or EPIPE
   }
 }
 
@@ -469,9 +479,10 @@ Result<int64_t> Kernel::ReadCommon(Proc* p, OpenFile& of, std::span<uint8_t> buf
     return Errno::kEIO;
   }
   auto n = of.vp->Read(of, of.offset, buf);
-  if (n.ok()) {
+  if (n.ok() && *n > 0) {
     of.offset += static_cast<uint64_t>(*n);
     p->ioch += static_cast<uint64_t>(*n);
+    WakePipe(of);
   }
   return n;
 }
@@ -484,9 +495,10 @@ Result<int64_t> Kernel::WriteCommon(Proc* p, OpenFile& of, std::span<const uint8
     return Errno::kEIO;
   }
   auto n = of.vp->Write(of, of.offset, buf);
-  if (n.ok()) {
+  if (n.ok() && *n > 0) {
     of.offset += static_cast<uint64_t>(*n);
     p->ioch += static_cast<uint64_t>(*n);
+    WakePipe(of);
   }
   return n;
 }
@@ -496,16 +508,7 @@ Result<int64_t> Kernel::Read(Proc* p, int fd, void* buf, uint64_t n) {
   if (!of.ok()) {
     return of.error();
   }
-  // Native callers pump the simulation through blocking reads (pipes).
-  for (;;) {
-    auto r = ReadCommon(p, **of, std::span<uint8_t>(static_cast<uint8_t*>(buf), n));
-    if (r.ok() || r.error() != Errno::kEAGAIN) {
-      return r;
-    }
-    if (!Step()) {
-      return Errno::kEDEADLK;
-    }
-  }
+  return ReadCommon(p, **of, std::span<uint8_t>(static_cast<uint8_t*>(buf), n));
 }
 
 Result<int64_t> Kernel::Write(Proc* p, int fd, const void* buf, uint64_t n) {
@@ -513,22 +516,7 @@ Result<int64_t> Kernel::Write(Proc* p, int fd, const void* buf, uint64_t n) {
   if (!of.ok()) {
     return of.error();
   }
-  for (;;) {
-    auto r = WriteCommon(p, **of,
-                         std::span<const uint8_t>(static_cast<const uint8_t*>(buf), n));
-    if (r.ok() || r.error() != Errno::kEAGAIN) {
-      if (r.ok() && (*of)->vp->type() == VType::kFifo) {
-        if (auto* pipe = dynamic_cast<PipeVnode*>((*of)->vp.get())) {
-          Wakeup(pipe->buf().get());
-        }
-        Wakeup(kPollChan);
-      }
-      return r;
-    }
-    if (!Step()) {
-      return Errno::kEDEADLK;
-    }
-  }
+  return WriteCommon(p, **of, std::span<const uint8_t>(static_cast<const uint8_t*>(buf), n));
 }
 
 Result<int64_t> Kernel::Lseek(Proc* p, int fd, int64_t off, int whence) {
@@ -2410,10 +2398,6 @@ Result<WaitResult> Kernel::Wait(Proc* p, Pid pid, bool nohang) {
       return Errno::kEDEADLK;
     }
   }
-}
-
-Result<int64_t> Kernel::Ptrace(Proc* caller, int req, Pid pid, uint32_t addr, uint32_t data) {
-  return PtraceImpl(caller, req, pid, addr, data);
 }
 
 // --- User memory helpers ----------------------------------------------------------

@@ -16,8 +16,7 @@ constexpr uint32_t kUserPsr = 17;
 
 }  // namespace
 
-Result<int64_t> Kernel::PtraceImpl(Proc* caller, int req, Pid pid, uint32_t addr,
-                                   uint32_t data) {
+Result<int64_t> Kernel::Ptrace(Proc* caller, int req, Pid pid, uint32_t addr, uint32_t data) {
   if (req == PT_TRACEME) {
     caller->pt_traced = true;
     return int64_t{0};

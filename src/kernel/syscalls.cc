@@ -1,7 +1,8 @@
 // The system call path: entry/exit stop points ("natural points of control
 // for a process are where it enters and leaves the kernel"), restartable
 // blocking handlers built on the classic while-condition-sleep structure,
-// syscall aborting, and the individual handlers.
+// syscall aborting, and the handlers longer than a row of the call table
+// (syscall_table.cc, which Dispatch reads).
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
@@ -137,149 +138,7 @@ void Kernel::FinishSyscall(Lwp* lwp, const SysResult& r) {
   lwp->vfork_child = 0;
 }
 
-Kernel::SysResult Kernel::Dispatch(Lwp* lwp) {
-  switch (lwp->cur_syscall) {
-    case SYS_exit:
-      return SysExit(lwp);
-    case SYS_fork:
-      return SysFork(lwp, /*vfork=*/false);
-    case SYS_vfork:
-      return SysFork(lwp, /*vfork=*/true);
-    case SYS_read:
-      return SysRead(lwp);
-    case SYS_write:
-      return SysWrite(lwp);
-    case SYS_open:
-      return SysOpen(lwp);
-    case SYS_creat: {
-      // creat(path, mode) == open(path, O_WRONLY|O_CREAT|O_TRUNC, mode)
-      lwp->sysargs[2] = lwp->sysargs[1];
-      lwp->sysargs[1] = O_WRONLY | O_CREAT | O_TRUNC;
-      return SysOpen(lwp);
-    }
-    case SYS_close:
-      return SysClose(lwp);
-    case SYS_wait:
-      return SysWait(lwp);
-    case SYS_exec:
-      return SysExec(lwp);
-    case SYS_time:
-      return SysResult::Ok(static_cast<uint32_t>(ticks_));
-    case SYS_brk:
-      return SysBrk(lwp);
-    case SYS_stat:
-      return SysStat(lwp);
-    case SYS_unlink:
-      return SysUnlink(lwp);
-    case SYS_lseek:
-      return SysLseek(lwp);
-    case SYS_getpid:
-      return SysResult::Ok(static_cast<uint32_t>(lwp->proc->pid));
-    case SYS_getppid:
-      return SysResult::Ok(static_cast<uint32_t>(lwp->proc->ppid));
-    case SYS_getpgrp:
-      return SysResult::Ok(static_cast<uint32_t>(lwp->proc->pgrp));
-    case SYS_setpgrp:
-      lwp->proc->pgrp = lwp->proc->pid;
-      return SysResult::Ok(static_cast<uint32_t>(lwp->proc->pgrp));
-    case SYS_setsid:
-      lwp->proc->sid = lwp->proc->pid;
-      lwp->proc->pgrp = lwp->proc->pid;
-      return SysResult::Ok(static_cast<uint32_t>(lwp->proc->sid));
-    case SYS_getuid:
-      return SysResult::Ok(lwp->proc->creds.ruid);
-    case SYS_getgid:
-      return SysResult::Ok(lwp->proc->creds.rgid);
-    case SYS_setuid: {
-      Proc* p = lwp->proc;
-      Uid u = lwp->sysargs[0];
-      if (p->creds.IsSuper()) {
-        p->creds.ruid = p->creds.euid = p->creds.suid = u;
-      } else if (u == p->creds.ruid || u == p->creds.suid) {
-        p->creds.euid = u;
-      } else {
-        return SysResult::Fail(Errno::kEPERM);
-      }
-      return SysResult::Ok(0);
-    }
-    case SYS_setgid: {
-      Proc* p = lwp->proc;
-      Gid g = lwp->sysargs[0];
-      if (p->creds.IsSuper()) {
-        p->creds.rgid = p->creds.egid = p->creds.sgid = g;
-      } else if (g == p->creds.rgid || g == p->creds.sgid) {
-        p->creds.egid = g;
-      } else {
-        return SysResult::Fail(Errno::kEPERM);
-      }
-      return SysResult::Ok(0);
-    }
-    case SYS_nice: {
-      int delta = static_cast<int32_t>(lwp->sysargs[0]);
-      if (delta < 0 && !lwp->proc->creds.IsSuper()) {
-        return SysResult::Fail(Errno::kEPERM);
-      }
-      lwp->proc->nice = std::clamp(lwp->proc->nice + delta, 0, 39);
-      return SysResult::Ok(static_cast<uint32_t>(lwp->proc->nice));
-    }
-    case SYS_umask: {
-      uint32_t prev = lwp->proc->umask;
-      lwp->proc->umask = lwp->sysargs[0] & 0777;
-      return SysResult::Ok(prev);
-    }
-    case SYS_kill:
-      return SysKill(lwp);
-    case SYS_pipe:
-      return SysPipe(lwp);
-    case SYS_dup:
-      return SysDup(lwp);
-    case SYS_sigaction:
-      return SysSigaction(lwp);
-    case SYS_sigprocmask:
-      return SysSigprocmask(lwp);
-    case SYS_sigsuspend:
-      return SysSigsuspend(lwp);
-    case SYS_sigreturn:
-      return SysSigreturn(lwp);
-    case SYS_sigpending:
-      return SysSigpending(lwp);
-    case SYS_mmap:
-      return SysMmap(lwp);
-    case SYS_munmap:
-      return SysMunmap(lwp);
-    case SYS_mprotect:
-      return SysMprotect(lwp);
-    case SYS_sleep:
-      return SysSleep(lwp);
-    case SYS_pause:
-      return SysPause(lwp);
-    case SYS_alarm:
-      return SysAlarm(lwp);
-    case SYS_yield:
-      return SysResult::Ok(0);
-    case SYS_lwp_create:
-      return SysLwpCreate(lwp);
-    case SYS_lwp_exit:
-      return SysLwpExit(lwp);
-    case SYS_lwp_self:
-      return SysResult::Ok(static_cast<uint32_t>(lwp->lwpid));
-    case SYS_ptrace:
-      return SysPtraceSys(lwp);
-    case SYS_poll:
-      return SysPoll(lwp);
-    default:
-      // Includes SYS_otime, the "obsolete" call the encapsulation example
-      // emulates at user level through /proc.
-      return SysResult::Fail(Errno::kENOSYS);
-  }
-}
-
 // --- Individual handlers ------------------------------------------------------
-
-Kernel::SysResult Kernel::SysExit(Lwp* lwp) {
-  ExitProc(lwp->proc, WExitStatus(static_cast<int>(lwp->sysargs[0])));
-  return SysResult::Ok(0);  // not observed
-}
 
 Kernel::SysResult Kernel::SysRead(Lwp* lwp) {
   Proc* p = lwp->proc;
@@ -293,12 +152,9 @@ Kernel::SysResult Kernel::SysRead(Lwp* lwp) {
   auto r = ReadCommon(p, **of, buf);
   if (!r.ok()) {
     if (r.error() == Errno::kEAGAIN) {
-      // Blocking read: sleep at an interruptible priority on the object.
-      const void* chan = (*of)->vp.get();
-      if (auto* pipe = dynamic_cast<PipeVnode*>((*of)->vp.get())) {
-        chan = pipe->buf().get();
-      }
-      return SysResult::Block(SleepSpec{chan, 0, true});
+      // An empty pipe: sleep interruptibly until a write or the last close
+      // of its write end (the pipe rule, Kernel::WakePipe).
+      return SysResult::Block(SleepSpec{PipeChan(**of), 0, true});
     }
     return SysResult::Fail(r.error());
   }
@@ -326,11 +182,8 @@ Kernel::SysResult Kernel::SysWrite(Lwp* lwp) {
   auto r = WriteCommon(p, **of, buf);
   if (!r.ok()) {
     if (r.error() == Errno::kEAGAIN) {
-      const void* chan = (*of)->vp.get();
-      if (auto* pipe = dynamic_cast<PipeVnode*>((*of)->vp.get())) {
-        chan = pipe->buf().get();
-      }
-      return SysResult::Block(SleepSpec{chan, 0, true});
+      // A full pipe: sleep until a read or the last close of its read end.
+      return SysResult::Block(SleepSpec{PipeChan(**of), 0, true});
     }
     if (r.error() == Errno::kEPIPE) {
       SigInfo info;
@@ -338,9 +191,6 @@ Kernel::SysResult Kernel::SysWrite(Lwp* lwp) {
       PostSignal(p, SIGPIPE, info);
     }
     return SysResult::Fail(r.error());
-  }
-  if (auto* pipe = dynamic_cast<PipeVnode*>((*of)->vp.get())) {
-    Wakeup(pipe->buf().get());
   }
   return SysResult::Ok(static_cast<uint32_t>(*r));
 }
@@ -351,19 +201,8 @@ Kernel::SysResult Kernel::SysOpen(Lwp* lwp) {
   if (!path.ok()) {
     return SysResult::Fail(path.error());
   }
-  auto fd = OpenCommon(p, *path, static_cast<int>(lwp->sysargs[1]), lwp->sysargs[2]);
-  if (!fd.ok()) {
-    return SysResult::Fail(fd.error());
-  }
-  return SysResult::Ok(static_cast<uint32_t>(*fd));
-}
-
-Kernel::SysResult Kernel::SysClose(Lwp* lwp) {
-  auto r = Close(lwp->proc, static_cast<int>(lwp->sysargs[0]));
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(0);
+  return SysResult::From(
+      OpenCommon(p, *path, static_cast<int>(lwp->sysargs[1]), lwp->sysargs[2]));
 }
 
 Kernel::SysResult Kernel::SysWait(Lwp* lwp) {
@@ -417,38 +256,6 @@ Kernel::SysResult Kernel::SysExec(Lwp* lwp) {
   return SysResult::OkNoRegs();
 }
 
-Kernel::SysResult Kernel::SysBrk(Lwp* lwp) {
-  Proc* p = lwp->proc;
-  auto r = p->as->SetBreak(lwp->sysargs[0]);
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(0);
-}
-
-Kernel::SysResult Kernel::SysStat(Lwp* lwp) {
-  Proc* p = lwp->proc;
-  auto path = CopyinStr(p, lwp->sysargs[0]);
-  if (!path.ok()) {
-    return SysResult::Fail(path.error());
-  }
-  auto vp = vfs_.Resolve(*path);
-  if (!vp.ok()) {
-    return SysResult::Fail(vp.error());
-  }
-  auto attr = (*vp)->GetAttr();
-  if (!attr.ok()) {
-    return SysResult::Fail(attr.error());
-  }
-  // A compact on-wire stat: type, mode, uid, gid, size (5 x u32).
-  uint32_t rec[5] = {static_cast<uint32_t>(attr->type), attr->mode, attr->uid, attr->gid,
-                     static_cast<uint32_t>(attr->size)};
-  if (!Copyout(p, lwp->sysargs[1], rec, sizeof(rec)).ok()) {
-    return SysResult::Fail(Errno::kEFAULT);
-  }
-  return SysResult::Ok(0);
-}
-
 Kernel::SysResult Kernel::SysUnlink(Lwp* lwp) {
   Proc* p = lwp->proc;
   auto path = CopyinStr(p, lwp->sysargs[0]);
@@ -460,29 +267,7 @@ Kernel::SysResult Kernel::SysUnlink(Lwp* lwp) {
   if (!parent.ok()) {
     return SysResult::Fail(parent.error());
   }
-  auto r = (*parent)->Remove(leaf);
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(0);
-}
-
-Kernel::SysResult Kernel::SysLseek(Lwp* lwp) {
-  auto r = Lseek(lwp->proc, static_cast<int>(lwp->sysargs[0]),
-                 static_cast<int32_t>(lwp->sysargs[1]), static_cast<int>(lwp->sysargs[2]));
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(static_cast<uint32_t>(*r));
-}
-
-Kernel::SysResult Kernel::SysKill(Lwp* lwp) {
-  auto r = Kill(lwp->proc, static_cast<Pid>(static_cast<int32_t>(lwp->sysargs[0])),
-                static_cast<int>(lwp->sysargs[1]));
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(0);
+  return SysResult::From((*parent)->Remove(leaf));
 }
 
 Kernel::SysResult Kernel::SysPipe(Lwp* lwp) {
@@ -515,11 +300,7 @@ Kernel::SysResult Kernel::SysDup(Lwp* lwp) {
   if (!of.ok()) {
     return SysResult::Fail(of.error());
   }
-  auto fd = FdAlloc(p, *of);
-  if (!fd.ok()) {
-    return SysResult::Fail(fd.error());
-  }
-  return SysResult::Ok(static_cast<uint32_t>(*fd));
+  return SysResult::From(FdAlloc(p, *of));
 }
 
 Kernel::SysResult Kernel::SysSigaction(Lwp* lwp) {
@@ -634,23 +415,6 @@ Kernel::SysResult Kernel::SysMmap(Lwp* lwp) {
   return SysResult::Ok(addr);
 }
 
-Kernel::SysResult Kernel::SysMunmap(Lwp* lwp) {
-  auto r = lwp->proc->as->Unmap(lwp->sysargs[0], lwp->sysargs[1]);
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(0);
-}
-
-Kernel::SysResult Kernel::SysMprotect(Lwp* lwp) {
-  auto r = lwp->proc->as->Protect(lwp->sysargs[0], lwp->sysargs[1],
-                                  lwp->sysargs[2] & (MA_READ | MA_WRITE | MA_EXEC));
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(0);
-}
-
 Kernel::SysResult Kernel::SysSleep(Lwp* lwp) {
   if (lwp->sys_deadline == 0) {
     lwp->sys_deadline = ticks_ + lwp->sysargs[0];
@@ -659,11 +423,6 @@ Kernel::SysResult Kernel::SysSleep(Lwp* lwp) {
     return SysResult::Ok(0);
   }
   return SysResult::Block(SleepSpec{nullptr, lwp->sys_deadline, true});
-}
-
-Kernel::SysResult Kernel::SysPause(Lwp* lwp) {
-  // Sleeps forever at an interruptible priority; only a signal ends it.
-  return SysResult::Block(SleepSpec{lwp, 0, true});
 }
 
 Kernel::SysResult Kernel::SysAlarm(Lwp* lwp) {
@@ -743,16 +502,6 @@ Kernel::SysResult Kernel::SysPoll(Lwp* lwp) {
     return SysResult::Ok(static_cast<uint32_t>(ready));
   }
   return SysResult::Block(SleepSpec{PollChan(), lwp->sys_deadline, true});
-}
-
-Kernel::SysResult Kernel::SysPtraceSys(Lwp* lwp) {
-  auto r = PtraceImpl(lwp->proc, static_cast<int>(lwp->sysargs[0]),
-                      static_cast<Pid>(static_cast<int32_t>(lwp->sysargs[1])),
-                      lwp->sysargs[2], lwp->sysargs[3]);
-  if (!r.ok()) {
-    return SysResult::Fail(r.error());
-  }
-  return SysResult::Ok(static_cast<uint32_t>(*r));
 }
 
 }  // namespace svr4

@@ -172,6 +172,136 @@ pfd:  .space 12
   EXPECT_EQ(WExitCode(*ec), 0) << "poll slept until the pipe had data";
 }
 
+// The write itself wakes the poller: the writer stays alive in pause(2), so
+// no exit wakes the poll channel on the write's behalf.
+TEST(VcpuPoll, PipeWriteWakesThePollerWhileTheWriterLives) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/p", R"(
+      ldi r0, SYS_pipe
+      sys
+      mov r8, r0          ; read end
+      mov r9, r1          ; write end
+      ldi r0, SYS_fork
+      sys
+      cmpi r0, 0
+      jz child
+      mov r10, r0         ; the writer's pid
+      ldi r4, pfd
+      stw r8, [r4]
+      ldi r5, 1
+      stw r5, [r4+4]      ; events = POLLIN
+      ldi r0, SYS_poll
+      mov r1, r4
+      ldi r2, 1
+      ldi r3, -1          ; no timeout
+      sys
+      cmpi r0, 1
+      jnz bad
+      ldw r5, [r4+8]
+      cmpi r5, 1          ; revents = POLLIN
+      jnz bad
+      ldi r0, SYS_kill
+      mov r1, r10
+      ldi r2, SIGKILL
+      sys
+      ldi r0, SYS_wait
+      sys
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+bad:  ldi r0, SYS_exit
+      ldi r1, 1
+      sys
+child:
+      ldi r0, SYS_sleep   ; let the poller go to sleep first
+      ldi r1, 2000
+      sys
+      ldi r0, SYS_write
+      mov r1, r9
+      ldi r2, pfd
+      ldi r3, 1
+      sys
+      ldi r0, SYS_pause
+      sys
+      .bss
+pfd:  .space 12
+  )").ok());
+  auto pid = sim.Start("/bin/p");
+  ASSERT_TRUE(pid.ok());
+  auto ec = sim.kernel().RunToExit(*pid);
+  ASSERT_TRUE(ec.ok()) << ErrnoName(ec.error());
+  EXPECT_EQ(WExitCode(*ec), 0);
+}
+
+// A read that makes room on a full pipe wakes a POLLOUT waiter on its write
+// end; the reader then pauses, so its exit cannot stand in for the wakeup.
+TEST(VcpuPoll, PipeDrainWakesAPollOutWaiter) {
+  Sim sim;
+  ASSERT_TRUE(sim.InstallProgram("/bin/p", R"(
+      ldi r0, SYS_pipe
+      sys
+      mov r8, r0          ; read end
+      mov r9, r1          ; write end
+      ldi r0, SYS_fork
+      sys
+      cmpi r0, 0
+      jz child
+      mov r10, r0         ; the reader's pid
+      ldi r0, SYS_write   ; fill the pipe
+      mov r1, r9
+      ldi r2, buf
+      ldi r3, 8192
+      sys
+      cmpi r0, 8192
+      jnz bad
+      ldi r4, pfd
+      stw r9, [r4]
+      ldi r5, 4
+      stw r5, [r4+4]      ; events = POLLOUT
+      ldi r0, SYS_poll
+      mov r1, r4
+      ldi r2, 1
+      ldi r3, -1          ; no timeout
+      sys
+      cmpi r0, 1
+      jnz bad
+      ldw r5, [r4+8]
+      cmpi r5, 4          ; revents = POLLOUT
+      jnz bad
+      ldi r0, SYS_kill
+      mov r1, r10
+      ldi r2, SIGKILL
+      sys
+      ldi r0, SYS_wait
+      sys
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+bad:  ldi r0, SYS_exit
+      ldi r1, 1
+      sys
+child:
+      ldi r0, SYS_sleep   ; let the poller go to sleep first
+      ldi r1, 2000
+      sys
+      ldi r0, SYS_read
+      mov r1, r8
+      ldi r2, buf
+      ldi r3, 8192
+      sys
+      ldi r0, SYS_pause
+      sys
+      .bss
+pfd:  .space 12
+buf:  .space 8192
+  )").ok());
+  auto pid = sim.Start("/bin/p");
+  ASSERT_TRUE(pid.ok());
+  auto ec = sim.kernel().RunToExit(*pid);
+  ASSERT_TRUE(ec.ok()) << ErrnoName(ec.error());
+  EXPECT_EQ(WExitCode(*ec), 0);
+}
+
 TEST(VcpuPoll, TimeoutExpires) {
   Sim sim;
   ASSERT_TRUE(sim.InstallProgram("/bin/p", R"(

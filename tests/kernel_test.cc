@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 
 #include "svr4proc/kernel/syscall.h"
+#include "svr4proc/tools/proclib.h"
 #include "svr4proc/tools/sim.h"
 
 namespace svr4 {
@@ -536,6 +538,75 @@ bad:  ldi r0, SYS_exit
       sys
       .bss
 buf:  .space 8
+  )");
+  EXPECT_TRUE(WIfExited(st));
+  EXPECT_EQ(WExitCode(st), 0);
+}
+
+// A read that makes room wakes the writer sleeping on the full pipe: the
+// child fills the pipe (8192 bytes, PipeBuf::kCapacity) and blocks writing
+// one more, and only the parent's drain can let it finish.
+TEST(KernelPipe, ReaderDrainingAFullPipeWakesTheWriter) {
+  Sim sim;
+  int st = RunProgram(sim, R"(
+      ldi r0, SYS_pipe
+      sys
+      mov r8, r0          ; read end
+      mov r9, r1          ; write end
+      ldi r0, SYS_fork
+      sys
+      cmpi r0, 0
+      jz child
+      ldi r0, SYS_sleep   ; let the child fill the pipe and block
+      ldi r1, 2000
+      sys
+      ldi r0, SYS_read
+      mov r1, r8
+      ldi r2, buf
+      ldi r3, 8192
+      sys
+      cmpi r0, 8192
+      jnz bad
+      ldi r0, SYS_read    ; the byte the blocked write could not place
+      mov r1, r8
+      ldi r2, buf
+      ldi r3, 1
+      sys
+      cmpi r0, 1
+      jnz bad
+      ldi r0, SYS_wait
+      sys
+      cmpi r1, 0          ; the child's status: exited 0
+      jnz bad
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+bad:  ldi r0, SYS_exit
+      ldi r1, 1
+      sys
+child:
+      ldi r0, SYS_write
+      mov r1, r9
+      ldi r2, buf
+      ldi r3, 8192
+      sys
+      cmpi r0, 8192
+      jnz cbad
+      ldi r0, SYS_write   ; the pipe is full: sleeps until the parent reads
+      mov r1, r9
+      ldi r2, buf
+      ldi r3, 1
+      sys
+      cmpi r0, 1
+      jnz cbad
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+cbad: ldi r0, SYS_exit
+      ldi r1, 2
+      sys
+      .bss
+buf:  .space 8192
   )");
   EXPECT_TRUE(WIfExited(st));
   EXPECT_EQ(WExitCode(st), 0);
@@ -1124,6 +1195,116 @@ TEST(SyscallTable, EveryCallByNameNumberArityAndSymbol) {
   }
   EXPECT_EQ(SyscallName(9), "sys#9");
   EXPECT_EQ(SyscallByName("nosuchcall"), 0);
+}
+
+// What every row of the call table dispatches to: for each call that comes
+// back to its caller without another process's help, a fresh guest makes it
+// once with fixed arguments and its syscall-exit stop reads r0, r1 and the
+// carry flag. The values were captured while dispatch was still a switch.
+// Left out: exit and lwp_exit (the process exits, so no exit stop comes),
+// pause and sigsuspend (they sleep until a signal), vfork (the parent sleeps
+// until the child execs or exits) and sigreturn (outside a handler it loads
+// the registers from whatever the stack holds).
+TEST(SyscallTable, EveryRowDispatchesAsAtTheParent) {
+  struct Call {
+    int num;
+    const char* args;  // r1, r2, ... in order
+    uint32_t r0;
+    uint32_t r1;
+    bool carry;
+  };
+  const Call kCalls[] = {
+      {SYS_fork, "", 5, 1, false},
+      {SYS_read, "0, buf, 4", 0, 0, false},
+      {SYS_write, "1, path, 6", 6, 1, false},
+      {SYS_open, "path, 2, 0", 3, 0x80008000, false},
+      {SYS_close, "2", 0, 2, false},
+      {SYS_wait, "", 10, 1, true},
+      {SYS_creat, "none, 420", 3, 0x80008007, false},
+      {SYS_unlink, "path", 0, 0x80008000, false},
+      {SYS_exec, "none, 0", 2, 0x80008007, true},
+      {SYS_time, "", 2, 1, false},
+      {SYS_brk, "0x80020000", 0, 0x80020000, false},
+      {SYS_stat, "path, buf", 0, 0x80008000, false},
+      {SYS_lseek, "0, 5, 0", 5, 0, false},
+      {SYS_getpid, "", 4, 1, false},
+      {SYS_setuid, "0", 0, 0, false},
+      {SYS_getuid, "", 0, 1, false},
+      {SYS_ptrace, "0, 0, 0, 0", 0, 0, false},
+      {SYS_alarm, "0", 0, 0, false},
+      {SYS_nice, "1", 21, 1, false},
+      {SYS_kill, "0, 0", 0, 0, false},
+      {SYS_setpgrp, "", 4, 1, false},
+      {SYS_dup, "1", 3, 1, false},
+      {SYS_pipe, "", 3, 4, false},
+      {SYS_setgid, "0", 0, 0, false},
+      {SYS_getgid, "", 0, 1, false},
+      {SYS_ioctl, "0, 0, 0", 89, 0, true},
+      {SYS_umask, "0x12", 18, 18, false},
+      {SYS_setsid, "", 4, 1, false},
+      {SYS_getpgrp, "", 0, 1, false},
+      {SYS_getppid, "", 1, 1, false},
+      {SYS_sleep, "1", 0, 1, false},
+      {SYS_yield, "", 0, 1, false},
+      {SYS_poll, "buf, 0, 0", 0, 0x80008014, false},
+      {SYS_sigprocmask, "0, 0, buf", 0, 0, false},
+      {SYS_sigaction, "SIGUSR1, idle, 0", 0, 16, false},
+      {SYS_sigpending, "buf", 0, 0x80008014, false},
+      {SYS_mmap, "0x40000000, 4096, 3, 2, -1, 0", 0x40000000, 0x40000000, false},
+      {SYS_munmap, "0x40000000, 4096", 0, 0x40000000, false},
+      {SYS_mprotect, "0x80000000, 4096, 7", 0, 0x80000000, false},
+      {SYS_lwp_create, "idle, top", 2, 0x80000020, false},
+      {SYS_lwp_self, "", 1, 1, false},
+      {SYS_otime, "", 89, 1, true},
+      {9, "", 89, 1, true},
+  };
+  for (const Call& c : kCalls) {
+    SCOPED_TRACE(SyscallName(c.num));
+    Sim sim;
+    const std::vector<uint8_t> hello = {'h', 'e', 'l', 'l', 'o'};
+    ASSERT_TRUE(sim.kernel().WriteFileAt("/tmp/f", hello).ok());
+    std::string prog;
+    int reg = 1;
+    std::istringstream args(c.args);
+    for (std::string a; std::getline(args, a, ',');) {
+      prog += "      ldi r" + std::to_string(reg++) + ", " + a + "\n";
+    }
+    prog += "      ldi r0, " + std::to_string(c.num) + R"(
+      sys
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+idle: jmp idle
+      .data
+path: .asciz "/tmp/f"
+none: .asciz "/tmp/none"
+      .bss
+buf:  .space 256
+top:  .space 4
+)";
+    ASSERT_TRUE(sim.InstallProgram("/bin/call", prog).ok());
+    auto pid = sim.Start("/bin/call");
+    ASSERT_TRUE(pid.ok());
+    auto h = ProcHandle::Grab(sim.kernel(), sim.controller(), *pid);
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(h->Stop().ok());
+    SysSet set;
+    set.Add(c.num);
+    ASSERT_TRUE(h->SetSysExit(set).ok());
+    ASSERT_TRUE(h->Run().ok());
+    ASSERT_TRUE(h->WaitStop().ok());
+    auto st = h->Status();
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st->pr_why, PR_SYSEXIT);
+    EXPECT_EQ(st->pr_what, c.num);
+    EXPECT_EQ(st->pr_reg.r[0], c.r0);
+    EXPECT_EQ(st->pr_reg.r[1], c.r1);
+    EXPECT_EQ((st->pr_reg.psr & kPsrC) != 0, c.carry);
+    ASSERT_TRUE(h->SetSysExit(SysSet{}).ok());
+    ASSERT_TRUE(h->Run().ok());
+    auto ec = sim.kernel().RunToExit(*pid);
+    ASSERT_TRUE(ec.ok()) << ErrnoName(ec.error());
+  }
 }
 
 }  // namespace

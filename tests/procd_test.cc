@@ -1677,9 +1677,12 @@ struct CtlStreamOutcome {
 // A blocking PCSTOP, then a PCSTRACE whose set the tail carries.
 std::vector<uint8_t> StopThenTraceStream() {
   std::vector<uint8_t> stream;
+  // resize + memcpy, as PdWriter appends: GCC 12 at -O3 reports a false
+  // -Wstringop-overflow on a vector::insert of these small spans.
   auto put = [&](const void* p, size_t n) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    stream.insert(stream.end(), b, b + n);
+    size_t at = stream.size();
+    stream.resize(at + n);
+    std::memcpy(stream.data() + at, p, n);
   };
   int32_t stop = PCSTOP, trace = PCSTRACE;
   SigSet sigs;

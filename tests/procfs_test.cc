@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 
 #include "svr4proc/procfs/procfs.h"
 #include "svr4proc/tools/proclib.h"
@@ -1569,6 +1570,53 @@ spin: jmp spin
   auto regs = h.GetRegs();
   ASSERT_TRUE(regs.ok());
   EXPECT_EQ(regs->r[9], 5u) << "the library function executed";
+}
+
+// exec loads the executable and its /lib library through one path: the
+// whole PIOCMAP list of a program whose library has text, data and bss,
+// captured while the two were still loaded by separate copies.
+TEST(ProcInfo, ExecMapsProgramAndLibraryAsBefore) {
+  Sim sim;
+  auto lib = sim.InstallLibrary("libtri", R"(
+libfn:  ldi r9, 1
+        ret
+        .data
+libvar: .word 7
+        .bss
+libbss: .space 8192
+  )");
+  ASSERT_TRUE(lib.ok());
+  Assembler as = sim.NewAssembler();
+  as.ImportLibrary(*lib, "libtri");
+  auto img = as.Assemble(R"(
+      .lib "libtri"
+      call libfn
+spin: jmp spin
+      .data
+      .space 6000
+      .bss
+      .space 70000
+  )");
+  ASSERT_TRUE(img.ok()) << as.error();
+  ASSERT_TRUE(sim.kernel().InstallAout("/bin/tri", *img).ok());
+  auto pid = sim.Start("/bin/tri");
+  ASSERT_TRUE(pid.ok());
+  auto maps = Grab(sim, *pid).GetMap();
+  ASSERT_TRUE(maps.ok());
+  std::ostringstream got;
+  for (const auto& m : *maps) {
+    got << std::hex << m.pr_vaddr << " " << m.pr_size << " " << m.pr_mflags << " "
+        << m.pr_mapname << "\n";
+  }
+  EXPECT_EQ(got.str(),
+            "80000000 1000 5 tri\n"        // text r-x
+            "80008000 2000 6 tri\n"        // data rw
+            "8000a000 11000 46 tri\n"      // bss rw, anonymous
+            "8001b000 1000 56 break\n"
+            "bffee000 10000 66 stack\n"
+            "c0100000 1000 5 libtri\n"     // library text r-x
+            "c0108000 1000 6 libtri\n"     // library data rw
+            "c0109000 2000 46 libtri\n");  // library bss rw, anonymous
 }
 
 TEST(ProcInfo, OpenMappedObjectFindsSymbolTables) {
