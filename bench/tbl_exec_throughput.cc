@@ -10,10 +10,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
 #include "bench_json.h"
+#include "block_ring.h"
 
 #include "svr4proc/isa/blocks.h"
 #include "svr4proc/tools/proclib.h"
@@ -170,23 +170,6 @@ BENCHMARK(BM_ExecThroughput)
     ->Args({1, 2, 0})
     ->Args({1, 1, 1})
     ->Args({1, 2, 1});
-
-// A ring of `blocks` three-instruction basic blocks (addi, xor, jmp to the
-// next), each run once per lap: the code footprint of the largest programs
-// in the perfbench population, taken past them to 1024 blocks.
-std::string BlockRing(int blocks) {
-  std::string s = "loop:\n";
-  char next[16];
-  char block[128];
-  for (int i = 0; i < blocks; ++i) {
-    std::snprintf(next, sizeof(next), "b%d", i + 1);
-    std::snprintf(block, sizeof(block), "b%d: addi r%d, %d\n      xor r%d, r%d\n      jmp %s\n", i,
-                  1 + i % 5, 1 + i % 97, 1 + (i + 2) % 5, 1 + (i + 3) % 5,
-                  i + 1 == blocks ? "loop" : next);
-    s += block;
-  }
-  return s;
-}
 
 // range(0): blocks in the ring, block engine pinned. The per-address-space
 // block cache has to grow to the ring's footprint: with a table too small

@@ -224,8 +224,9 @@ class Kernel {
   // Every counted /proc file — flat, /proc2 per-process and lwp — opens,
   // validates, polls and closes its descriptors through these, so the
   // paper's rules (O_EXCL, run-on-last-close, invalidation by a set-id
-  // exec) hold for all of them alike. PrCountedVnode::Open has already
-  // checked the open permission and the file's own access modes.
+  // exec) hold for all of them alike. The counted file's Open (one vnode
+  // class serves them all, src/procfs/flat.cc) has already checked the open
+  // permission and the access its row allows.
   //
   // Counts `of` in the target's ledger and stamps it with the target's
   // generation and ident and the opener's pid and ident (opener may be

@@ -53,11 +53,6 @@ enum class CtlArgKind : uint8_t {
              // live target; a null operand asks for that element count
 };
 
-// Which front-end carried the operation (transport detail; the audit ring
-// deliberately does not record it, so both encodings produce identical
-// audit streams for the same script).
-enum class CtlSource : uint8_t { kIoctl, kCtlMsg };
-
 struct CtlCtx {
   Kernel* k = nullptr;
   Proc* p = nullptr;            // target process
@@ -65,7 +60,6 @@ struct CtlCtx {
   Proc* caller = nullptr;       // controlling process, if known
   bool native_caller = false;   // host-driven controller (may issue blocking ops)
   bool fd_writable = false;     // descriptor carries the write right
-  CtlSource source = CtlSource::kIoctl;
 };
 
 using CtlHandler = Result<int32_t> (*)(CtlCtx&, void* arg);
@@ -122,6 +116,12 @@ bool CtlFlatSizesOk(const CtlOp* op, uint32_t in, uint32_t out);
 // reflect the descriptor; unknown codes keep the historical errno order
 // (EBADF on a read-only fd, ENOENT on a zombie, else EINVAL).
 Result<int32_t> CtlDispatchPioc(CtlCtx& ctx, uint32_t code, void* arg);
+
+// Status-file entry point, the read(2) face of a flat query (a kOut row):
+// runs the PIOC* row through CtlDispatchOp, so its checks and zombie rule
+// hold, into a stack buffer, and serves the bytes of its flat_size-byte
+// result that lie at `off` and after.
+Result<int64_t> CtlReadPioc(CtlCtx& ctx, uint32_t code, uint64_t off, std::span<uint8_t> buf);
 
 // Hierarchical front-end entry point: walks a ctl-message stream (4-byte
 // code + fixed-size operand per message), decoding each operand to its

@@ -1,9 +1,18 @@
 // The process file system, flat SVR4 form: /proc/<pid> files accessed with
 // open/close/lseek/read/write/ioctl. This is the paper's primary subject.
+//
+// Both process file systems are served from data. Every counted /proc file
+// (the flat /proc/<pid>, the files of /proc2/<pid> and of
+// /proc2/<pid>/lwp/<n>) is one row of a table in flat.cc, served by one
+// vnode class: the row gives the file's name, its access (which is both its
+// mode and its open rule), its scope and where its bytes come from. One
+// root class serves /proc and /proc2.
 #ifndef SVR4PROC_PROCFS_PROCFS_H_
 #define SVR4PROC_PROCFS_PROCFS_H_
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "svr4proc/fs/vnode.h"
 #include "svr4proc/kernel/kernel.h"
@@ -11,11 +20,25 @@
 
 namespace svr4 {
 
-// Directory vnode for /proc: "the name of each entry is a decimal number
+// Makes the vnode a /proc directory entry names, for process `pid` (and lwp
+// `lwpid` under an lwp directory).
+using PrMake = std::function<VnodePtr(Kernel* k, Pid pid, int lwpid)>;
+
+// A name in a /proc directory and the vnode it names.
+struct PrEntry {
+  DirEnt ent;
+  PrMake make;
+};
+
+// The root of a process file system: its leading entries, then one entry
+// per process, in ascending pid order, named by PidName and naming
+// make_pid(pid). /proc lists each pid's flat file; /proc2 lists `kernel`,
+// then each pid's directory. "The name of each entry is a decimal number
 // corresponding to the process id" (five digits, per Figure 1).
-class ProcDirVnode : public Vnode {
+class PrRootVnode : public Vnode {
  public:
-  explicit ProcDirVnode(Kernel* k) : kernel_(k) {}
+  PrRootVnode(Kernel* k, VType pid_type, PrMake make_pid, std::vector<PrEntry> lead = {})
+      : kernel_(k), pid_type_(pid_type), make_pid_(std::move(make_pid)), lead_(std::move(lead)) {}
 
   VType type() const override { return VType::kDir; }
   Result<VAttr> GetAttr() override;
@@ -26,48 +49,25 @@ class ProcDirVnode : public Vnode {
 
  private:
   Kernel* kernel_;
+  VType pid_type_;
+  PrMake make_pid_;
+  std::vector<PrEntry> lead_;
 };
 
-// Base of every counted /proc file: the flat process file, the /proc2
-// per-process files and the per-lwp files. Their descriptors open, close,
-// poll and validate through the kernel's /proc open ledger, so the paper's
-// descriptor rules hold for all of them alike. A subclass adds only its own
-// rules: the access modes it accepts (Admit), its zombie rule, and the lwp
-// lookup.
-class PrCountedVnode : public Vnode {
- public:
-  VType type() const override { return VType::kProc; }
-  // ENOENT once the target is gone; then the file's own rules, the paper's
-  // open permission, and Kernel::PrLedgerOpen.
-  Result<void> Open(OpenFile& of, const Creds& cr, Proc* caller) final;
-  void Close(OpenFile& of) override { kernel_->PrLedgerClose(of, pid_); }
-  int Poll(OpenFile& of) override { return kernel_->PrLedgerPoll(of, pid_); }
-  int32_t PrCountedTarget() const override { return pid_; }
-
- protected:
-  PrCountedVnode(Kernel* k, Pid pid) : kernel_(k), pid_(pid) {}
-  // The file's own open rules: the access modes it accepts and, for an lwp
-  // file, that its lwp exists. The default accepts every mode.
-  virtual Result<void> Admit(const OpenFile& /*of*/, Proc* /*target*/) {
-    return Result<void>::Ok();
-  }
-
-  Kernel* kernel_;
-  Pid pid_;
+// Where a counted /proc file lives.
+enum class PrScope : uint8_t {
+  kFlat,  // /proc/<pid> itself
+  kProc,  // /proc2/<pid>/<name>
+  kLwp,   // /proc2/<pid>/lwp/<n>/<name>
 };
 
-// One process file. Reads and writes transfer data between the caller and
-// the process's address space at the virtual address given by the file
-// offset; ioctl performs the PIOC* information and control operations.
-class ProcVnode : public PrCountedVnode {
- public:
-  ProcVnode(Kernel* k, Pid pid) : PrCountedVnode(k, pid) {}
+// The entries of the counted files of a /proc2 directory (kProc or kLwp),
+// in Readdir order.
+std::vector<PrEntry> PrFileEntries(PrScope scope);
 
-  Result<VAttr> GetAttr() override;
-  Result<int64_t> Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) override;
-  Result<int64_t> Write(OpenFile& of, uint64_t off, std::span<const uint8_t> buf) override;
-  Result<int32_t> Ioctl(OpenFile& of, Proc* caller, uint32_t op, void* arg) override;
-};
+// Serves a read of the `size` bytes at `data`: those that lie at offset
+// `off` and after, as many as fit in `buf`; 0 at or past the end.
+Result<int64_t> PrServe(const void* data, size_t size, uint64_t off, std::span<uint8_t> buf);
 
 // Parses a /proc or /proc2 name that must be a decimal pid or lwp id:
 // digits only, leading zeros allowed, at most INT32_MAX. Names arrive in

@@ -10,16 +10,21 @@
 // space, "a natural structure in which to present the relationship between
 // a process and the individual threads-of-control".
 //
-// Layout (each directory's names are listed once, in a table in hier.cc):
+// Layout. Each counted file is one row of the /proc file table (flat.cc):
+// its name, its access (the mode below, and the only open modes it takes),
+// whether it lives in an lwp directory, and its data source. A status file
+// is the read(2) face of the PIOC* query named beside it: its reads run
+// that query, so the query's zombie rule is the file's.
 //   /proc2/<pid>/as       read/write  the address space (offset = vaddr)
 //   /proc2/<pid>/ctl      write-only  control message stream
-//   /proc2/<pid>/status   read-only   PrStatus
-//   /proc2/<pid>/psinfo   read-only   PrPsinfo
+//   /proc2/<pid>/status   read-only   PrStatus (PIOCSTATUS)
+//   /proc2/<pid>/psinfo   read-only   PrPsinfo (PIOCPSINFO)
 //   /proc2/<pid>/map      read-only   PrMapEntry[]
-//   /proc2/<pid>/cred     read-only   PrCred
-//   /proc2/<pid>/sigact   read-only   SigAction[128]
-//   /proc2/<pid>/usage    read-only   PrUsage
-//   /proc2/<pid>/ctlaudit read-only   PrCtlAudit (control audit ring)
+//   /proc2/<pid>/cred     read-only   PrCred (PIOCCRED)
+//   /proc2/<pid>/sigact   read-only   SigAction[128] (PIOCACTION)
+//   /proc2/<pid>/usage    read-only   PrUsage (PIOCUSAGE)
+//   /proc2/<pid>/ctlaudit read-only   PrCtlAudit, the control audit ring
+//                                     (PIOCAUDIT)
 //   /proc2/<pid>/trace    read-only   the event ring filtered to <pid>
 //   /proc2/<pid>/prof     read-only   folded-stack profiler dump
 //   /proc2/<pid>/lwp/<n>/lwpstatus    read-only   PrLwpStatus
@@ -78,21 +83,6 @@ enum PrCtl : int32_t {
 // Bytes of operand following each code; -1 for unknown codes. Derived from
 // the shared op table in procfs/ctl.h, not a hand-maintained switch.
 int PrCtlOperandSize(int32_t code);
-
-// Root of the hierarchical fstype: directories named by pid.
-class Pr2RootVnode : public Vnode {
- public:
-  explicit Pr2RootVnode(Kernel* k) : kernel_(k) {}
-  VType type() const override { return VType::kDir; }
-  Result<VAttr> GetAttr() override;
-  Result<VnodePtr> Lookup(const std::string& name) override;
-  Result<std::vector<DirEnt>> Readdir() override;
-  Result<size_t> ReaddirChunk(uint64_t* cookie, size_t max,
-                              std::vector<DirEnt>* out) override;
-
- private:
-  Kernel* kernel_;
-};
 
 // Mounts the hierarchical process file system at /proc2.
 Result<void> MountProcFs2(Kernel& k, const std::string& path = "/proc2");

@@ -18,6 +18,34 @@ void CopyStr(char* dst, size_t cap, const std::string& src) {
   dst[n] = 0;
 }
 
+// An lwp's stop flags and the stop it reports, the same in PrStatus (for
+// the representative lwp) and PrLwpStatus: PR_STEP while the trace bit is
+// set; PR_STOPPED, PR_ISTOP and why/what when stopped; PR_ASLEEP when
+// stopped out of an interruptible sleep or still in one; and the system
+// call it is in.
+template <typename Status>
+void FillLwpStop(Status& st, const Lwp* l) {
+  if (l->regs.psr & kPsrT) {
+    st.pr_flags |= PR_STEP;
+  }
+  if (l->state == LwpState::kStopped) {
+    st.pr_flags |= PR_STOPPED;
+    if (l->istop) {
+      st.pr_flags |= PR_ISTOP;
+    }
+    st.pr_why = l->stop_why;
+    st.pr_what = l->stop_what;
+    if (l->stopped_while_asleep) {
+      st.pr_flags |= PR_ASLEEP;
+    }
+  } else if (l->state == LwpState::kSleeping && l->sleep.interruptible) {
+    st.pr_flags |= PR_ASLEEP;
+  }
+  if (l->in_syscall) {
+    st.pr_syscall = l->cur_syscall;
+  }
+}
+
 }  // namespace
 
 PrStatus BuildPrStatus(Kernel& k, Proc* p) {
@@ -65,31 +93,14 @@ PrStatus BuildPrStatus(Kernel& k, Proc* p) {
   if (l != nullptr) {
     st.pr_lwpid = static_cast<uint16_t>(l->lwpid);
     st.pr_reg = l->regs;
-    if (l->regs.psr & kPsrT) {
-      st.pr_flags |= PR_STEP;
-    }
-    if (l->state == LwpState::kStopped) {
-      st.pr_flags |= PR_STOPPED;
-      if (l->istop) {
-        st.pr_flags |= PR_ISTOP;
-      }
-      st.pr_why = l->stop_why;
-      st.pr_what = l->stop_what;
-      if (l->stopped_while_asleep) {
-        st.pr_flags |= PR_ASLEEP;
-      }
-      if (l->stop_why == PR_FAULTED) {
-        st.pr_info.si_signo = 0;
-        st.pr_info.si_code = p->trace.cur_fault;
-        st.pr_info.si_addr = p->trace.cur_fault_addr;
-      } else if (l->stop_why == PR_SIGNALLED) {
-        st.pr_info = p->sig.cursig_info;
-      }
-    } else if (l->state == LwpState::kSleeping && l->sleep.interruptible) {
-      st.pr_flags |= PR_ASLEEP;
+    FillLwpStop(st, l);
+    if (l->state == LwpState::kStopped && l->stop_why == PR_FAULTED) {
+      st.pr_info.si_code = p->trace.cur_fault;
+      st.pr_info.si_addr = p->trace.cur_fault_addr;
+    } else if (l->state == LwpState::kStopped && l->stop_why == PR_SIGNALLED) {
+      st.pr_info = p->sig.cursig_info;
     }
     if (l->in_syscall) {
-      st.pr_syscall = l->cur_syscall;
       st.pr_nsysarg = static_cast<uint16_t>(SyscallNargs(l->cur_syscall));
       for (int i = 0; i < 6; ++i) {
         st.pr_sysarg[i] = l->sysargs[i];
@@ -273,17 +284,7 @@ PrLwpStatus BuildPrLwpStatus(const Proc* p, const Lwp* l) {
   st.pr_reg = l->regs;
   st.pr_fpreg = l->fpregs;
   st.pr_cursig = static_cast<uint16_t>(p->sig.cursig);
-  if (l->state == LwpState::kStopped) {
-    st.pr_flags |= PR_STOPPED;
-    if (l->istop) {
-      st.pr_flags |= PR_ISTOP;
-    }
-    st.pr_why = l->stop_why;
-    st.pr_what = l->stop_what;
-  }
-  if (l->in_syscall) {
-    st.pr_syscall = l->cur_syscall;
-  }
+  FillLwpStop(st, l);
   return st;
 }
 

@@ -611,6 +611,17 @@ constexpr size_t kCtlMsgOperandMax = [] {
   }
   return n;
 }();
+
+// The largest fixed-size query result: CtlReadPioc reads a query into a
+// stack buffer of this size.
+constexpr size_t kCtlQueryMax = [] {
+  size_t n = 0;
+  for (const CtlOp& op : kCtlOps) {
+    n = std::max(n, op.arg == CtlArgKind::kOut && op.flat_size > 0
+                        ? static_cast<size_t>(op.flat_size) : 0);
+  }
+  return n;
+}();
 static_assert(std::ranges::all_of(kCtlOps, [](const CtlOp& op) {
   return op.pc == kNoPc || (op.operand_size >= 0 && op.arg != CtlArgKind::kVaddr &&
                             op.arg != CtlArgKind::kOut && op.arg != CtlArgKind::kOutArray);
@@ -762,6 +773,22 @@ Result<int32_t> CtlDispatchPioc(CtlCtx& ctx, uint32_t code, void* arg) {
   return r;
 }
 
+Result<int64_t> CtlReadPioc(CtlCtx& ctx, uint32_t code, uint64_t off, std::span<uint8_t> buf) {
+  const CtlOp* op = FindCtlOpByPioc(code);
+  if (op == nullptr || op->arg != CtlArgKind::kOut || op->flat_size <= 0) {
+    return Errno::kEINVAL;  // not a fixed-size query
+  }
+  // Zeroed first, so no stale stack byte is served through a result's
+  // padding.
+  alignas(std::max_align_t) uint8_t out[kCtlQueryMax];
+  std::memset(out, 0, static_cast<size_t>(op->flat_size));
+  auto r = CtlDispatchOp(ctx, *op, out);
+  if (!r.ok()) {
+    return r.error();
+  }
+  return PrServe(out, static_cast<size_t>(op->flat_size), off, buf);
+}
+
 Result<int64_t> RunCtlStream(Kernel& k, Proc* p, Lwp* lwp, std::span<const uint8_t> buf,
                              Proc* caller) {
   CtlCtx ctx;
@@ -771,7 +798,6 @@ Result<int64_t> RunCtlStream(Kernel& k, Proc* p, Lwp* lwp, std::span<const uint8
   ctx.caller = caller;
   ctx.native_caller = caller != nullptr && caller->native;
   ctx.fd_writable = true;  // ctl files are write-only by construction
-  ctx.source = CtlSource::kCtlMsg;
 
   size_t pos = 0;
   while (pos + 4 <= buf.size()) {

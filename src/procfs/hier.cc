@@ -1,286 +1,84 @@
-// The hierarchical /proc2: per-process directories, read(2)-based status
-// files, write(2)-based structured control messages, and per-lwp
-// subdirectories. Control-message semantics live in the shared control-plane
-// table (procfs/ctl.h); ctl/lwpctl writes only hand the stream to it.
+// The hierarchical /proc2: its fixed-name directories (/proc2/<pid>,
+// /proc2/<pid>/lwp/<n> and /proc2/kernel, one class served from data), the
+// lwp list, and the process-independent files of /proc2/kernel. The counted
+// files the directories name, and the root's pid entries, are the /proc
+// file table's (flat.cc); control-message semantics live in the shared
+// control-plane table (procfs/ctl.h).
 #include <algorithm>
-#include <cstring>
 
-#include "svr4proc/procfs/ctl.h"
 #include "svr4proc/procfs/procfs.h"
 #include "svr4proc/procfs/procfs2.h"
 
 namespace svr4 {
 namespace {
 
-enum class Pr2Kind {
-  kStatus, kPsinfo, kCred, kUsage, kSigact, kMap, kAs, kCtl, kCtlAudit, kTrace,
-  kProf
-};
-
-// The files of a /proc2/<pid> directory, in Readdir order; the lwp
-// subdirectory follows them.
-struct Pr2File {
-  const char* name;
-  Pr2Kind kind;
-};
-constexpr Pr2File kPr2Files[] = {
-    {"as", Pr2Kind::kAs},         {"ctl", Pr2Kind::kCtl},     {"status", Pr2Kind::kStatus},
-    {"psinfo", Pr2Kind::kPsinfo}, {"map", Pr2Kind::kMap},     {"cred", Pr2Kind::kCred},
-    {"sigact", Pr2Kind::kSigact}, {"usage", Pr2Kind::kUsage}, {"ctlaudit", Pr2Kind::kCtlAudit},
-    {"trace", Pr2Kind::kTrace},   {"prof", Pr2Kind::kProf},
-};
-
-// Serves a read of a POD snapshot at the given offset.
-template <typename T>
-Result<int64_t> ServeStruct(const T& value, uint64_t off, std::span<uint8_t> buf) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (off >= sizeof(T)) {
-    return int64_t{0};
-  }
-  size_t n = std::min<uint64_t>(buf.size(), sizeof(T) - off);
-  std::memcpy(buf.data(), reinterpret_cast<const uint8_t*>(&value) + off, n);
-  return static_cast<int64_t>(n);
-}
-
-Result<int64_t> ServeBytes(const std::vector<uint8_t>& bytes, uint64_t off,
-                           std::span<uint8_t> buf) {
-  if (off >= bytes.size()) {
-    return int64_t{0};
-  }
-  size_t n = std::min<uint64_t>(buf.size(), bytes.size() - off);
-  std::memcpy(buf.data(), bytes.data() + off, n);
-  return static_cast<int64_t>(n);
-}
-
 std::vector<uint8_t> TextBytes(const std::string& text) {
   return std::vector<uint8_t>(text.begin(), text.end());
 }
 
-class Pr2FileVnode : public PrCountedVnode {
- public:
-  Pr2FileVnode(Kernel* k, Pid pid, Pr2Kind kind) : PrCountedVnode(k, pid), kind_(kind) {}
-
-  Result<VAttr> GetAttr() override {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr) {
-      return Errno::kENOENT;
-    }
-    VAttr a;
-    a.type = VType::kProc;
-    a.uid = p->creds.ruid;
-    a.gid = p->creds.rgid;
-    switch (kind_) {
-      case Pr2Kind::kCtl:
-        a.mode = 0200;  // write-only control file
-        break;
-      case Pr2Kind::kAs:
-        a.mode = 0600;
-        a.size = p->as ? p->as->VirtualSize() : 0;
-        break;
-      default:
-        a.mode = 0400;  // read-only status files
-        break;
-    }
-    return a;
-  }
-
-  Result<int64_t> Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) override {
-    if (kind_ == Pr2Kind::kTrace) {
-      // The per-process trace is a filtered view of the *global* ring; the
-      // records outlive the process, so the read deliberately bypasses the
-      // process lookup — a descriptor held across the reap still serves the
-      // reaped pid's history.
-      return ServeBytes(kernel_->ktrace().Snapshot(pid_), off, buf);
-    }
-    auto tp = Target(of);
-    if (!tp.ok()) {
-      return tp.error();
-    }
-    Proc* p = *tp;
-    switch (kind_) {
-      case Pr2Kind::kStatus:
-        return ServeStruct(BuildPrStatus(*kernel_, p), off, buf);
-      case Pr2Kind::kPsinfo:
-        return ServeStruct(BuildPrPsinfo(*kernel_, p), off, buf);
-      case Pr2Kind::kCred:
-        return ServeStruct(BuildPrCred(p), off, buf);
-      case Pr2Kind::kUsage:
-        return ServeStruct(BuildPrUsage(*kernel_, p), off, buf);
-      case Pr2Kind::kSigact: {
-        std::vector<uint8_t> bytes(sizeof(SigAction) * SigSet::kMaxMember);
-        for (int s = 1; s <= SigSet::kMaxMember; ++s) {
-          std::memcpy(bytes.data() + (s - 1) * sizeof(SigAction), &p->sig.actions[s],
-                      sizeof(SigAction));
-        }
-        return ServeBytes(bytes, off, buf);
-      }
-      case Pr2Kind::kMap: {
-        auto maps = BuildPrMap(p);
-        std::vector<uint8_t> bytes(maps.size() * sizeof(PrMapEntry));
-        std::memcpy(bytes.data(), maps.data(), bytes.size());
-        return ServeBytes(bytes, off, buf);
-      }
-      case Pr2Kind::kAs: {
-        if (!p->as || off > 0xFFFFFFFFull) {
-          return Errno::kEIO;
-        }
-        return p->as->PrRead(static_cast<uint32_t>(off), buf);
-      }
-      case Pr2Kind::kCtlAudit:
-        return ServeStruct(BuildPrCtlAudit(p), off, buf);
-      case Pr2Kind::kProf:
-        // Folded-stack profiler dump; an unprofiled process reads empty.
-        return ServeBytes(TextBytes(kernel_->ProfText(*p)), off, buf);
-      case Pr2Kind::kCtl:
-        return Errno::kEACCES;
-      case Pr2Kind::kTrace:
-        break;  // handled above, before the process lookup
-    }
-    return Errno::kEINVAL;
-  }
-
-  Result<int64_t> Write(OpenFile& of, uint64_t off, std::span<const uint8_t> buf) override {
-    auto tp = Target(of);
-    if (!tp.ok()) {
-      return tp.error();
-    }
-    Proc* p = *tp;
-    switch (kind_) {
-      case Pr2Kind::kAs: {
-        if (!p->as || off > 0xFFFFFFFFull) {
-          return Errno::kEIO;
-        }
-        return p->as->PrWrite(static_cast<uint32_t>(off), buf);
-      }
-      case Pr2Kind::kCtl:
-        return RunCtlStream(*kernel_, p, nullptr, buf, kernel_->PrLedgerOpener(of));
-      default:
-        return Errno::kEACCES;
-    }
-  }
-
- private:
-  // ctl is write-only and the status files are read-only; as is either.
-  Result<void> Admit(const OpenFile& of, Proc* /*target*/) override {
-    if (kind_ != Pr2Kind::kAs && of.writable != (kind_ == Pr2Kind::kCtl)) {
-      return Errno::kEACCES;
-    }
-    return Result<void>::Ok();
-  }
-
-  // The ledger's target; a zombie keeps only psinfo, cred, usage and
-  // ctlaudit.
-  Result<Proc*> Target(const OpenFile& of) const {
-    auto p = kernel_->PrLedgerTarget(of, pid_);
-    if (p.ok() && (*p)->state == Proc::State::kZombie && kind_ != Pr2Kind::kPsinfo &&
-        kind_ != Pr2Kind::kCred && kind_ != Pr2Kind::kUsage &&
-        kind_ != Pr2Kind::kCtlAudit) {
-      return Errno::kENOENT;
-    }
-    return p;
-  }
-
-  Pr2Kind kind_;
+// A directory whose names are fixed: /proc2/<pid>, /proc2/<pid>/lwp/<n> or
+// /proc2/kernel.
+struct Pr2Dir {
+  uint32_t mode;
+  uint32_t nlink;
+  // Its process's: stat names the process's owner, and no name resolves
+  // once the process is gone.
+  bool owned;
+  std::vector<PrEntry> entries;  // in Readdir order
 };
 
-class Pr2LwpFileVnode : public PrCountedVnode {
+class Pr2DirVnode : public Vnode {
  public:
-  Pr2LwpFileVnode(Kernel* k, Pid pid, int lwpid, bool ctl)
-      : PrCountedVnode(k, pid), lwpid_(lwpid), ctl_(ctl) {}
-
-  Result<VAttr> GetAttr() override {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr || p->FindLwp(lwpid_) == nullptr) {
-      return Errno::kENOENT;
-    }
-    VAttr a;
-    a.type = VType::kProc;
-    a.uid = p->creds.ruid;
-    a.gid = p->creds.rgid;
-    a.mode = ctl_ ? 0200 : 0400;
-    return a;
-  }
-
-  Result<int64_t> Read(OpenFile& of, uint64_t off, std::span<uint8_t> buf) override {
-    if (ctl_) {
-      return Errno::kEACCES;
-    }
-    auto l = TargetLwp(of);
-    if (!l.ok()) {
-      return l.error();
-    }
-    return ServeStruct(BuildPrLwpStatus((*l)->proc, *l), off, buf);
-  }
-
-  Result<int64_t> Write(OpenFile& of, uint64_t /*off*/,
-                        std::span<const uint8_t> buf) override {
-    if (!ctl_) {
-      return Errno::kEACCES;
-    }
-    auto l = TargetLwp(of);
-    if (!l.ok()) {
-      return l.error();
-    }
-    return RunCtlStream(*kernel_, (*l)->proc, *l, buf, kernel_->PrLedgerOpener(of));
-  }
-
- private:
-  Result<void> Admit(const OpenFile& of, Proc* target) override {
-    if (target->FindLwp(lwpid_) == nullptr) {
-      return Errno::kENOENT;
-    }
-    if (of.writable != ctl_) {
-      return Errno::kEACCES;  // lwpctl is write-only, lwpstatus read-only
-    }
-    return Result<void>::Ok();
-  }
-
-  // The ledger's target, then the lwp this file names.
-  Result<Lwp*> TargetLwp(const OpenFile& of) const {
-    auto p = kernel_->PrLedgerTarget(of, pid_);
-    if (!p.ok()) {
-      return p.error();
-    }
-    Lwp* l = (*p)->FindLwp(lwpid_);
-    if (l == nullptr) {
-      return Errno::kENOENT;
-    }
-    return l;
-  }
-
-  int lwpid_;
-  bool ctl_;
-};
-
-class Pr2LwpDirVnode : public Vnode {
- public:
-  Pr2LwpDirVnode(Kernel* k, Pid pid, int lwpid) : kernel_(k), pid_(pid), lwpid_(lwpid) {}
+  Pr2DirVnode(Kernel* k, const Pr2Dir& dir, Pid pid = -1, int lwpid = 0)
+      : kernel_(k), dir_(dir), pid_(pid), lwpid_(lwpid) {}
 
   VType type() const override { return VType::kDir; }
   Result<VAttr> GetAttr() override {
     VAttr a;
     a.type = VType::kDir;
-    a.mode = 0500;
+    a.mode = dir_.mode;
+    a.nlink = dir_.nlink;
+    if (dir_.owned) {
+      Proc* p = kernel_->FindProc(pid_);
+      if (p == nullptr) {
+        return Errno::kENOENT;
+      }
+      a.uid = p->creds.ruid;
+      a.gid = p->creds.rgid;
+    }
     return a;
   }
   Result<VnodePtr> Lookup(const std::string& name) override {
-    if (name == "lwpstatus") {
-      return VnodePtr(std::make_shared<Pr2LwpFileVnode>(kernel_, pid_, lwpid_, false));
+    if (dir_.owned && kernel_->FindProc(pid_) == nullptr) {
+      return Errno::kENOENT;
     }
-    if (name == "lwpctl") {
-      return VnodePtr(std::make_shared<Pr2LwpFileVnode>(kernel_, pid_, lwpid_, true));
+    for (const PrEntry& e : dir_.entries) {
+      if (name == e.ent.name) {
+        return e.make(kernel_, pid_, lwpid_);
+      }
     }
     return Errno::kENOENT;
   }
   Result<std::vector<DirEnt>> Readdir() override {
-    return std::vector<DirEnt>{{"lwpstatus", VType::kProc}, {"lwpctl", VType::kProc}};
+    std::vector<DirEnt> out;
+    for (const PrEntry& e : dir_.entries) {
+      out.push_back(e.ent);
+    }
+    return out;
   }
 
  private:
   Kernel* kernel_;
+  const Pr2Dir& dir_;
   Pid pid_;
   int lwpid_;
 };
+
+// /proc2/<pid>/lwp/<n>: the lwp's counted files.
+const Pr2Dir& Pr2LwpDir() {
+  static const Pr2Dir dir{0500, 1, false, PrFileEntries(PrScope::kLwp)};
+  return dir;
+}
 
 class Pr2LwpListVnode : public Vnode {
  public:
@@ -299,7 +97,7 @@ class Pr2LwpListVnode : public Vnode {
     if (p == nullptr || !id.ok() || p->FindLwp(*id) == nullptr) {
       return Errno::kENOENT;
     }
-    return VnodePtr(std::make_shared<Pr2LwpDirVnode>(kernel_, pid_, *id));
+    return VnodePtr(std::make_shared<Pr2DirVnode>(kernel_, Pr2LwpDir(), pid_, *id));
   }
   Result<std::vector<DirEnt>> Readdir() override {
     Proc* p = kernel_->FindProc(pid_);
@@ -320,52 +118,19 @@ class Pr2LwpListVnode : public Vnode {
   Pid pid_;
 };
 
-// "The thread-ids of sibling threads appear as sub-directories within a
-// hierarchy that has the process-id at the top."
-class Pr2ProcDirVnode : public Vnode {
- public:
-  Pr2ProcDirVnode(Kernel* k, Pid pid) : kernel_(k), pid_(pid) {}
-
-  VType type() const override { return VType::kDir; }
-  Result<VAttr> GetAttr() override {
-    Proc* p = kernel_->FindProc(pid_);
-    if (p == nullptr) {
-      return Errno::kENOENT;
-    }
-    VAttr a;
-    a.type = VType::kDir;
-    a.mode = 0500;
-    a.uid = p->creds.ruid;
-    a.gid = p->creds.rgid;
-    return a;
-  }
-  Result<VnodePtr> Lookup(const std::string& name) override {
-    if (kernel_->FindProc(pid_) == nullptr) {
-      return Errno::kENOENT;
-    }
-    if (name == "lwp") {
-      return VnodePtr(std::make_shared<Pr2LwpListVnode>(kernel_, pid_));
-    }
-    for (const Pr2File& f : kPr2Files) {
-      if (name == f.name) {
-        return VnodePtr(std::make_shared<Pr2FileVnode>(kernel_, pid_, f.kind));
-      }
-    }
-    return Errno::kENOENT;
-  }
-  Result<std::vector<DirEnt>> Readdir() override {
-    std::vector<DirEnt> out;
-    for (const Pr2File& f : kPr2Files) {
-      out.push_back(DirEnt{f.name, VType::kProc});
-    }
-    out.push_back(DirEnt{"lwp", VType::kDir});
-    return out;
-  }
-
- private:
-  Kernel* kernel_;
-  Pid pid_;
-};
+// /proc2/<pid>: the process's counted files, then its lwps. "The thread-ids
+// of sibling threads appear as sub-directories within a hierarchy that has
+// the process-id at the top."
+const Pr2Dir& Pr2PidDir() {
+  static const Pr2Dir dir = [] {
+    Pr2Dir d{0500, 1, true, PrFileEntries(PrScope::kProc)};
+    d.entries.push_back({DirEnt{"lwp", VType::kDir}, [](Kernel* k, Pid pid, int /*lwpid*/) {
+                           return VnodePtr(std::make_shared<Pr2LwpListVnode>(k, pid));
+                         }});
+    return d;
+  }();
+  return dir;
+}
 
 // The process-independent files of /proc2/kernel, in Readdir order. Each
 // reads as its rendering, made afresh by every stat and by each descriptor's
@@ -433,7 +198,7 @@ class Pr2KernelFileVnode : public Vnode {
     if (off == 0 || text_.empty()) {
       text_ = render_(*kernel_);
     }
-    return ServeBytes(text_, off, buf);
+    return PrServe(text_.data(), text_.size(), off, buf);
   }
 
  protected:
@@ -494,103 +259,39 @@ class Pr2PsallVnode : public Pr2KernelFileVnode {
     }
     // Serve from the window's own origin.
     uint64_t woff = off - std::min(off, first_row * kRow);
-    return ServeBytes(window, woff, buf);
+    return PrServe(window.data(), window.size(), woff, buf);
   }
 };
 
 // /proc2/kernel: kernel-wide (process-independent) introspection files.
-class Pr2KernelDirVnode : public Vnode {
- public:
-  explicit Pr2KernelDirVnode(Kernel* k) : kernel_(k) {}
-
-  VType type() const override { return VType::kDir; }
-  Result<VAttr> GetAttr() override {
-    VAttr a;
-    a.type = VType::kDir;
-    a.mode = 0555;
-    a.nlink = 2;
-    return a;
-  }
-  Result<VnodePtr> Lookup(const std::string& name) override {
+const Pr2Dir& Pr2KernelDir() {
+  static const Pr2Dir dir = [] {
+    Pr2Dir d{0555, 2, false, {}};
     for (const Pr2KernelFile& f : kPr2KernelFiles) {
-      if (name == f.name) {
-        return f.render != nullptr
-                   ? VnodePtr(std::make_shared<Pr2KernelFileVnode>(kernel_, f.render))
-                   : VnodePtr(std::make_shared<Pr2PsallVnode>(kernel_));
-      }
+      d.entries.push_back(
+          {DirEnt{f.name, VType::kProc}, [render = f.render](Kernel* k, Pid, int) {
+             return render != nullptr ? VnodePtr(std::make_shared<Pr2KernelFileVnode>(k, render))
+                                      : VnodePtr(std::make_shared<Pr2PsallVnode>(k));
+           }});
     }
-    return Errno::kENOENT;
-  }
-  Result<std::vector<DirEnt>> Readdir() override {
-    std::vector<DirEnt> out;
-    for (const Pr2KernelFile& f : kPr2KernelFiles) {
-      out.push_back(DirEnt{f.name, VType::kProc});
-    }
-    return out;
-  }
-
- private:
-  Kernel* kernel_;
-};
+    return d;
+  }();
+  return dir;
+}
 
 }  // namespace
 
-Result<VAttr> Pr2RootVnode::GetAttr() {
-  VAttr a;
-  a.type = VType::kDir;
-  a.mode = 0555;
-  a.size = kernel_->ProcCount();
-  a.nlink = 2;
-  return a;
-}
-
-Result<VnodePtr> Pr2RootVnode::Lookup(const std::string& name) {
-  if (name == "kernel") {
-    return VnodePtr(std::make_shared<Pr2KernelDirVnode>(kernel_));
-  }
-  auto pid = ParseProcId(name);
-  if (!pid.ok() || kernel_->FindProc(*pid) == nullptr) {
-    return Errno::kENOENT;
-  }
-  return VnodePtr(std::make_shared<Pr2ProcDirVnode>(kernel_, *pid));
-}
-
-Result<std::vector<DirEnt>> Pr2RootVnode::Readdir() {
-  std::vector<DirEnt> out;
-  out.push_back(DirEnt{"kernel", VType::kDir});
-  for (Pid pid : kernel_->AllPids()) {
-    out.push_back(DirEnt{PidName(pid), VType::kDir});
-  }
-  return out;
-}
-
-Result<size_t> Pr2RootVnode::ReaddirChunk(uint64_t* cookie, size_t max,
-                                          std::vector<DirEnt>* out) {
-  // Cookie 0 = start (emit "kernel" first); otherwise cookie-1 is the next
-  // pid to consider. Same churn-stability contract as the flat root: the
-  // cursor is a pid, so entries never repeat and survivors always appear.
-  size_t n = 0;
-  if (*cookie == 0 && n < max) {
-    out->push_back(DirEnt{"kernel", VType::kDir});
-    ++n;
-    *cookie = 1;
-  }
-  Pid next = static_cast<Pid>(*cookie - 1);
-  while (n < max) {
-    Pid pid = kernel_->NextAllocatedPid(next);
-    if (pid < 0) {
-      break;
-    }
-    out->push_back(DirEnt{PidName(pid), VType::kDir});
-    ++n;
-    next = pid + 1;
-  }
-  *cookie = static_cast<uint64_t>(next) + 1;
-  return n;
-}
-
 Result<void> MountProcFs2(Kernel& k, const std::string& path) {
-  return k.vfs().Mount(path, std::make_shared<Pr2RootVnode>(&k));
+  PrEntry kernel_dir{DirEnt{"kernel", VType::kDir}, [](Kernel* kp, Pid, int) {
+                       return VnodePtr(std::make_shared<Pr2DirVnode>(kp, Pr2KernelDir()));
+                     }};
+  return k.vfs().Mount(path, std::make_shared<PrRootVnode>(
+                                 &k, VType::kDir,
+                                 [](Kernel* kp, Pid pid, int /*lwpid*/) {
+                                   return VnodePtr(
+                                       std::make_shared<Pr2DirVnode>(kp, Pr2PidDir(), pid));
+                                 },
+                                 std::vector<PrEntry>{kernel_dir}));
 }
 
 }  // namespace svr4

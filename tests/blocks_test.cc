@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "block_ring.h"
 #include "svr4proc/isa/blocks.h"
 #include "svr4proc/isa/disasm.h"
 #include "svr4proc/kernel/smp.h"
@@ -164,28 +165,11 @@ TEST(BlockEngine, DifferentialLockstepWithInterpreter) {
   EXPECT_TRUE(WIfExited(interp.status));
 }
 
-// A ring of `blocks` three-instruction basic blocks (addi, xor, jmp to the
-// next), each run once per lap: the code footprint of the largest programs
-// in the perfbench population, taken past them to 1024 blocks.
 // The label of block i of a BlockRing.
 std::string BlockLabel(int i) {
   char label[16];
   std::snprintf(label, sizeof(label), "b%d", i);
   return label;
-}
-
-std::string BlockRing(int blocks) {
-  std::string s = "loop:\n";
-  char next[16];
-  char block[128];
-  for (int i = 0; i < blocks; ++i) {
-    std::snprintf(next, sizeof(next), "b%d", i + 1);
-    std::snprintf(block, sizeof(block), "b%d: addi r%d, %d\n      xor r%d, r%d\n      jmp %s\n", i,
-                  1 + i % 5, 1 + i % 97, 1 + (i + 2) % 5, 1 + (i + 3) % 5,
-                  i + 1 == blocks ? "loop" : next);
-    s += block;
-  }
-  return s;
 }
 
 constexpr int kRingBlocks = 1024;

@@ -447,6 +447,48 @@ tstack: .space 1024
   EXPECT_EQ(p->FindLwp(2)->state, LwpState::kRunning);
 }
 
+// An lwp's stop flags read the same in status and in its lwpstatus: an lwp
+// stopped asleep reads PR_ASLEEP in both, and one run with PRSTEP|PRSTOP
+// reads PR_STEP in both.
+TEST(Proc2Lwp, StatusFlagsMatchProcessStatus) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  auto asleep = StartProgram(sim, R"(
+loop: ldi r0, SYS_pause
+      sys
+      jmp loop
+  )", "/bin/pauser");
+  auto stepped = StartProgram(sim, kCounter);
+  ASSERT_TRUE(k.RunUntil(
+      [&] { return k.FindProc(asleep.pid)->MainLwp()->state == LwpState::kSleeping; }));
+
+  auto sleeper = ProcHandle::Grab(k, sim.controller(), asleep.pid);
+  ASSERT_TRUE(sleeper.ok());
+  ASSERT_TRUE(sleeper->Stop().ok());
+  auto stepper = ProcHandle::Grab(k, sim.controller(), stepped.pid);
+  ASSERT_TRUE(stepper.ok());
+  ASSERT_TRUE(stepper->Stop().ok());
+  PrRun run;
+  run.pr_flags = PRSTEP | PRSTOP;
+  ASSERT_TRUE(stepper->Run(run).ok());
+  ASSERT_TRUE(stepper->WaitStop().ok());
+
+  for (auto [pid, flag] : {std::pair{asleep.pid, PR_ASLEEP}, std::pair{stepped.pid, PR_STEP}}) {
+    PrStatus st;
+    int sfd = OpenPr2(sim, pid, "status", O_RDONLY);
+    ASSERT_EQ(*k.Read(sim.controller(), sfd, &st, sizeof(st)), int64_t{sizeof(st)});
+    PrLwpStatus ls;
+    int lfd = OpenPr2(sim, pid, "lwp/1/lwpstatus", O_RDONLY);
+    ASSERT_EQ(*k.Read(sim.controller(), lfd, &ls, sizeof(ls)), int64_t{sizeof(ls)});
+    EXPECT_TRUE(st.pr_flags & PR_STOPPED);
+    EXPECT_TRUE(st.pr_flags & flag) << std::hex << st.pr_flags;
+    EXPECT_EQ(ls.pr_flags, st.pr_flags) << std::hex << "lwpstatus 0x" << ls.pr_flags
+                                        << ", status 0x" << st.pr_flags;
+    EXPECT_EQ(ls.pr_why, st.pr_why);
+    EXPECT_EQ(ls.pr_what, st.pr_what);
+  }
+}
+
 TEST(Proc2Security, SamePermissionRulesAsFlat) {
   Sim sim;
   ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
