@@ -4,6 +4,7 @@
 // Compares the one-operation snapshot with a ptrace-era style extraction
 // that assembles the same record from many small operations.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cstdlib>
 #include <vector>
@@ -91,26 +92,37 @@ BENCHMARK(BM_PsPiecemeal)->Arg(8)->Arg(32)->Arg(128);
 // The bulk rows' second argument, when 1, builds the population from exec'd
 // pause() loops instead, so every row also reports an address space's sizes.
 
-std::unique_ptr<Sim> MakePopulation(int nprocs, bool address_spaces = false) {
+std::unique_ptr<Sim> MakeSystemForPopulation(bool address_spaces) {
   auto sim = std::make_unique<Sim>();
-  if (!address_spaces) {
-    for (int i = 0; i < nprocs; ++i) {
-      (void)sim->kernel().CreateNativeProc(Creds::Root(), "worker");
-    }
-    return sim;
-  }
-  (void)sim->InstallProgram("/bin/sleeper", R"(
+  if (address_spaces) {
+    (void)sim->InstallProgram("/bin/sleeper", R"(
 top:  ldi r0, SYS_pause
       sys
       jmp top
   )");
+  }
+  return sim;
+}
+
+void AddPopulation(Sim& sim, int nprocs, bool address_spaces) {
+  if (!address_spaces) {
+    for (int i = 0; i < nprocs; ++i) {
+      (void)sim.kernel().CreateNativeProc(Creds::Root(), "worker");
+    }
+    return;
+  }
   for (int i = 0; i < nprocs; ++i) {
-    (void)sim->Start("/bin/sleeper");
+    (void)sim.Start("/bin/sleeper");
   }
   // Each sleeper reaches pause() in its first quantum.
   for (int i = 0; i < 2 * nprocs; ++i) {
-    sim->kernel().Step();
+    sim.kernel().Step();
   }
+}
+
+std::unique_ptr<Sim> MakePopulation(int nprocs, bool address_spaces = false) {
+  auto sim = MakeSystemForPopulation(address_spaces);
+  AddPopulation(*sim, nprocs, address_spaces);
   return sim;
 }
 
@@ -165,6 +177,40 @@ void BulkArgs(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond);
 }
 BENCHMARK(BM_PsBulkSnapshot)->Apply(BulkArgs);
+
+// Heap bytes per process: malloc's own count of bytes in use (mallinfo2,
+// arena and mmapped chunks) before and after adding 10^4 native controllers
+// (second argument 0) or exec'd pause() sleepers (1) to a booted system,
+// divided by the population. The time is the population's set-up. A
+// per-process table that goes inline in Proc, or one every process
+// allocates, shows here.
+size_t HeapInUse() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+void BM_ProcBytesScale(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const bool address_spaces = state.range(1) != 0;
+  double bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sim = MakeSystemForPopulation(address_spaces);
+    const size_t before = HeapInUse();
+    state.ResumeTiming();
+    AddPopulation(*sim, n, address_spaces);
+    state.PauseTiming();
+    bytes = static_cast<double>(HeapInUse() - before) / n;
+    sim.reset();
+    state.ResumeTiming();
+  }
+  state.counters["heap_bytes_per_proc"] = bytes;
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_ProcBytesScale)
+    ->Args({10'000, 0})
+    ->Args({10'000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -56,7 +56,7 @@ enum class LwpState {
 };
 
 // Phase of the in-progress system call for an lwp.
-enum class SysPhase { kNone, kEntry, kExec, kExit };
+enum class SysPhase : uint8_t { kNone, kEntry, kExec, kExit };
 
 struct SleepSpec {
   const void* chan = nullptr;  // wait channel; nullptr when purely timed
@@ -67,45 +67,52 @@ struct SleepSpec {
 struct Proc;
 
 struct Lwp {
+  // What a ps row and a status read take from the lwp (its state, cpu,
+  // system call and stop) sits in the record's first cache line, with the
+  // flags the quantum loop tests.
   int lwpid = 1;
-  Proc* proc = nullptr;
   LwpState state = LwpState::kRunning;
-
-  // Scheduler queue linkage, owned by Kernel::LwpSetState: the run queue is
-  // a circular doubly-linked list of runnable lwps; sleepers with a wait
-  // channel hang off a chan-hashed bucket. q_where says which list (if any)
-  // the links are threaded on so transitions unlink in O(1).
-  enum QWhere : uint8_t { kQNone = 0, kQRun = 1, kQSleep = 2 };
-  Lwp* q_prev = nullptr;
-  Lwp* q_next = nullptr;
-  uint8_t q_where = kQNone;
+  Proc* proc = nullptr;
   // Home CPU: names the per-CPU run queue this lwp enqueues on (and, while
   // running, the CPU executing it). Assigned round-robin at enroll, updated
   // by work stealing; always 0 on a uniprocessor kernel.
   int cpu = 0;
 
-  Regs regs;
-  FpRegs fpregs;
-
   // In-progress system call.
-  bool in_syscall = false;
-  SysPhase sys_phase = SysPhase::kNone;
   uint16_t cur_syscall = 0;
-  std::array<uint32_t, 6> sysargs{};
+  bool in_syscall = false;
   bool abort_syscall = false;  // PRSABORT: skip to syscall exit with EINTR
-  SleepSpec sleep;
   bool interrupted = false;  // a signal arrived while sleeping
+  SysPhase sys_phase = SysPhase::kNone;
 
   // Stop bookkeeping.
   uint16_t stop_why = 0;
   uint16_t stop_what = 0;
   bool istop = false;          // stopped on an event of interest
   bool stopped_while_asleep = false;  // PR_ASLEEP at stop time
-  SleepSpec saved_sleep;       // to resume the sleep undisturbed
+  bool lwp_dstop = false;      // per-lwp stop directive (hierarchical lwpctl)
 
   // issig() progress flags (reset when the current signal is resolved).
   bool sig_reported = false;   // signalled stop already taken for cursig
   bool pt_reported = false;    // ptrace stop already taken for cursig
+
+  // Scheduler queue linkage, owned by Kernel::LwpSetState: the run queue is
+  // a circular doubly-linked list of runnable lwps; sleepers with a wait
+  // channel hang off a chan-hashed bucket. q_where says which list (if any)
+  // the links are threaded on so transitions unlink in O(1).
+  enum QWhere : uint8_t { kQNone = 0, kQRun = 1, kQSleep = 2 };
+  uint8_t q_where = kQNone;
+
+  SleepSpec sleep;             // the sleep in progress (kSleeping)
+
+  Lwp* q_prev = nullptr;
+  Lwp* q_next = nullptr;
+
+  Regs regs;
+  FpRegs fpregs;
+
+  std::array<uint32_t, 6> sysargs{};  // the system call's arguments
+  SleepSpec saved_sleep;       // to resume the sleep undisturbed
 
   // Restartable-handler scratch state, cleared when the syscall finishes.
   uint64_t sys_deadline = 0;   // absolute wake tick for timed syscalls
@@ -122,20 +129,43 @@ struct Lwp {
   // bias distinguishes "stamped at tick 0" from "never stamped", same as
   // Proc::stop_req_tick.
   uint64_t runq_enq_tick = 0;
+};
 
-  // Per-lwp stop directive (hierarchical /proc lwpctl).
-  bool lwp_dstop = false;
+// A process's signal actions and the siginfo of each pending signal: two
+// tables of SigSet::kMaxMember + 1 entries, about 6 KB. Allocated the first
+// time the process needs them, by a sigaction or a posted signal, so a
+// process that never sets an action or takes a signal (a pause() sleeper, a
+// native controller) stays small (same discipline as TraceState::audit).
+// fork copies the actions only if the parent has a table; zombie slimming
+// releases it.
+struct SigTables {
+  std::array<SigInfo, SigSet::kMaxMember + 1> pending_info{};
+  std::array<SigAction, SigSet::kMaxMember + 1> actions{};
 };
 
 // Process-level signal state. The hold mask and actions are process-wide,
 // as in single-threaded SVR4.
 struct SignalState {
   SigSet pending;
-  std::array<SigInfo, SigSet::kMaxMember + 1> pending_info{};
   SigSet hold;
-  std::array<SigAction, SigSet::kMaxMember + 1> actions{};
   int cursig = 0;  // promoted from pending by issig(); at most one
   SigInfo cursig_info;
+  // Null until first needed; a pending signal implies a table, since its
+  // siginfo lives there (CheckInvariants).
+  std::unique_ptr<SigTables> tables;
+
+  // The action for `sig`; the default one when the process has no table.
+  const SigAction& Action(int sig) const {
+    static constexpr SigAction kDefault{};
+    return tables != nullptr ? tables->actions[static_cast<size_t>(sig)] : kDefault;
+  }
+  // The tables, allocated on first use.
+  SigTables& Tables() {
+    if (tables == nullptr) {
+      tables = std::make_unique<SigTables>();
+    }
+    return *tables;
+  }
 };
 
 // One record of the per-process control audit ring: who issued which
@@ -226,10 +256,30 @@ inline int WStopSig(int st) { return (st >> 8) & 0xFF; }
 inline int WTermSig(int st) { return st & 0x7F; }
 
 struct Proc {
+  // What a ps row (BuildPrPsinfo) reads comes first, so a row touches only
+  // the record's first 192 bytes (DESIGN.md §12); a status read
+  // (BuildPrStatus) takes the times that follow too.
   Pid pid = 0;
   Pid ppid = 0;
   Pid pgrp = 0;
   Pid sid = 0;
+  int nice = 20;
+  enum class State : uint8_t { kActive, kZombie } state = State::kActive;
+  bool system_proc = false; // sched/pageout: no user address space
+  bool native = false;      // host-driven controller; never scheduled
+  bool setid = false;       // set-id since last exec (restricts /proc opens)
+  uint64_t start_tick = 0;
+  uint64_t utime = 0;   // instructions executed
+  uint64_t stime = 0;   // kernel work on this process's behalf
+  AddressSpacePtr as;
+  std::vector<std::unique_ptr<Lwp>> lwps;
+  std::string name;    // pr_fname: executable basename
+  std::string psargs;  // pr_psargs: initial argument list
+  Creds creds;
+  uint64_t cutime = 0;
+  uint64_t cstime = 0;
+
+  SignalState sig;
 
   // Birth identity: unique across the whole life of the kernel, never
   // recycled. A /proc descriptor records the ident of the process it named
@@ -251,13 +301,6 @@ struct Proc {
   Proc* pt_sib_prev = nullptr;
   Proc* pt_sib_next = nullptr;
 
-  std::string name;    // pr_fname: executable basename
-  std::string psargs;  // pr_psargs: initial argument list
-
-  Creds creds;
-  bool setid = false;       // set-id since last exec (restricts /proc opens)
-  bool system_proc = false; // sched/pageout: no user address space
-  bool native = false;      // host-driven controller; never scheduled
   // A native controller that must not block: each procd peer, because one
   // daemon serves them all. A blocking /proc operation runs its checks,
   // audit record and directive for it as for any caller, and then leaves
@@ -265,17 +308,13 @@ struct Proc {
   // the daemon parks the peer on Kernel::PrStopWaitCheck.
   bool defers_waits = false;
 
-  enum class State { kActive, kZombie } state = State::kActive;
   int exit_status = 0;
   Pid deferred_wait = -1;   // stop-wait left to a defers_waits caller; -1: none
 
-  AddressSpacePtr as;
   VnodePtr exe;  // executable file vnode (PIOCOPENM with a null address)
 
-  std::vector<std::unique_ptr<Lwp>> lwps;
   int next_lwpid = 1;
 
-  SignalState sig;
   TraceState trace;
 
   // Sampling-profiler state; null until PIOCPROF first arms it.
@@ -292,11 +331,7 @@ struct Proc {
 
   std::vector<OpenFilePtr> fds;
 
-  // Accounting (prusage / prpsinfo).
-  uint64_t utime = 0;   // instructions executed
-  uint64_t stime = 0;   // kernel work on this process's behalf
-  uint64_t cutime = 0;
-  uint64_t cstime = 0;
+  // Accounting (prusage), beside utime, stime, cutime and cstime above.
   uint64_t nsyscalls = 0;
   uint64_t nsignals = 0;
   uint64_t nfaults = 0;
@@ -306,8 +341,6 @@ struct Proc {
   // interface reports are these bases plus the current AS's counters.
   uint64_t minflt_base = 0;  // satisfied without simulated I/O
   uint64_t majflt_base = 0;  // first touch of a file-backed page
-  uint64_t start_tick = 0;
-  int nice = 20;
   uint32_t umask = 022;
   uint64_t alarm_tick = 0;  // 0 = no alarm pending
 
@@ -369,12 +402,20 @@ struct Proc {
   }
 };
 
+// A process record stays compact: the per-process tables that most
+// processes never touch (signal tables, audit ring, profiler) hang off it
+// behind pointers, allocated on first use.
+static_assert(sizeof(Proc) <= 1024, "a per-process table went inline in Proc");
+
 // Heap-owned storage hanging off a Proc: the quantity zombie slimming
-// releases at exit (audit ring, descriptor table, lwp records). The scale
-// suite asserts a slimmed zombie's footprint collapses to ~0 while the Proc
-// record itself survives until reap.
+// releases at exit (signal tables, audit ring, descriptor table, lwp
+// records). The scale suite asserts a slimmed zombie's footprint collapses
+// to ~0 while the Proc record itself survives until reap.
 inline size_t ProcDynamicFootprint(const Proc& p) {
   size_t n = 0;
+  if (p.sig.tables != nullptr) {
+    n += sizeof(*p.sig.tables);
+  }
   if (p.trace.audit != nullptr) {
     n += sizeof(*p.trace.audit);
   }

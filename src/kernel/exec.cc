@@ -120,7 +120,9 @@ Result<Pid> Kernel::ForkCommon(Lwp* parent_lwp, bool vfork) {
   }
 
   // Signal dispositions are inherited; pending signals are not.
-  child->sig.actions = parent->sig.actions;
+  if (parent->sig.tables != nullptr) {
+    child->sig.Tables().actions = parent->sig.tables->actions;
+  }
   child->sig.hold = parent->sig.hold;
 
   // /proc: "the child inherits all of the parent's tracing flags" when
@@ -326,9 +328,11 @@ Result<void> Kernel::ExecImage(Proc* p, const std::string& path,
 
   // Caught signals revert to default; ignored stay ignored; tracing flags
   // persist across exec.
-  for (auto& act : p->sig.actions) {
-    if (act.handler != SIG_IGN) {
-      act = SigAction{};
+  if (p->sig.tables != nullptr) {
+    for (auto& act : p->sig.tables->actions) {
+      if (act.handler != SIG_IGN) {
+        act = SigAction{};
+      }
     }
   }
   p->sig.cursig = 0;

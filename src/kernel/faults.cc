@@ -403,6 +403,13 @@ std::vector<std::string> Kernel::CheckInvariants() {
       }
     }
 
+    // A pending signal's siginfo lives in the signal tables, so a process
+    // with a pending signal has them.
+    if (!p->sig.pending.Empty() && p->sig.tables == nullptr) {
+      v.push_back(Violation(pid, "pending signal with no signal table",
+                            p->sig.pending.First(), 0));
+    }
+
     // Address-space page counts: ps rows read them without a walk, so they
     // must equal the walk.
     if (p->as) {

@@ -1078,10 +1078,13 @@ void Kernel::DrainZombieSlim() {
     if (p == nullptr || p->state != Proc::State::kZombie) {
       continue;  // reaped, or pid reused by a live process
     }
-    // Everything a wait(2) does not need: the audit ring (totals survive in
-    // TraceState), the descriptor table, the profiler buckets, and the lwp
-    // storage itself. The wait status, times, and pid linkage stay on the
-    // Proc.
+    // Everything a wait(2) does not need: the signal tables (with the
+    // pending signals, whose siginfo they hold), the audit ring (totals
+    // survive in TraceState), the descriptor table, the profiler buckets,
+    // and the lwp storage itself. The wait status, times, and pid linkage
+    // stay on the Proc.
+    p->sig.pending.Clear();
+    p->sig.tables.reset();
     ReleaseProf(p);
     p->trace.audit.reset();
     p->fds.clear();
@@ -1584,7 +1587,7 @@ int Kernel::PromoteSignal(Proc* p) {
   if (s != 0) {
     p->sig.pending.Remove(s);
     p->sig.cursig = s;
-    p->sig.cursig_info = p->sig.pending_info[s];
+    p->sig.cursig_info = p->sig.tables->pending_info[s];  // pending => a table
   }
   return s;
 }
@@ -1605,7 +1608,7 @@ bool Kernel::Issig(Lwp* lwp) {
         ExitProc(p, WSignalStatus(SIGKILL, false));
         return false;
       }
-      const SigAction& act = p->sig.actions[s];
+      const SigAction& act = p->sig.Action(s);
       bool traced = p->trace.sigtrace.Has(s);
       if (act.handler == SIG_IGN && !traced && !p->pt_traced) {
         p->sig.cursig = 0;
@@ -1690,7 +1693,7 @@ void Kernel::Psig(Lwp* lwp) {
   lwp->pt_reported = false;
   ++p->nsignals;
 
-  const SigAction& act = p->sig.actions[s];
+  const SigAction& act = p->sig.Action(s);
   kt_.Emit(KtEvent::kSignalDeliver, p->pid, lwp->lwpid, static_cast<uint32_t>(s),
            act.handler == SIG_IGN || act.handler == SIG_DFL ? 0 : act.handler);
   if (act.handler == SIG_IGN) {
@@ -1856,7 +1859,7 @@ void Kernel::PostSignal(Proc* p, int sig, const SigInfo& info) {
     }
   }
 
-  const SigAction& act = p->sig.actions[sig];
+  const SigAction& act = p->sig.Action(sig);
   bool traced = p->trace.sigtrace.Has(sig) || p->pt_traced;
   if (!traced && sig != SIGKILL && sig != SIGSTOP) {
     // Discard at generation time when the disposition is to ignore.
@@ -1872,7 +1875,7 @@ void Kernel::PostSignal(Proc* p, int sig, const SigInfo& info) {
   }
 
   p->sig.pending.Add(sig);
-  p->sig.pending_info[sig] = info;
+  p->sig.Tables().pending_info[sig] = info;
 
   // Wake interruptible sleepers so the signal is noticed.
   for (auto& l : p->lwps) {
@@ -1904,7 +1907,7 @@ void Kernel::HandleFault(Lwp* lwp, int fault, uint32_t addr) {
 void Kernel::ConvertFaultToSignal(Lwp* lwp, int fault, uint32_t addr) {
   Proc* p = lwp->proc;
   int sig = FaultToSignal(fault);
-  const SigAction& act = p->sig.actions[sig];
+  const SigAction& act = p->sig.Action(sig);
   bool blocked = p->sig.hold.Has(sig);
   bool ignored = act.handler == SIG_IGN ||
                  (act.handler == SIG_DFL && DefaultDisp(sig) == SigDisp::kIgnore);

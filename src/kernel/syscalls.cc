@@ -309,16 +309,16 @@ Kernel::SysResult Kernel::SysSigaction(Lwp* lwp) {
   if (!SigSet::Valid(sig) || sig == SIGKILL || sig == SIGSTOP) {
     return SysResult::Fail(Errno::kEINVAL);
   }
-  uint32_t handler = lwp->sysargs[1];
-  uint32_t old = p->sig.actions[sig].handler;
-  p->sig.actions[sig].handler = handler;
+  SigAction& act = p->sig.Tables().actions[sig];
+  uint32_t old = act.handler;
+  act.handler = lwp->sysargs[1];
   // args[2], when set, points at a 16-byte mask to hold during the handler.
   if (lwp->sysargs[2] != 0) {
     SigSet mask;
     if (!Copyin(p, lwp->sysargs[2], &mask, sizeof(mask)).ok()) {
       return SysResult::Fail(Errno::kEFAULT);
     }
-    p->sig.actions[sig].mask = mask;
+    act.mask = mask;
   }
   return SysResult::Ok(old);
 }

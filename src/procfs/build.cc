@@ -3,6 +3,7 @@
 // possible of internal system implementation details."
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "svr4proc/kernel/kernel.h"
 #include "svr4proc/kernel/ktrace.h"
@@ -12,7 +13,7 @@
 namespace svr4 {
 namespace {
 
-void CopyStr(char* dst, size_t cap, const std::string& src) {
+void CopyStr(char* dst, size_t cap, std::string_view src) {
   size_t n = std::min(cap - 1, src.size());
   std::memcpy(dst, src.data(), n);
   dst[n] = 0;

@@ -268,7 +268,7 @@ Result<int32_t> OpMaxSig(CtlCtx&, void* arg) {
 Result<int32_t> OpActions(CtlCtx& c, void* arg) {
   auto* actions = static_cast<SigAction*>(arg);
   for (int s = 1; s <= SigSet::kMaxMember; ++s) {
-    actions[s - 1] = c.p->sig.actions[s];
+    actions[s - 1] = c.p->sig.Action(s);
   }
   return 0;
 }
@@ -445,6 +445,14 @@ Result<int32_t> OpPsAll(CtlCtx& c, void* arg) {
   size_t limit = all->pr_limit == 0 ? static_cast<size_t>(-1)
                                     : static_cast<size_t>(all->pr_limit);
   all->pr_procs.reserve(std::min(limit, c.k->ProcCount()));
+  // Each row is built in place: emplace_back initializes the new element
+  // from the conversion's return value, so BuildPrPsinfo writes straight
+  // into the window, not into a temporary that is then copied.
+  struct InPlaceRow {
+    Kernel* k;
+    Proc* p;
+    operator PrPsinfo() const { return BuildPrPsinfo(*k, p); }
+  };
   for (Pid pid = c.k->NextAllocatedPid(start); pid >= 0;
        pid = c.k->NextAllocatedPid(pid + 1)) {
     Proc* p = c.k->FindProc(pid);
@@ -455,7 +463,7 @@ Result<int32_t> OpPsAll(CtlCtx& c, void* arg) {
       all->pr_next_pid = pid;  // first pid NOT included: the resume point
       break;
     }
-    all->pr_procs.push_back(BuildPrPsinfo(*c.k, p));
+    all->pr_procs.emplace_back(InPlaceRow{c.k, p});
   }
   return static_cast<int32_t>(all->pr_procs.size());
 }

@@ -34,8 +34,9 @@ Result<void> ProcOpenPermission(const Creds& cr, const Proc* target) {
 }
 
 // How a counted file may be used: its mode, which is also its open rule. A
-// descriptor with the write right (O_WRONLY or O_RDWR) needs the owner's
-// write bit, one without it the owner's read bit.
+// descriptor that can read (O_RDONLY or O_RDWR) needs the owner's read bit,
+// one that can write (O_WRONLY or O_RDWR) the owner's write bit, so a
+// write-only file refuses O_RDWR at open.
 enum class PrAccess : uint32_t { kRead = 0400, kWrite = 0200, kReadWrite = 0600 };
 
 // What a file with no query row answers once its process is a zombie.
@@ -180,7 +181,9 @@ class PrFileVnode : public Vnode {
     if (p == nullptr) {
       return Errno::kENOENT;
     }
-    if ((static_cast<uint32_t>(f_.access) & (of.writable ? 0200 : 0400)) == 0) {
+    const uint32_t want = ((of.oflags & O_ACCMODE) != O_WRONLY ? 0400 : 0) |
+                          (of.writable ? 0200 : 0);
+    if ((static_cast<uint32_t>(f_.access) & want) != want) {
       return Errno::kEACCES;
     }
     SVR4_RETURN_IF_ERROR(ProcOpenPermission(cr, p));

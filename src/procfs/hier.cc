@@ -27,6 +27,19 @@ struct Pr2Dir {
   std::vector<PrEntry> entries;  // in Readdir order
 };
 
+// A directory of process `pid` (its own, its lwp list, each lwp's) stats
+// as the process's real uid and gid, as its files do, and answers ENOENT
+// once the process is gone.
+Result<VAttr> OwnedDirAttr(Kernel* k, Pid pid, VAttr a) {
+  Proc* p = k->FindProc(pid);
+  if (p == nullptr) {
+    return Errno::kENOENT;
+  }
+  a.uid = p->creds.ruid;
+  a.gid = p->creds.rgid;
+  return a;
+}
+
 class Pr2DirVnode : public Vnode {
  public:
   Pr2DirVnode(Kernel* k, const Pr2Dir& dir, Pid pid = -1, int lwpid = 0)
@@ -39,12 +52,7 @@ class Pr2DirVnode : public Vnode {
     a.mode = dir_.mode;
     a.nlink = dir_.nlink;
     if (dir_.owned) {
-      Proc* p = kernel_->FindProc(pid_);
-      if (p == nullptr) {
-        return Errno::kENOENT;
-      }
-      a.uid = p->creds.ruid;
-      a.gid = p->creds.rgid;
+      return OwnedDirAttr(kernel_, pid_, a);
     }
     return a;
   }
@@ -76,7 +84,7 @@ class Pr2DirVnode : public Vnode {
 
 // /proc2/<pid>/lwp/<n>: the lwp's counted files.
 const Pr2Dir& Pr2LwpDir() {
-  static const Pr2Dir dir{0500, 1, false, PrFileEntries(PrScope::kLwp)};
+  static const Pr2Dir dir{0500, 1, true, PrFileEntries(PrScope::kLwp)};
   return dir;
 }
 
@@ -89,7 +97,7 @@ class Pr2LwpListVnode : public Vnode {
     VAttr a;
     a.type = VType::kDir;
     a.mode = 0500;
-    return a;
+    return OwnedDirAttr(kernel_, pid_, a);
   }
   Result<VnodePtr> Lookup(const std::string& name) override {
     Proc* p = kernel_->FindProc(pid_);

@@ -452,11 +452,37 @@ constexpr Row kCaptured[] = {
     {"/proc2/00009/lwp", 0xb1cc57561ef208abull},
 };
 
-// Rows that read differently from the capture, on purpose. An lwp stopped
-// asleep now reads PR_ASLEEP in lwpstatus as it does in status (the capture
-// read pr_flags 0x3 there, 0xb in status).
+// Rows that read differently from the capture, on purpose:
+// - An lwp stopped asleep now reads PR_ASLEEP in lwpstatus as it does in
+//   status (the capture read pr_flags 0x3 there, 0xb in status).
+// - ctl and lwpctl are write-only (mode 0200), so they now refuse O_RDWR at
+//   open with EACCES, as they refuse O_RDONLY; the capture opened them and
+//   then answered every read EACCES (a zombie's ctl: ENOENT).
+// - The walkers' own usage files (pid 3 is root's controller, pid 9 the
+//   stranger's) count the walk's I/O, which no longer writes PCNULL through
+//   those O_RDWR descriptors.
+// - /proc2/00009/lwp stats as the stranger's process (u200 g20), as
+//   /proc2/00009 does; the capture read u0 g0.
 constexpr Row kChangedRows[] = {
     {"/proc2/00006/lwp/1/lwpstatus", 0x8db6ea7ec168e82aull},
+    {"/proc2/00000/ctl", 0x4c24b15ca892e5ffull},
+    {"/proc2/00001/ctl", 0x279f8a076fe446eeull},
+    {"/proc2/00002/ctl", 0xbc6aa9234036fce9ull},
+    {"/proc2/00003/ctl", 0x10a4ded0d534bdb0ull},
+    {"/proc2/00003/usage", 0x4147b4a7cf07fd62ull},
+    {"/proc2/00004/ctl", 0xa238d788dc747853ull},
+    {"/proc2/00004/lwp/1/lwpctl", 0xa4250d4a4f68dbf8ull},
+    {"/proc2/00005/ctl", 0x64addb0b32781902ull},
+    {"/proc2/00005/lwp/1/lwpctl", 0x71fb05c86e963ab3ull},
+    {"/proc2/00006/ctl", 0xddefca811727876dull},
+    {"/proc2/00006/lwp/1/lwpctl", 0xffe671d3e043dca6ull},
+    {"/proc2/00007/ctl", 0xa3278ef2e3a0d2c4ull},
+    {"/proc2/00007/lwp/1/lwpctl", 0xc2ef97851ec88a91ull},
+    {"/proc2/00007/lwp/2/lwpctl", 0xfd52ba92f7185d44ull},
+    {"/proc2/00008/ctl", 0x13e16033f7f32ad0ull},
+    {"/proc2/00009/ctl", 0xe3abda28515c2da9ull},
+    {"/proc2/00009/usage", 0xb68962618cc9beebull},
+    {"/proc2/00009/lwp", 0xfb87d20bbeae7159ull},
 };
 
 TEST(ProcFiles, NamespaceAsAtTheParent) {

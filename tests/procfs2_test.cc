@@ -365,6 +365,23 @@ TEST(Proc2Files, AccessModesEnforced) {
   EXPECT_FALSE(sim.kernel().Read(sim.controller(), ctl, &b, 1).ok());
 }
 
+// A write-only file refuses a descriptor that could read it: O_RDWR on ctl
+// or lwpctl fails at open, as O_RDONLY does, rather than opening and then
+// answering every read EACCES. A file with both bits still takes O_RDWR.
+TEST(Proc2Files, WriteOnlyFilesRefuseReadWriteOpen) {
+  Sim sim;
+  auto t = StartProgram(sim, kCounter);
+  for (const char* file : {"ctl", "lwp/1/lwpctl"}) {
+    auto r = sim.kernel().Open(sim.controller(), Pr2Path(t.pid, file), O_RDWR);
+    ASSERT_FALSE(r.ok()) << file;
+    EXPECT_EQ(r.error(), Errno::kEACCES) << file;
+    int fd = OpenPr2(sim, t.pid, file, O_WRONLY);
+    EXPECT_TRUE(sim.kernel().Close(sim.controller(), fd).ok());
+  }
+  int as = OpenPr2(sim, t.pid, "as", O_RDWR);
+  EXPECT_TRUE(sim.kernel().Close(sim.controller(), as).ok());
+}
+
 TEST(Proc2Files, MapFileSerializesMappings) {
   Sim sim;
   auto t = StartProgram(sim, kCounter);
@@ -487,6 +504,41 @@ loop: ldi r0, SYS_pause
     EXPECT_EQ(ls.pr_why, st.pr_why);
     EXPECT_EQ(ls.pr_what, st.pr_what);
   }
+}
+
+// /proc2/<pid>/lwp and /proc2/<pid>/lwp/<n> stat as the process's real uid
+// and gid, as /proc2/<pid> does, and a held directory answers ENOENT once
+// the process is gone.
+TEST(Proc2Lwp, LwpDirectoriesStatAsTheirProcess) {
+  Sim sim;
+  Kernel& k = sim.kernel();
+  ASSERT_TRUE(sim.InstallProgram("/bin/prog", kCounter).ok());
+  auto pid = k.Spawn("/bin/prog", {"prog"}, Creds::User(200, 20), sim.controller());
+  ASSERT_TRUE(pid.ok());
+  std::vector<VnodePtr> dirs;
+  for (const char* dir : {"", "/lwp", "/lwp/1"}) {
+    std::string path = Pr2Path(*pid, "");
+    path.pop_back();
+    path += dir;
+    auto st = k.Stat(sim.controller(), path);
+    ASSERT_TRUE(st.ok()) << path;
+    EXPECT_EQ(st->uid, 200u) << path;
+    EXPECT_EQ(st->gid, 20u) << path;
+    auto vp = k.vfs().Resolve(path);
+    ASSERT_TRUE(vp.ok()) << path;
+    dirs.push_back(*vp);
+  }
+  ASSERT_TRUE(k.Kill(sim.controller(), *pid, SIGKILL).ok());
+  ASSERT_TRUE(k.Wait(sim.controller(), *pid).ok());
+  ASSERT_EQ(k.FindProc(*pid), nullptr);
+  for (const VnodePtr& vp : dirs) {
+    auto st = vp->GetAttr();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error(), Errno::kENOENT);
+  }
+  auto status = dirs[2]->Lookup("lwpstatus");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error(), Errno::kENOENT);
 }
 
 TEST(Proc2Security, SamePermissionRulesAsFlat) {

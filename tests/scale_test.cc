@@ -305,13 +305,40 @@ TEST(ScaleChurn, BigPopulationChurnStaysCoherent) {
 }
 
 TEST(ScaleChurn, ZombieFootprintShrinksBeforeReap) {
-  // A zombie holds only its exit status and identity: the audit ring, the
-  // descriptor table's capacity, and the lwp storage are released one Step
-  // after exit, not at reap time. A monitor holding 10^5 unreaped zombies
-  // must not also hold 10^5 full descriptor tables.
+  // A zombie holds only its exit status and identity: the signal tables,
+  // the audit ring, the descriptor table's capacity, and the lwp storage
+  // are released one Step after exit, not at reap time. A monitor holding
+  // 10^5 unreaped zombies must not also hold 10^5 full descriptor tables.
+  // The program catches SIGUSR1, so it has signal tables, and exits with
+  // SIGUSR2 held and pending.
   Sim sim;
   Kernel& k = sim.kernel();
-  ASSERT_TRUE(sim.InstallProgram("/bin/ex", kExit).ok());
+  ASSERT_TRUE(sim.InstallProgram("/bin/ex", R"(
+      ldi r0, SYS_sigaction
+      ldi r1, SIGUSR1
+      ldi r2, handler
+      ldi r3, 0
+      sys
+      ldi r0, SYS_sigprocmask
+      ldi r1, 0
+      ldi r2, mask
+      ldi r3, 0
+      sys
+      ldi r0, SYS_getpid
+      sys
+      mov r1, r0
+      ldi r0, SYS_kill
+      ldi r2, SIGUSR2
+      sys
+      ldi r0, SYS_exit
+      ldi r1, 0
+      sys
+handler:
+      ldi r0, SYS_sigreturn
+      sys
+      .data
+mask: .word 0x10000, 0, 0, 0   ; bit 16 = SIGUSR2 (17)
+)").ok());
   // Parent is the controller, which never waits: the zombie persists.
   auto z = k.Spawn("/bin/ex", {"ex"}, Creds::Root(), sim.controller());
   ASSERT_TRUE(z.ok());
@@ -319,8 +346,13 @@ TEST(ScaleChurn, ZombieFootprintShrinksBeforeReap) {
   Proc* p = k.FindProc(*z);
   ASSERT_NE(p, nullptr);
   ASSERT_EQ(p->state, Proc::State::kZombie);
+  ASSERT_NE(p->sig.tables, nullptr);
+  ASSERT_TRUE(p->sig.pending.Has(SIGUSR2));
+  EXPECT_GE(ProcDynamicFootprint(*p), sizeof(SigTables));
   // The slim pass runs at the start of the next Step.
   k.Step();
+  EXPECT_EQ(p->sig.tables, nullptr) << "signal tables survived the slim pass";
+  EXPECT_TRUE(p->sig.pending.Empty());
   EXPECT_EQ(p->trace.audit, nullptr) << "audit ring survived the slim pass";
   EXPECT_EQ(p->fds.capacity(), 0u);
   EXPECT_EQ(p->lwps.capacity(), 0u);
